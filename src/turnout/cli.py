@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import corpus
-from .classifiers import ALGORITHMS, Hyperparams, Split, predict_label, train
+from .classifiers import ALGORITHMS, Hyperparams, Split, predict_labels, train
 from .data import (
     AttributeSchema,
     Dataset,
@@ -20,6 +20,7 @@ from .data import (
     crosstab,
     parse_csv,
     parse_schema,
+    strip_bom,
 )
 from .errors import DataError, InputError
 from .evaluation import (
@@ -110,7 +111,7 @@ def _read_text(path: str, what: str) -> str:
 
 
 def _detect_labeled(text: str, schema: AttributeSchema) -> bool:
-    for line in text.splitlines():
+    for line in strip_bom(text).splitlines():
         if line.strip():
             header = [canonical_label(c) for c in line.split(",")]
             return header != list(schema.feature_names)
@@ -263,14 +264,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     data, _ = _load_data(args, labeled=None, fallback_schema=model.schema)
-    features_only = Dataset(schema=data.schema, rows=data.rows, labels=None)
-    proba = model.predict_proba(features_only)
+    proba = model.predict_proba(data)
+    winners = predict_labels(proba).tolist()
     labels = model.schema.class_labels
     lines = ["index\tprediction\t" + "\t".join(labels)]
-    for i in range(data.n):
-        row = proba[i]
-        winner = labels[predict_label(row)]
-        cells = [str(i), winner] + [f"{p:.6f}" for p in row]
+    for i, row in enumerate(proba):
+        cells = [str(i), labels[winners[i]]] + [f"{p:.6f}" for p in row.tolist()]
         lines.append("\t".join(cells))
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -29,6 +29,11 @@ import numpy as np
 from .errors import DataError, SchemaError
 
 
+def strip_bom(text: str) -> str:
+    """Drop one leading UTF-8 byte-order mark, as spreadsheet exports write."""
+    return text.removeprefix("\ufeff")
+
+
 def canonical_label(text: str) -> str:
     """Trim and collapse internal whitespace; no other normalisation."""
     return " ".join(text.split())
@@ -120,7 +125,7 @@ def parse_schema(text: str) -> AttributeSchema:
     features: list[Attribute] = []
     target: Attribute | None = None
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(strip_bom(text).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -153,47 +158,125 @@ def parse_schema(text: str) -> AttributeSchema:
     return AttributeSchema(features=tuple(features), target=target)
 
 
-@dataclass(frozen=True)
 class Dataset:
     """Immutable record table.
 
     Each record is a tuple of domain indices, one per feature attribute,
     in schema order.  ``labels`` holds the target index per record, or is
     ``None`` for a uniformly unlabeled dataset; a mix is unrepresentable.
+
+    Construction validates every cell once, with vector comparisons, and
+    caches the records as one read-only ``(n, d)`` integer array,
+    ``matrix``, and the labels as ``label_array``.  ``subset`` selects
+    records by index from an already validated table without validating
+    them again; a subset builds its ``rows``/``labels`` tuples from the
+    arrays only when they are first read.  Two datasets are equal when
+    their schemas, records and labels are.
     """
 
     schema: AttributeSchema
-    rows: tuple[tuple[int, ...], ...]
-    labels: tuple[int, ...] | None
+    matrix: np.ndarray
+    label_array: np.ndarray | None
+    _rows: tuple[tuple[int, ...], ...] | None
+    _labels: tuple[int, ...] | None
 
-    def __post_init__(self) -> None:
-        width = len(self.schema.features)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise DataError(f"record {i}: expected {width} values, got {len(row)}")
-            for j, v in enumerate(row):
-                if not 0 <= v < self.schema.features[j].size:
-                    raise DataError(
-                        f"record {i}: index {v} out of range for "
-                        f"attribute {self.schema.features[j].name!r}"
-                    )
-        if self.labels is not None:
-            if len(self.labels) != len(self.rows):
+    def __init__(
+        self,
+        schema: AttributeSchema,
+        rows: tuple[tuple[int, ...], ...],
+        labels: tuple[int, ...] | None,
+    ) -> None:
+        features = schema.features
+        width = len(features)
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        short = np.flatnonzero(lengths != width)
+        # records before the first one of the wrong width are checked first,
+        # so the error names the earliest failing record
+        n_ok = int(short[0]) if short.size else len(rows)
+        matrix = np.array(rows[:n_ok], dtype=np.intp).reshape(n_ok, width)
+        sizes = np.array([f.size for f in features], dtype=np.intp)
+        bad = (matrix < 0) | (matrix >= sizes)
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), width)
+            raise DataError(
+                f"record {i}: index {int(matrix[i, j])} out of range for "
+                f"attribute {features[j].name!r}"
+            )
+        if short.size:
+            raise DataError(f"record {n_ok}: expected {width} values, got {int(lengths[n_ok])}")
+        label_array = None
+        if labels is not None:
+            if len(labels) != len(rows):
                 raise DataError(
-                    f"{len(self.labels)} labels for {len(self.rows)} records; "
+                    f"{len(labels)} labels for {len(rows)} records; "
                     "records must be uniformly labeled or uniformly unlabeled"
                 )
-            for i, y in enumerate(self.labels):
-                if not 0 <= y < self.schema.target.size:
-                    raise DataError(f"record {i}: label index {y} out of range")
+            label_array = np.array(labels, dtype=np.intp).reshape(len(labels))
+            bad_labels = np.flatnonzero((label_array < 0) | (label_array >= schema.target.size))
+            if bad_labels.size:
+                i = int(bad_labels[0])
+                raise DataError(f"record {i}: label index {int(label_array[i])} out of range")
+        self._init(schema, matrix, label_array, rows, labels)
+
+    def _init(
+        self,
+        schema: AttributeSchema,
+        matrix: np.ndarray,
+        label_array: np.ndarray | None,
+        rows: tuple[tuple[int, ...], ...] | None,
+        labels: tuple[int, ...] | None,
+    ) -> None:
+        matrix.flags.writeable = False
+        if label_array is not None:
+            label_array.flags.writeable = False
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "label_array", label_array)
+        # None until first read when the dataset is a subset
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_labels", labels)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Dataset is immutable; cannot set {name!r}")
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        if self._rows is None:
+            object.__setattr__(self, "_rows", tuple(map(tuple, self.matrix.tolist())))
+        return self._rows
+
+    @property
+    def labels(self) -> tuple[int, ...] | None:
+        if self._labels is None and self.label_array is not None:
+            object.__setattr__(self, "_labels", tuple(self.label_array.tolist()))
+        return self._labels
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.matrix)
 
     @property
     def labeled(self) -> bool:
-        return self.labels is not None
+        return self.label_array is not None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.schema, self.rows, self.labels) == (other.schema, other.rows, other.labels)
+
+    def __hash__(self) -> int:
+        return hash((self.schema, self.rows, self.labels))
+
+    def __repr__(self) -> str:
+        return f"Dataset(schema={self.schema!r}, rows={self.rows!r}, labels={self.labels!r})"
+
+    def subset(self, indices: np.ndarray) -> "Dataset":
+        """The records at ``indices``, in that order, without re-validation."""
+        picked = np.asarray(indices, dtype=np.intp)
+        subset = object.__new__(Dataset)
+        label_array = None if self.label_array is None else self.label_array[picked]
+        subset._init(self.schema, self.matrix[picked], label_array, None, None)
+        return subset
 
 
 def parse_csv(text: str, schema: AttributeSchema, labeled: bool) -> Dataset:
@@ -207,7 +290,7 @@ def parse_csv(text: str, schema: AttributeSchema, labeled: bool) -> Dataset:
     """
     numbered = [
         (lineno, line)
-        for lineno, line in enumerate(text.splitlines(), start=1)
+        for lineno, line in enumerate(strip_bom(text).splitlines(), start=1)
         if line.strip()
     ]
     if not numbered:
@@ -257,10 +340,11 @@ def dataset_to_csv(data: Dataset) -> str:
     if data.labeled:
         header.append(data.schema.target.name)
     lines = [",".join(header)]
+    labels = data.labels
     for i, row in enumerate(data.rows):
         cells = [data.schema.features[j].values[v] for j, v in enumerate(row)]
-        if data.labels is not None:
-            cells.append(data.schema.target.values[data.labels[i]])
+        if labels is not None:
+            cells.append(data.schema.target.values[labels[i]])
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -269,7 +353,7 @@ def class_counts(data: Dataset) -> tuple[int, ...]:
     """Records per target class, in class order; zero counts included."""
     if data.labels is None:
         raise ValueError("class counts need a labeled dataset")
-    counts = np.bincount(np.asarray(data.labels, dtype=np.intp), minlength=data.schema.n_classes)
+    counts = np.bincount(data.label_array, minlength=data.schema.n_classes)
     return tuple(int(c) for c in counts)
 
 

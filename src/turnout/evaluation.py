@@ -2,9 +2,16 @@
 
 All randomness flows from one seeded generator, so every result is a
 pure function of (data, algorithm, hyperparameters, protocol, seed).
-Fold evaluation may run on several threads; per-record scores are
-written back by record index, so thread count never changes a byte of
-any downstream report.
+Each fold trains on an index selection of the validated dataset and
+scores its held-out records with one batch call to the model's kernel
+(see :mod:`turnout.classifiers`).  Fold evaluation may run on several
+threads; per-record scores are written back by record index, so thread
+count never changes a byte of any downstream report.
+
+Curves sort the scores once: ROC takes cumulative sums at the ends of
+tie blocks (Fawcett 2006, Alg. 1-2), lift at every rank, and
+calibration bins with ``np.bincount``.  Each gives the same points, in
+the same floating-point order, as a per-threshold or per-record loop.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifiers import Hyperparams, predict_label, train
+from .classifiers import Hyperparams, predict_labels, train
 from .data import Dataset, class_counts
 
 
@@ -43,9 +50,8 @@ def stratified_folds(data: Dataset, folds: int, seed: int) -> FoldAssignment:
         raise ValueError("stratified folds need a labeled dataset")
     if not 2 <= folds <= data.n:
         raise ValueError(f"folds must be between 2 and {data.n}, got {folds}")
-    assert data.labels is not None
     rng = np.random.default_rng(seed)
-    labels = np.asarray(data.labels, dtype=np.intp)
+    labels = data.label_array
     fold_of = np.zeros(data.n, dtype=np.intp)
     cursor = 0
     for c in range(data.schema.n_classes):
@@ -82,9 +88,8 @@ class ConfusionMatrix:
         cls, actual: Sequence[int], predicted: Sequence[int], labels: Sequence[str]
     ) -> "ConfusionMatrix":
         k = len(labels)
-        counts = [[0] * k for _ in range(k)]
-        for a, p in zip(actual, predicted):
-            counts[a][p] += 1
+        cells = np.asarray(actual, dtype=np.intp) * k + np.asarray(predicted, dtype=np.intp)
+        counts = np.bincount(cells, minlength=k * k).reshape(k, k).tolist()
         return cls(counts=tuple(tuple(row) for row in counts), labels=tuple(labels))
 
 
@@ -172,32 +177,40 @@ class CurveSeries:
     auc: float | None = None
 
 
+def _curve_input(scores: Sequence[float], positive: Sequence[bool]) -> tuple[np.ndarray, np.ndarray]:
+    s = np.asarray(scores, dtype=np.float64)
+    flags = np.asarray(positive, dtype=bool)
+    if s.shape != flags.shape or s.ndim != 1 or s.size == 0:
+        raise ValueError("scores and positive flags must be equal-length 1-d sequences")
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
+    return s, flags
+
+
 def roc_points(scores: Sequence[float], positive: Sequence[bool], label: str = "") -> CurveSeries:
     """ROC curve swept over the distinct scores, highest first.
 
     Each distinct score is a threshold (predict positive when
     score >= threshold), so tied records enter as a block.  The curve
-    starts at (0, 0), ends at (1, 1), and ``auc`` is the trapezoid area.
+    starts at (0, 0), ends at (1, 1), and ``auc`` is the trapezoid area,
+    summed threshold by threshold.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    flags = np.asarray(positive, dtype=bool)
-    if s.shape != flags.shape or s.ndim != 1 or s.size == 0:
-        raise ValueError("scores and positive flags must be equal-length 1-d sequences")
+    s, flags = _curve_input(scores, positive)
     n_pos = int(flags.sum())
     n_neg = int(s.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc needs at least one positive and one negative record")
-    points = [(0.0, 0.0)]
+    order = np.argsort(-s)
+    ranked = s[order]
+    block_ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tp = np.cumsum(flags[order])[block_ends]
+    fp = block_ends + 1 - tp
+    xs = [0.0] + (fp / n_neg).tolist()
+    ys = [0.0] + (tp / n_pos).tolist()
     auc = 0.0
-    tp = fp = 0
-    for threshold in sorted(set(float(v) for v in s), reverse=True):
-        block = s == threshold
-        tp += int(flags[block].sum())
-        fp += int(block.sum()) - int(flags[block].sum())
-        x, y = fp / n_neg, tp / n_pos
-        auc += (x - points[-1][0]) * (y + points[-1][1]) / 2.0
-        points.append((x, y))
-    return CurveSeries(kind="roc", label=label, points=tuple(points), auc=auc)
+    for i in range(1, len(xs)):
+        auc += (xs[i] - xs[i - 1]) * (ys[i] + ys[i - 1]) / 2.0
+    return CurveSeries(kind="roc", label=label, points=tuple(zip(xs, ys)), auc=auc)
 
 
 def lift_points(scores: Sequence[float], positive: Sequence[bool], label: str = "") -> CurveSeries:
@@ -207,22 +220,17 @@ def lift_points(scores: Sequence[float], positive: Sequence[bool], label: str = 
     x is the fraction of records taken, y that prefix's precision divided
     by the overall positive rate; the final point is always y = 1.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    flags = np.asarray(positive, dtype=bool)
-    if s.shape != flags.shape or s.ndim != 1 or s.size == 0:
-        raise ValueError("scores and positive flags must be equal-length 1-d sequences")
+    s, flags = _curve_input(scores, positive)
     n_pos = int(flags.sum())
     if n_pos == 0:
         raise ValueError("lift needs at least one positive record")
     n = s.size
     prevalence = n_pos / n
-    order = np.argsort(-s, kind="stable")
-    points = []
-    seen = 0
-    for i, idx in enumerate(order, start=1):
-        seen += int(flags[idx])
-        points.append((i / n, (seen / i) / prevalence))
-    return CurveSeries(kind="lift", label=label, points=tuple(points))
+    seen = np.cumsum(flags[np.argsort(-s, kind="stable")])
+    taken = np.arange(1, n + 1)
+    xs = (taken / n).tolist()
+    ys = ((seen / taken) / prevalence).tolist()
+    return CurveSeries(kind="lift", label=label, points=tuple(zip(xs, ys)))
 
 
 def calibration_points(
@@ -231,29 +239,21 @@ def calibration_points(
     """Mean predicted score vs observed positive rate per score bin.
 
     [0, 1] is cut into ``bins`` equal-width bins, right-closed except the
-    first (which keeps 0).  Empty bins are omitted.
+    first (which keeps 0).  Empty bins are omitted.  Each bin's score sum
+    is accumulated in record order.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    flags = np.asarray(positive, dtype=bool)
-    if s.shape != flags.shape or s.ndim != 1 or s.size == 0:
-        raise ValueError("scores and positive flags must be equal-length 1-d sequences")
+    s, flags = _curve_input(scores, positive)
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
-    totals = np.zeros(bins, dtype=np.int64)
-    positives = np.zeros(bins, dtype=np.int64)
-    sums = np.zeros(bins, dtype=np.float64)
-    for value, flag in zip(s, flags):
-        edge = value * bins
-        b = 0 if value <= 0 else min(bins - 1, int(np.ceil(edge)) - 1)
-        totals[b] += 1
-        positives[b] += int(flag)
-        sums[b] += float(value)
-    points = [
-        (sums[b] / totals[b], positives[b] / totals[b])
-        for b in range(bins)
-        if totals[b]
-    ]
-    return CurveSeries(kind="calibration", label=label, points=tuple(points))
+    # bin b holds (b / bins, (b + 1) / bins]; scores <= 0 go to bin 0, > 1 to the last
+    b = np.where(s > 0, np.minimum(np.ceil(s * bins), bins) - 1, 0).astype(np.intp)
+    totals = np.bincount(b, minlength=bins)
+    positives = np.bincount(b[flags], minlength=bins)
+    sums = np.bincount(b, weights=s, minlength=bins)
+    filled = np.flatnonzero(totals)
+    means = (sums[filled] / totals[filled]).tolist()
+    rates = (positives[filled] / totals[filled]).tolist()
+    return CurveSeries(kind="calibration", label=label, points=tuple(zip(means, rates)))
 
 
 # ----------------------------------------------------------- protocol
@@ -302,15 +302,8 @@ def cross_validate(
         test_idx = np.flatnonzero(fold_of == f)
         if test_idx.size == 0:
             return
-        train_idx = np.flatnonzero(fold_of != f)
-        subset = Dataset(
-            schema=data.schema,
-            rows=tuple(data.rows[i] for i in train_idx),
-            labels=tuple(data.labels[i] for i in train_idx),
-        )
-        model = train(subset, algorithm, params)
-        for i in test_idx:
-            scores[i] = model.predict_proba_row(data.rows[i])
+        model = train(data.subset(np.flatnonzero(fold_of != f)), algorithm, params)
+        scores[test_idx] = model.predict_proba(data.subset(test_idx))
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -319,7 +312,7 @@ def cross_validate(
         for f in range(folds):
             run_fold(f)
 
-    predicted = [predict_label(scores[i]) for i in range(data.n)]
+    predicted = predict_labels(scores)
     matrix = ConfusionMatrix.from_predictions(data.labels, predicted, data.schema.class_labels)
     return matrix, scores
 
@@ -333,7 +326,7 @@ def test_on_train(
     assert data.labels is not None
     model = train(data, algorithm, params or Hyperparams())
     scores = model.predict_proba(data)
-    predicted = [predict_label(p) for p in scores]
+    predicted = predict_labels(scores)
     matrix = ConfusionMatrix.from_predictions(data.labels, predicted, data.schema.class_labels)
     return matrix, scores
 
@@ -373,8 +366,8 @@ def evaluate(
         )
     else:
         matrix, scores = test_on_train(data, algorithm, params)
-    assert data.labels is not None
-    labels = np.asarray(data.labels, dtype=np.intp)
+    labels = data.label_array
+    assert labels is not None
     per_class = tuple(
         per_class_metrics(matrix, c) for c in range(data.schema.n_classes)
     )

@@ -54,7 +54,7 @@ def _params_line(p: Hyperparams) -> str:
 def _knn_payload(model: KnnModel) -> list[str]:
     return [
         "row: " + " ".join(str(v) for v in row) + f" {label}"
-        for row, label in zip(model.rows, model.labels)
+        for row, label in zip(model.rows.tolist(), model.labels.tolist())
     ]
 
 
@@ -183,7 +183,7 @@ def _load_knn(payload: list[str], domain_sizes: list[int], n_classes: int, k: in
         labels.append(values[-1])
     if not rows:
         raise ModelFileError("knn payload has no rows")
-    return KnnModel(rows=tuple(rows), labels=tuple(labels), k=k, n_classes=n_classes)
+    return KnnModel(rows=rows, labels=labels, k=k, n_classes=n_classes)
 
 
 def _load_nb(payload: list[str], domain_sizes: list[int], n_classes: int, alpha: float) -> NaiveBayesModel:
@@ -197,6 +197,8 @@ def _load_nb(payload: list[str], domain_sizes: list[int], n_classes: int, alpha:
     counts = _ints(first[len("class-counts: ") :], "class counts")
     if len(counts) != n_classes:
         raise ModelFileError(f"{len(counts)} class counts for {n_classes} classes")
+    if any(c < 0 for c in counts) or sum(counts) == 0:
+        raise ModelFileError("class counts must be non-negative with a positive total")
     tables: list[tuple[tuple[int, ...], ...]] = []
     for j, size in enumerate(domain_sizes):
         table: list[tuple[int, ...]] = []
@@ -209,19 +211,18 @@ def _load_nb(payload: list[str], domain_sizes: list[int], n_classes: int, alpha:
             if not line.startswith(prefix):
                 raise ModelFileError(f"expected {prefix!r} line, got {line!r}")
             row = _ints(line[len(prefix) :], "count table row")
-            if len(row) != n_classes:
-                raise ModelFileError(f"count row has {len(row)} classes, expected {n_classes}")
+            if len(row) != n_classes or any(c < 0 for c in row):
+                raise ModelFileError(f"count row {line!r} needs {n_classes} non-negative counts")
             table.append(tuple(row))
         tables.append(tuple(table))
     leftovers = list(reader)
     if leftovers:
         raise ModelFileError(f"unexpected trailing payload line {leftovers[0]!r}")
-    model = NaiveBayesModel(class_counts=tuple(counts), tables=tuple(tables), alpha=alpha)
-    for j, table in enumerate(model.tables):
+    for j, table in enumerate(tables):
         for c in range(n_classes):
             if sum(row[c] for row in table) != counts[c]:
                 raise ModelFileError(f"count table {j} does not sum to the class counts")
-    return model
+    return NaiveBayesModel(class_counts=tuple(counts), tables=tuple(tables), alpha=alpha)
 
 
 def _load_tree(payload: list[str], n_features: int, domain_sizes: list[int], n_classes: int) -> TreeNode:

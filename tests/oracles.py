@@ -2,11 +2,15 @@
 
 Everything here is deliberately written with plain dicts, sorting, and
 exact Fraction / big-integer arithmetic, sharing no code with the
-package under test.
+package under test.  The curve sweeps at the end are the exception:
+they are the straightforward per-threshold and per-record float loops,
+kept so that the vectorised curves can be required to equal them
+exactly, same floating-point operations in the same order.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from turnout import Attribute, AttributeSchema, Dataset
@@ -54,6 +58,9 @@ def nb_proba(rows, labels, domain_sizes, n_classes, alpha, query):
     scores = []
     for c in range(n_classes):
         score = Fraction(per_class[c], n)
+        if per_class[c] == 0:
+            scores.append(score)  # prior 0: the class scores 0 for any alpha
+            continue
         for j, v in enumerate(query):
             seen = sum(1 for row, y in zip(rows, labels) if y == c and row[j] == v)
             score *= (seen + a) / (per_class[c] + a * domain_sizes[j])
@@ -119,3 +126,52 @@ def auc_pair_statistic(scores, positive):
             elif p == q:
                 total += Fraction(1, 2)
     return total / (len(pos) * len(neg))
+
+
+def roc_curve(scores, positive):
+    """Quadratic ROC sweep: one pass over the records per distinct score,
+    highest first.  Returns (points, auc) with the trapezoid area summed
+    threshold by threshold."""
+    n_pos = sum(1 for flag in positive if flag)
+    n_neg = len(scores) - n_pos
+    points = [(0.0, 0.0)]
+    auc = 0.0
+    tp = fp = 0
+    for threshold in sorted(set(scores), reverse=True):
+        for score, flag in zip(scores, positive):
+            if score == threshold:
+                if flag:
+                    tp += 1
+                else:
+                    fp += 1
+        x, y = fp / n_neg, tp / n_pos
+        auc += (x - points[-1][0]) * (y + points[-1][1]) / 2.0
+        points.append((x, y))
+    return points, auc
+
+
+def lift_curve(scores, positive):
+    """Per-record lift: records by descending score, ties in record order."""
+    n = len(scores)
+    prevalence = sum(1 for flag in positive if flag) / n
+    order = sorted(range(n), key=lambda i: -scores[i])
+    points = []
+    seen = 0
+    for rank, i in enumerate(order, start=1):
+        seen += 1 if positive[i] else 0
+        points.append((rank / n, (seen / rank) / prevalence))
+    return points
+
+
+def calibration_curve(scores, positive, bins):
+    """Per-record binning into right-closed bins (the first keeps 0),
+    summing each bin's scores in record order; empty bins omitted."""
+    totals = [0] * bins
+    hits = [0] * bins
+    sums = [0.0] * bins
+    for score, flag in zip(scores, positive):
+        b = 0 if score <= 0 else min(bins - 1, math.ceil(score * bins) - 1)
+        totals[b] += 1
+        hits[b] += 1 if flag else 0
+        sums[b] += score
+    return [(sums[b] / totals[b], hits[b] / totals[b]) for b in range(bins) if totals[b]]

@@ -14,12 +14,14 @@ from turnout import (
     info_gain,
     load_election_corpus,
     predict_label,
+    predict_labels,
     train,
     train_knn,
     train_naive_bayes,
     train_tree,
     tree_predict_proba,
 )
+from turnout.classifiers import KNN_BLOCK_CELLS, tree_predict_proba_batch
 
 import oracles
 from oracles import tiny_dataset
@@ -69,6 +71,13 @@ def test_predict_label_rejects_bad_vectors():
         predict_label([])
     with pytest.raises(ValueError):
         predict_label([0.3, 0.3])  # sums to 0.6
+
+
+def test_predict_labels_is_row_wise_predict_label():
+    proba = np.array([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])
+    assert predict_labels(proba).tolist() == [predict_label(row) for row in proba] == [1, 0, 1, 0]
+    with pytest.raises(ValueError, match="0.6"):
+        predict_labels(np.array([[1.0, 0.0], [0.3, 0.3], [0.1, 0.1]]))  # first bad row is named
 
 
 # ---------------------------------------------------------------- knn
@@ -360,6 +369,12 @@ def test_training_is_deterministic():
         assert np.array_equal(a, b)
 
 
+def test_hyperparams_reject_non_finite_alpha():
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            Hyperparams(nb_alpha=alpha)
+
+
 def test_hyperparams_validation():
     with pytest.raises(ValueError):
         Hyperparams(knn_k=0)
@@ -369,3 +384,87 @@ def test_hyperparams_validation():
         Hyperparams(tree_min_samples=1)
     with pytest.raises(ValueError):
         Hyperparams(tree_max_depth=-1)
+
+
+# ------------------------------------------------------ batch kernels
+
+
+@st.composite
+def tied_problem(draw, max_records=40, max_queries=12):
+    """A random small schema with few values per attribute, so Hamming
+    distances tie heavily; a training set; and a batch of queries."""
+    sizes = draw(st.lists(st.integers(min_value=2, max_value=3), min_size=1, max_size=4))
+    n_classes = draw(st.integers(min_value=2, max_value=4))
+
+    def record():
+        return tuple(draw(st.integers(min_value=0, max_value=size - 1)) for size in sizes)
+
+    n = draw(st.integers(min_value=1, max_value=max_records))
+    rows = [record() for _ in range(n)]
+    labels = [draw(st.integers(min_value=0, max_value=n_classes - 1)) for _ in range(n)]
+    queries = [record() for _ in range(draw(st.integers(min_value=1, max_value=max_queries)))]
+    return rows, labels, sizes, n_classes, queries
+
+
+@given(tied_problem(), st.one_of(st.integers(min_value=1, max_value=5),
+                                 st.integers(min_value=40, max_value=60)))
+def test_knn_batch_matches_oracle(case, k):
+    rows, labels, sizes, n_classes, queries = case
+    model = train_knn(tiny_dataset(rows, labels, sizes, n_classes), Hyperparams(knn_k=k))
+    got = model.predict_proba_batch(np.array(queries))
+    want = [[float(p) for p in oracles.knn_proba(rows, labels, n_classes, k, q)] for q in queries]
+    assert got.tolist() == want
+    # the per-record entry point is the same kernel on a batch of one
+    assert np.array_equal(got, np.stack([model.predict_proba(q) for q in queries]))
+
+
+def test_knn_batch_spanning_several_blocks_matches_oracle():
+    rng = np.random.default_rng(7)
+    sizes = [2, 3, 2, 3, 2]
+    n = 3000
+    rows = [tuple(int(rng.integers(size)) for size in sizes) for _ in range(n)]
+    labels = [int(c) for c in rng.integers(3, size=n)]
+    queries = [tuple(int(rng.integers(size)) for size in sizes) for _ in range(25)]
+    assert len(queries) > 2 * (KNN_BLOCK_CELLS // n)  # premise: three blocks or more
+    data = tiny_dataset(rows, labels, sizes, 3)
+    for k in (1, 7, n + 1):
+        got = train_knn(data, Hyperparams(knn_k=k)).predict_proba_batch(np.array(queries))
+        want = [[float(p) for p in oracles.knn_proba(rows, labels, 3, k, q)] for q in queries]
+        assert got.tolist() == want
+
+
+@given(tied_problem(), st.sampled_from([0.0, 1e-3, 1.0, 50.0]))
+def test_nb_batch_matches_oracle(case, alpha):
+    rows, labels, sizes, n_classes, queries = case
+    model = train_naive_bayes(tiny_dataset(rows, labels, sizes, n_classes),
+                              Hyperparams(nb_alpha=alpha))
+    got = model.predict_proba_batch(np.array(queries))
+    assert np.isfinite(got).all()
+    for q, row in zip(queries, got):
+        want = oracles.nb_proba(rows, labels, sizes, n_classes, alpha, q)
+        assert np.allclose(row, [float(w) for w in want], atol=1e-12, rtol=0.0)
+    assert np.array_equal(got, np.stack([model.predict_proba(q) for q in queries]))
+
+
+def test_nb_alpha_zero_scores_an_absent_class_zero():
+    # class 2 is declared but has no training records
+    data = tiny_dataset([(0, 1), (1, 1), (1, 0)], [0, 1, 1], [2, 2], 3)
+    model = train_naive_bayes(data, Hyperparams(nb_alpha=0.0))
+    proba = model.predict_proba_batch(np.array([(0, 1), (1, 0), (0, 0)]))
+    assert proba.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1 / 3, 2 / 3, 0.0]]
+
+
+@given(tied_problem())
+def test_tree_batch_matches_a_plain_walk(case):
+    rows, labels, sizes, n_classes, queries = case
+    root = train_tree(tiny_dataset(rows, labels, sizes, n_classes), Hyperparams())
+    got = tree_predict_proba_batch(root, np.array(queries), n_classes)
+    assert got.shape == (len(queries), n_classes)
+    assert tree_predict_proba_batch(root, np.empty((0, len(sizes))), n_classes).shape == (
+        0, n_classes)
+    for q, row in zip(queries, got):
+        node = root
+        while isinstance(node, Split):
+            node = node.children[q[node.attribute]]
+        total = sum(node.counts)
+        assert row.tolist() == [c / total for c in node.counts]

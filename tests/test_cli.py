@@ -1,6 +1,15 @@
+import re
+
+import numpy as np
 import pytest
 
-from turnout import election_csv_text, election_schema_text
+from turnout import (
+    Dataset,
+    dataset_to_csv,
+    election_csv_text,
+    election_schema_text,
+    load_election_schema,
+)
 from turnout.cli import main
 
 DESCRIBE = (
@@ -183,6 +192,90 @@ def test_evaluate_hyperparams_are_validated(capsys):
     code, _, err = run(capsys, "evaluate", "--algo", "knn", "--seed", "1", "--k", "0")
     assert code == 1
     assert "knn_k" in err
+
+
+def test_evaluate_rejects_non_finite_alpha(capsys):
+    for alpha in ("inf", "nan"):
+        code, _, err = run(capsys, "evaluate", "--algo", "naive-bayes", "--seed", "1",
+                           "--alpha", alpha)
+        assert code == 1
+        assert "alpha" in err
+
+
+NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+
+
+def test_alpha_zero_with_an_absent_class_emits_finite_files(capsys, tmp_path):
+    # the schema still declares "Without participation", but no record has it
+    lines = election_csv_text().splitlines()
+    kept = [lines[0]] + [line for line in lines[1:]
+                         if not line.endswith(",Without participation")]
+    assert len(kept) == 1 + 94
+    data = tmp_path / "d.csv"
+    schema = tmp_path / "s.schema"
+    data.write_text("\n".join(kept) + "\n")
+    schema.write_text(election_schema_text())
+    files = ("--data", str(data), "--schema", str(schema), "--alpha", "0")
+    reports = tmp_path / "reports"
+    model = tmp_path / "nb.model"
+    predictions = tmp_path / "predictions.tsv"
+    assert run(capsys, "evaluate", "--algo", "naive-bayes", "--seed", "42", *files,
+               "--out", str(reports))[0] == 0
+    assert run(capsys, "train", "--algo", "naive-bayes", *files, "--out", str(model))[0] == 0
+    assert run(capsys, "predict", str(model), "--data", str(data),
+               "--out", str(predictions))[0] == 0
+    emitted = [p for p in tmp_path.rglob("*") if p.is_file() and p not in (data, schema)]
+    assert len(emitted) > 10
+    for path in emitted:
+        assert not NON_FINITE.search(path.read_text()), path
+
+
+def _synthetic_csv(n, seed):
+    schema = load_election_schema()
+    rng = np.random.default_rng(seed)
+    rows = tuple(tuple(int(rng.integers(f.size)) for f in schema.features) for _ in range(n))
+    labels = tuple(int(c) for c in rng.choice(schema.n_classes, size=n, p=[0.7, 0.2, 0.1]))
+    return dataset_to_csv(Dataset(schema=schema, rows=rows, labels=labels))
+
+
+def test_jobs_never_change_report_bytes_on_multi_block_data(capsys, tmp_path):
+    # 1,500 records: each fold trains KNN on 1,350, so a block holds 24 of
+    # the 150 held-out queries and every fold's batch spans several blocks
+    data = tmp_path / "d.csv"
+    schema = tmp_path / "s.schema"
+    data.write_text(_synthetic_csv(1500, seed=5))
+    schema.write_text(election_schema_text())
+    outputs = []
+    for jobs in ("1", "4"):
+        out = tmp_path / f"jobs{jobs}"
+        code, _, _ = run(capsys, "evaluate", "--algo", "all", "--seed", "3", "--jobs", jobs,
+                         "--data", str(data), "--schema", str(schema), "--out", str(out))
+        assert code == 0
+        outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert len(outputs[0]) > 20
+    assert outputs[0] == outputs[1]
+
+
+def test_byte_order_mark_is_ignored(capsys, tmp_path):
+    assert run(capsys, "export-corpus", "--out", str(tmp_path))[0] == 0
+    for name in ("election.csv", "election.schema"):
+        path = tmp_path / name
+        path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    files = ("--data", str(tmp_path / "election.csv"),
+             "--schema", str(tmp_path / "election.schema"))
+    code, out, err = run(capsys, "validate", *files)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == DESCRIBE
+    # an unlabeled file with a BOM is still recognised as unlabeled
+    model = tmp_path / "knn.model"
+    assert run(capsys, "train", "--algo", "knn", *files, "--out", str(model))[0] == 0
+    lines = election_csv_text().splitlines()
+    query = tmp_path / "query.csv"
+    query.write_text("\ufeff" + "\n".join(line.rsplit(",", 1)[0] for line in lines[:3]) + "\n",
+                     encoding="utf-8")
+    code, out, _ = run(capsys, "predict", str(model), "--data", str(query))
+    assert code == 0
+    assert len(out.splitlines()) == 3
 
 
 # -------------------------------------------------------- train/predict

@@ -148,3 +148,48 @@ def test_calibration_points_stay_in_the_unit_square(case):
     assert all(0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 for x, y in curve.points)
     xs = [x for x, _ in curve.points]
     assert xs == sorted(xs)  # bins are visited left to right
+
+
+# ------------------------------------------- vectorised vs loop oracles
+
+
+@st.composite
+def tied_scores(draw, max_size=60):
+    """Scores with heavy ties (a coarse grid) mixed with arbitrary floats,
+    including values just outside [0, 1] that calibration clamps."""
+    n = draw(st.integers(min_value=2, max_value=max_size))
+    grid = st.sampled_from([-0.25, 0.0, 0.1, 0.2, 1 / 3, 0.5, 0.7, 0.9, 1.0, 1.5])
+    free = st.floats(min_value=-1.0, max_value=2.0, allow_nan=False)
+    scores = [draw(st.one_of(grid, grid, free)) for _ in range(n)]
+    flags = [draw(st.booleans()) for _ in range(n)]
+    flags[0], flags[-1] = True, False
+    return scores, flags
+
+
+@given(tied_scores())
+def test_roc_equals_the_quadratic_sweep_exactly(case):
+    scores, flags = case
+    curve = roc_points(scores, flags)
+    points, auc = oracles.roc_curve(scores, flags)
+    assert curve.points == tuple(points)
+    assert curve.auc == auc
+
+
+@given(tied_scores())
+def test_lift_equals_the_per_record_loop_exactly(case):
+    scores, flags = case
+    assert lift_points(scores, flags).points == tuple(oracles.lift_curve(scores, flags))
+
+
+@given(tied_scores(), st.integers(min_value=2, max_value=12))
+def test_calibration_equals_the_per_record_loop_exactly(case, bins):
+    scores, flags = case
+    curve = calibration_points(scores, flags, bins=bins)
+    assert curve.points == tuple(oracles.calibration_curve(scores, flags, bins))
+
+
+def test_curves_reject_non_finite_scores():
+    for bad in (float("nan"), float("inf")):
+        for curve in (roc_points, lift_points, calibration_points):
+            with pytest.raises(ValueError, match="finite"):
+                curve([0.5, bad], [True, False])

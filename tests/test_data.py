@@ -169,6 +169,41 @@ def test_dataset_rejects_out_of_range_indices():
         Dataset(schema=schema, rows=((0, 0),), labels=(7,))
 
 
+def test_dataset_names_the_earliest_failing_record():
+    schema = _toy()
+    # records 1 and 2 have bad values, record 3 the wrong width: record 1 is reported
+    with pytest.raises(DataError, match=r"record 1: index 5 out of range for attribute 'Size'"):
+        Dataset(schema=schema, rows=((0, 0), (0, 5), (7, 0), (0,)), labels=None)
+    with pytest.raises(DataError, match="record 1: expected 2 values, got 3"):
+        Dataset(schema=schema, rows=((0, 0), (0, 1, 0), (9, 9)), labels=None)
+    with pytest.raises(DataError, match="record 2: label index -1 out of range"):
+        Dataset(schema=schema, rows=((0, 0),) * 3, labels=(0, 1, -1))
+
+
+def test_dataset_caches_arrays_and_subsets_by_index():
+    data = parse_csv(
+        "Color,Size,Outcome\nRed,Small,Yes\nBlue,Big,No\nGreen,Big,Yes\n", _toy(), labeled=True
+    )
+    assert data.matrix.tolist() == [list(row) for row in data.rows]
+    assert data.label_array.tolist() == list(data.labels)
+    assert not data.matrix.flags.writeable
+    picked = data.subset(np.array([2, 0]))
+    assert picked == Dataset(schema=data.schema, rows=(data.rows[2], data.rows[0]),
+                             labels=(data.labels[2], data.labels[0]))
+    assert picked.matrix.tolist() == [list(data.rows[2]), list(data.rows[0])]
+    assert picked.label_array.tolist() == [0, 0]
+    assert picked.n == 2 and picked.labeled
+    with pytest.raises(AttributeError, match="immutable"):
+        picked.schema = data.schema
+
+
+def test_leading_byte_order_mark_is_stripped():
+    schema = parse_schema("\ufeff" + GOOD_SCHEMA)
+    assert schema == parse_schema(GOOD_SCHEMA)
+    data = parse_csv("\ufeffColor,Size,Outcome\nRed,Small,Yes\n", schema, labeled=True)
+    assert data.rows == ((0, 0),)
+
+
 def test_class_counts_requires_labels():
     data = parse_csv("Color,Size\nRed,Small\n", _toy(), labeled=False)
     with pytest.raises(ValueError):

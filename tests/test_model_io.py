@@ -131,6 +131,20 @@ def test_rejects_count_table_that_contradicts_class_counts(corpus):
         model_from_text(_tamper(text, row, broken))
 
 
+def test_rejects_negative_or_empty_naive_bayes_counts(corpus):
+    text = model_to_text(train(corpus, "naive-bayes"))
+    # still sums to the class counts, but one cell is negative
+    text = _tamper(_tamper(text, "table 0 0: 6 0 3", "table 0 0: -1 0 3"),
+                   "table 0 1: 41 3 1", "table 0 1: 48 3 1")
+    with pytest.raises(ModelFileError, match="non-negative"):
+        model_from_text(text)
+    tiny = model_to_text(train(tiny_dataset([(0,)], [0], [2], 2), "naive-bayes"))
+    empty = _tamper(_tamper(tiny, "class-counts: 1 0", "class-counts: 0 0"),
+                    "table 0 0: 1 0", "table 0 0: 0 0")
+    with pytest.raises(ModelFileError, match="positive total"):
+        model_from_text(empty)
+
+
 def test_rejects_cyclic_tree(corpus):
     text = model_to_text(train(corpus, "tree"))
     root = next(line for line in text.splitlines() if line.startswith("node 0: split "))
