@@ -19,8 +19,9 @@ Tie rules are part of the contract:
 * ``predict_label`` breaks probability ties toward the earlier class.
 * KNN breaks distance ties toward the earlier training record.
 * Tree induction breaks information-gain ties toward the earlier
-  attribute in schema order; gain comparisons are carried out exactly on
-  the integer counts, so ties are real ties and never float noise.
+  attribute in schema order.  Split scores are floats with a proven
+  error bound; any comparison closer than that bound is redone exactly
+  on the integer counts, so ties are real ties and never float noise.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .data import AttributeSchema, Dataset, class_counts
+from .data import AttributeSchema, Dataset, class_counts, tally
 from .errors import SchemaMismatchError
 
 ALGORITHMS = ("knn", "naive-bayes", "tree")
@@ -238,11 +239,9 @@ def train_naive_bayes(data: Dataset, params: Hyperparams) -> NaiveBayesModel:
     if data.n == 0:
         raise ValueError("training needs at least one record")
     assert data.label_array is not None
-    n_classes = data.schema.n_classes
     tables = []
     for j, attr in enumerate(data.schema.features):
-        cells = data.matrix[:, j] * n_classes + data.label_array
-        table = np.bincount(cells, minlength=attr.size * n_classes).reshape(attr.size, n_classes)
+        table = tally(data.matrix[:, j], data.label_array, attr.size, data.schema.n_classes)
         tables.append(tuple(tuple(row) for row in table.tolist()))
     return NaiveBayesModel(
         class_counts=class_counts(data), tables=tuple(tables), alpha=params.nb_alpha
@@ -269,29 +268,23 @@ def info_gain(data: Dataset, attribute: str, indices: Sequence[int] | None = Non
     """Information gain of splitting the (sub)set on one attribute."""
     if not data.labeled:
         raise ValueError("info_gain needs a labeled dataset")
-    assert data.labels is not None
+    assert data.label_array is not None
     j = data.schema.feature_index(attribute)
-    subset = range(data.n) if indices is None else indices
-    tally = _value_class_tally(data, j, subset)
-    parent = [sum(col) for col in zip(*[row for row in tally if sum(row)])] or None
-    if parent is None:
+    picked = slice(None) if indices is None else np.asarray(indices, dtype=np.intp)
+    table = tally(
+        data.matrix[picked, j], data.label_array[picked],
+        data.schema.features[j].size, data.schema.n_classes,
+    ).tolist()
+    parent = [sum(col) for col in zip(*table)]
+    total = sum(parent)
+    if not total:
         raise ValueError("info_gain needs at least one record")
     weighted = 0.0
-    total = sum(parent)
-    for row in tally:
+    for row in table:
         n_v = sum(row)
         if n_v:
             weighted += n_v / total * entropy(row)
     return entropy(parent) - weighted
-
-
-def _value_class_tally(data: Dataset, j: int, indices) -> list[list[int]]:
-    rows, labels = data.rows, data.labels
-    assert labels is not None
-    tally = [[0] * data.schema.n_classes for _ in range(data.schema.features[j].size)]
-    for i in indices:
-        tally[rows[i][j]][labels[i]] += 1
-    return tally
 
 
 def _split_score(tally: list[list[int]]) -> tuple[int, int]:
@@ -334,12 +327,27 @@ class Split:
 TreeNode = Union[Leaf, Split]
 
 
-def _argmax_label(counts: Sequence[int]) -> int:
+def argmax_label(counts: Sequence[int]) -> int:
+    """Index of the largest count; ties go to the earlier class."""
     best = 0
     for c, n in enumerate(counts):
         if n > counts[best]:
             best = c
     return best
+
+
+def _exact_split(
+    table: np.ndarray, counts: np.ndarray, candidates: np.ndarray,
+    offsets: np.ndarray, sizes: np.ndarray,
+) -> int:
+    """The candidate with the lowest exact split score, or -1 when none is
+    strictly below the parent's; ties go to the earlier candidate."""
+    best_j, best_score = -1, _split_score([counts.tolist()])
+    for j in candidates.tolist():
+        score = _split_score(table[offsets[j] : offsets[j] + sizes[j]].tolist())
+        if _score_less(score, best_score):
+            best_j, best_score = j, score
+    return best_j
 
 
 def train_tree(data: Dataset, params: Hyperparams) -> TreeNode:
@@ -350,57 +358,122 @@ def train_tree(data: Dataset, params: Hyperparams) -> TreeNode:
     ``tree_max_depth``, or when no attribute has positive gain.  Empty
     branches get a leaf carrying the parent distribution.  No attribute
     is reused along a path.
+
+    The tree grows one depth at a time.  Each record of a node that may
+    still split carries that node's number, and one ``np.bincount`` over
+    (node, attribute, value, class) tallies every such node against every
+    attribute at once, so the numpy calls per tree grow with its depth,
+    not its node count.  A node with n records scores attribute j by
+
+        s_j = sum_v f(n_v) - sum_{v,c} f(n_vc),   f(n) = n * log2(n),
+
+    which is n times its weighted child entropy; the parent's score is
+    f(n) - sum_c f(n_c).  Each f comes from one float table per tree.
+    Assuming ``np.log2`` within a conservative 4 ulp, a table entry is
+    within 10u of f(n) (u = 2**-53).  A score sums at most
+    T = (k + 1) * (largest domain size) signed entries whose magnitudes
+    add up to at most 2 f(n), since f is superadditive, and summing them
+    in any order adds at most 1.01 (T - 1) u times that.  A float score
+    is thus within (2.03 T + 18) u f(n) of the exact one, and
+
+        eps = (T + 10) * 2**-50 * n * log2(n)
+
+    is about four times that, which also covers the rounding of eps and
+    of the comparisons.  A node whose best float score is more than
+    2 eps below the parent's and below every other attribute's splits on
+    that attribute.  Any other node is decided exactly on its integer
+    tallies with ``_split_score``/``_score_less``, over the attributes
+    within 2 eps of the best; so ties, and zero gain, are never settled
+    by float order.  An attribute split on above a node is constant in
+    it and scores exactly the parent's score, so it never shows positive
+    gain: that alone keeps attributes from repeating along a path.
     """
     if not data.labeled:
         raise ValueError("training needs a labeled dataset")
     if data.n == 0:
         raise ValueError("training needs at least one record")
-    return _grow(data, params, list(range(data.n)), tuple(range(len(data.schema.features))), 0)
+    assert data.label_array is not None
+    k = data.schema.n_classes
+    sizes = np.array([a.size for a in data.schema.features], dtype=np.intp)
+    offsets = np.cumsum(sizes) - sizes  # each attribute's first (value) column
+    width, d = int(sizes.sum()), len(sizes)
+    n = np.arange(1, data.n + 1, dtype=np.float64)
+    f = np.concatenate(([0.0], n * np.log2(n)))  # f[n] = n * log2(n)
+    eps_per_f = ((k + 1) * int(sizes.max()) + 10) * 2.0**-50
 
+    # per depth: class counts of every node, its split attribute (-1 for a
+    # leaf) and the position of its first child among the next depth's nodes
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    # the records still in play, their labels and their node at this depth
+    rows = np.arange(data.n)
+    labels = data.label_array
+    slot = np.zeros(data.n, dtype=np.intp)
+    counts = tally(slot, labels, 1, k)
+    for depth in range(d + 1):
+        n_node = counts.sum(axis=1)
+        open_ = (counts.max(axis=1) < n_node) & (n_node >= params.tree_min_samples)
+        if depth == d or (params.tree_max_depth is not None and depth >= params.tree_max_depth):
+            open_[:] = False
+        attribute = np.full(len(counts), -1, dtype=np.intp)
+        first_child = np.zeros(len(counts), dtype=np.intp)
+        levels.append((counts, attribute, first_child))
+        nodes = open_.nonzero()[0]
+        if nodes.size == 0:
+            break
 
-def _grow(
-    data: Dataset, params: Hyperparams, indices: list[int], available: tuple[int, ...], depth: int
-) -> TreeNode:
-    # a module-level function, not a closure: a recursive closure is a
-    # reference cycle that would keep each fold's training data alive
-    labels = data.labels
-    assert labels is not None
-    counts_list = [0] * data.schema.n_classes
-    for i in indices:
-        counts_list[labels[i]] += 1
-    counts = tuple(counts_list)
-    leaf = Leaf(counts=counts, label=_argmax_label(counts))
-    if sum(1 for c in counts if c) <= 1:
-        return leaf
-    if len(indices) < params.tree_min_samples:
-        return leaf
-    if params.tree_max_depth is not None and depth >= params.tree_max_depth:
-        return leaf
-    if not available:
-        return leaf
+        # tally the records of open nodes only, renumbering those nodes 0..m-1
+        keep = open_[slot]
+        rows, labels = rows[keep], labels[keep]
+        node_of = (np.cumsum(open_) - 1)[slot[keep]]
+        m = len(nodes)
+        cells = data.matrix[rows]
+        cells += offsets
+        cells += (node_of * width)[:, None]
+        table = tally(cells, labels[:, None], m * width, k).reshape(m, width, k)
+        n_open = n_node[nodes]
+        score = np.add.reduceat(f[table.sum(axis=2)] - f[table].sum(axis=2), offsets, axis=1)
+        parent = f[n_open] - f[counts[nodes]].sum(axis=1)
+        best = score.argmin(axis=1)
+        best_score = score[np.arange(m), best]
+        margin = 2.0 * eps_per_f * f[n_open]
+        near = score - best_score[:, None] <= margin[:, None]
+        choice = np.where((near.sum(axis=1) == 1) & (parent - best_score > margin), best, -1)
+        for i in (choice < 0).nonzero()[0].tolist():
+            choice[i] = _exact_split(table[i], counts[nodes[i]], near[i].nonzero()[0],
+                                     offsets, sizes)
 
-    parent_score = _split_score([list(counts)])
-    best_j: int | None = None
-    best_score: tuple[int, int] | None = None
-    for j in available:
-        score = _split_score(_value_class_tally(data, j, indices))
-        if best_score is None or _score_less(score, best_score):
-            best_j, best_score = j, score
-    assert best_j is not None and best_score is not None
-    # positive gain means the best split strictly beats the parent
-    if not _score_less(best_score, parent_score):
-        return leaf
+        # one child slot per value of the chosen attribute, empty ones included
+        split = choice >= 0
+        n_children = np.where(split, sizes[choice], 0)
+        first = np.cumsum(n_children) - n_children
+        attribute[nodes] = choice
+        first_child[nodes] = first
+        parent_of = np.repeat(np.arange(m), n_children)
+        value = np.arange(len(parent_of)) - first[parent_of]
+        counts = table[parent_of, offsets[choice[parent_of]] + value]
+        moved = split[node_of]
+        rows, labels, node_of = rows[moved], labels[moved], node_of[moved]
+        slot = first[node_of] + data.matrix[rows, choice[node_of]]
 
-    remaining = tuple(j for j in available if j != best_j)
-    buckets: list[list[int]] = [[] for _ in range(data.schema.features[best_j].size)]
-    rows = data.rows
-    for i in indices:
-        buckets[rows[i][best_j]].append(i)
-    children = tuple(
-        _grow(data, params, bucket, remaining, depth + 1) if bucket else leaf
-        for bucket in buckets
-    )
-    return Split(attribute=best_j, children=children)
+    # assemble bottom up; an empty child slot takes its parent's leaf
+    domain = sizes.tolist()
+    below: list[TreeNode | None] = []
+    for counts, attribute, first_child in reversed(levels):
+        built: list[TreeNode | None] = []
+        for c, a, first in zip(counts.tolist(), attribute.tolist(), first_child.tolist()):
+            if not any(c):
+                built.append(None)
+                continue
+            leaf = Leaf(counts=tuple(c), label=argmax_label(c))
+            if a < 0:
+                built.append(leaf)
+            else:
+                children = below[first : first + domain[a]]
+                built.append(Split(attribute=a, children=tuple(ch or leaf for ch in children)))
+        below = built
+    root = below[0]
+    assert root is not None
+    return root
 
 
 def tree_predict_proba(node: TreeNode, values: Sequence[int]) -> np.ndarray:

@@ -188,7 +188,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _tree_root_note(data: Dataset, params: Hyperparams) -> str:
-    model = train(data, "tree", params)
+    # only the root's attribute is reported, so one level is grown; a user
+    # cap of 0 stays 0, and the root's decision is the same at any cap >= 1
+    depth = 1 if params.tree_max_depth is None else min(params.tree_max_depth, 1)
+    model = train(data, "tree", Hyperparams(tree_min_samples=params.tree_min_samples,
+                                            tree_max_depth=depth))
     if isinstance(model.model, Split):
         root = data.schema.features[model.model.attribute].name
     else:

@@ -340,8 +340,8 @@ def dataset_to_csv(data: Dataset) -> str:
     if data.labeled:
         header.append(data.schema.target.name)
     lines = [",".join(header)]
-    labels = data.labels
-    for i, row in enumerate(data.rows):
+    labels = None if data.label_array is None else data.label_array.tolist()
+    for i, row in enumerate(data.matrix.tolist()):
         cells = [data.schema.features[j].values[v] for j, v in enumerate(row)]
         if labels is not None:
             cells.append(data.schema.target.values[labels[i]])
@@ -351,10 +351,18 @@ def dataset_to_csv(data: Dataset) -> str:
 
 def class_counts(data: Dataset) -> tuple[int, ...]:
     """Records per target class, in class order; zero counts included."""
-    if data.labels is None:
+    if data.label_array is None:
         raise ValueError("class counts need a labeled dataset")
     counts = np.bincount(data.label_array, minlength=data.schema.n_classes)
     return tuple(int(c) for c in counts)
+
+
+def tally(cells: np.ndarray, labels: np.ndarray, n_cells: int, n_classes: int) -> np.ndarray:
+    """Count table of (cell, class) pairs, shape (n_cells, n_classes), from
+    one ``np.bincount``; ``labels`` broadcasts to the shape of ``cells``."""
+    keys = cells * n_classes
+    keys += labels
+    return np.bincount(keys.ravel(), minlength=n_cells * n_classes).reshape(n_cells, n_classes)
 
 
 def crosstab(data: Dataset, attribute: str) -> np.ndarray:
@@ -363,12 +371,10 @@ def crosstab(data: Dataset, attribute: str) -> np.ndarray:
     Rows follow the attribute's domain order, columns the class order.
     The target itself is rejected: it already forms the column axis.
     """
-    if data.labels is None:
+    if data.label_array is None:
         raise ValueError("crosstab needs a labeled dataset")
     if attribute == data.schema.target.name:
         raise ValueError("crosstab is taken against the target; pass a feature attribute")
     j = data.schema.feature_index(attribute)
-    table = np.zeros((data.schema.features[j].size, data.schema.n_classes), dtype=np.int64)
-    for row, y in zip(data.rows, data.labels):
-        table[row[j], y] += 1
-    return table
+    return tally(data.matrix[:, j], data.label_array,
+                 data.schema.features[j].size, data.schema.n_classes)

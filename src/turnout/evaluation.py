@@ -296,7 +296,7 @@ def cross_validate(
     assignment = stratified_folds(data, folds, seed)
     fold_of = np.asarray(assignment.fold_of, dtype=np.intp)
     scores = np.zeros((data.n, data.schema.n_classes), dtype=np.float64)
-    assert data.labels is not None
+    assert data.label_array is not None
 
     def run_fold(f: int) -> None:
         test_idx = np.flatnonzero(fold_of == f)
@@ -313,7 +313,7 @@ def cross_validate(
             run_fold(f)
 
     predicted = predict_labels(scores)
-    matrix = ConfusionMatrix.from_predictions(data.labels, predicted, data.schema.class_labels)
+    matrix = ConfusionMatrix.from_predictions(data.label_array, predicted, data.schema.class_labels)
     return matrix, scores
 
 
@@ -323,11 +323,11 @@ def test_on_train(
     """Train on everything, predict everything (resubstitution)."""
     if not data.labeled:
         raise ValueError("evaluation needs a labeled dataset")
-    assert data.labels is not None
+    assert data.label_array is not None
     model = train(data, algorithm, params or Hyperparams())
     scores = model.predict_proba(data)
     predicted = predict_labels(scores)
-    matrix = ConfusionMatrix.from_predictions(data.labels, predicted, data.schema.class_labels)
+    matrix = ConfusionMatrix.from_predictions(data.label_array, predicted, data.schema.class_labels)
     return matrix, scores
 
 

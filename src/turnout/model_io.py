@@ -39,6 +39,7 @@ from .classifiers import (
     Split,
     TrainedModel,
     TreeNode,
+    argmax_label,
 )
 from .data import parse_schema
 from .errors import ModelFileError, SchemaError
@@ -255,6 +256,8 @@ def _load_tree(payload: list[str], n_features: int, domain_sizes: list[int], n_c
                 raise ModelFileError(f"leaf node {i} is malformed")
             if any(c < 0 for c in tail) or sum(tail) == 0:
                 raise ModelFileError(f"leaf node {i} has an invalid class distribution")
+            if head[0] != argmax_label(tail):
+                raise ModelFileError(f"leaf node {i} label is not the argmax of its counts")
             return Leaf(counts=tuple(tail), label=head[0])
         if len(head) != 1 or not 0 <= head[0] < n_features:
             raise ModelFileError(f"split node {i} names an unknown attribute")

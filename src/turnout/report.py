@@ -117,10 +117,11 @@ def _px(x: float, y: float, y_max: float) -> tuple[float, float]:
 
 
 def curve_svg(series: CurveSeries) -> str:
-    """Minimal standalone plot: axes, unit box, the polyline, and (for
-    roc and calibration) the diagonal reference line."""
-    if len(series.points) < 2:
-        raise ValueError("svg rendering needs at least two curve points")
+    """Minimal standalone plot: axes, unit box, the polyline (a single
+    marker for a one-point series), and (for roc and calibration) the
+    diagonal reference line."""
+    if not series.points:
+        raise ValueError("svg rendering needs at least one curve point")
     y_max = max(1.0, max(y for _, y in series.points))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -135,12 +136,16 @@ def curve_svg(series: CurveSeries) -> str:
             f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
             'stroke="#bbb" stroke-width="1" stroke-dasharray="4 4"/>'
         )
-    coords = " ".join(
-        "{:.2f},{:.2f}".format(*_px(x, y, y_max)) for x, y in series.points
-    )
-    parts.append(
-        f'<polyline points="{coords}" fill="none" stroke="#1f6fb2" stroke-width="2"/>'
-    )
+    if len(series.points) == 1:
+        cx, cy = _px(*series.points[0], y_max)
+        parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3" fill="#1f6fb2"/>')
+    else:
+        coords = " ".join(
+            "{:.2f},{:.2f}".format(*_px(x, y, y_max)) for x, y in series.points
+        )
+        parts.append(
+            f'<polyline points="{coords}" fill="none" stroke="#1f6fb2" stroke-width="2"/>'
+        )
     title = f"{series.kind}: {series.label}"
     if series.auc is not None:
         title += f" (auc {series.auc:.4f})"

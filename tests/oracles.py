@@ -113,6 +113,37 @@ def best_split(rows, labels, domain_sizes, n_classes, available=None):
     return None
 
 
+def tree(rows, labels, domain_sizes, n_classes, min_samples=2, max_depth=None):
+    """Recursive induction on ``best_split``: ("leaf", counts, label) or
+    ("split", attribute, children).
+
+    A node is a leaf when it is pure, has fewer than ``min_samples``
+    records, sits at ``max_depth``, has no attribute left or no positive
+    gain; its label is the most frequent class, ties to the earlier one.
+    An empty branch gets its parent's leaf.  No attribute is reused along
+    a path.
+    """
+
+    def grow(members, available, depth):
+        counts = tuple(sum(1 for i in members if labels[i] == c) for c in range(n_classes))
+        leaf = ("leaf", counts, min(range(n_classes), key=lambda c: (-counts[c], c)))
+        if (sum(1 for c in counts if c) <= 1 or len(members) < min_samples
+                or (max_depth is not None and depth >= max_depth) or not available):
+            return leaf
+        j = best_split([rows[i] for i in members], [labels[i] for i in members],
+                       domain_sizes, n_classes, available)
+        if j is None:
+            return leaf
+        rest = [a for a in available if a != j]
+        children = []
+        for v in range(domain_sizes[j]):
+            branch = [i for i in members if rows[i][j] == v]
+            children.append(grow(branch, rest, depth + 1) if branch else leaf)
+        return ("split", j, tuple(children))
+
+    return grow(list(range(len(rows))), list(range(len(domain_sizes))), 0)
+
+
 def auc_pair_statistic(scores, positive):
     """Mann-Whitney statistic: share of positive/negative pairs ranked
     correctly, ties counting one half."""

@@ -284,6 +284,28 @@ def test_tree_zero_gain_makes_a_leaf():
     assert isinstance(root, Leaf)
 
 
+def test_tree_zero_gain_with_proportional_children_makes_a_leaf():
+    # (3, 6) splits into (1, 2) and (2, 4): the gain is exactly zero, while
+    # the float scores put the children 1.8e-15 below the parent
+    rows = [(0,)] * 3 + [(1,)] * 6
+    labels = [0, 1, 1] + [0, 0, 1, 1, 1, 1]
+    root = train_tree(tiny_dataset(rows, labels, [2], 2), Hyperparams())
+    assert root == Leaf(counts=(3, 6), label=1)
+
+
+def test_tree_exact_gain_tie_goes_to_the_earlier_attribute():
+    # a1 relabels a0's values 0 and 1, so both induce the same partition and
+    # tie exactly; the float scores order a1 3.6e-15 below a0
+    groups = [((0, 1), (1, 2)), ((1, 0), (2, 5)), ((2, 2), (5, 5))]
+    rows, labels = [], []
+    for values, (n0, n1) in groups:
+        rows += [values] * (n0 + n1)
+        labels += [0] * n0 + [1] * n1
+    root = train_tree(tiny_dataset(rows, labels, [3, 3], 2), Hyperparams())
+    assert isinstance(root, Split) and root.attribute == 0
+    assert [child.counts for child in root.children] == [(1, 2), (2, 5), (5, 5)]
+
+
 def _paths(node, used=()):
     if isinstance(node, Leaf):
         yield used
@@ -468,3 +490,28 @@ def test_tree_batch_matches_a_plain_walk(case):
             node = node.children[q[node.attribute]]
         total = sum(node.counts)
         assert row.tolist() == [c / total for c in node.counts]
+
+
+def _as_oracle_tree(node):
+    if isinstance(node, Leaf):
+        return ("leaf", node.counts, node.label)
+    return ("split", node.attribute, tuple(_as_oracle_tree(c) for c in node.children))
+
+
+@given(tied_problem(), st.sampled_from([2, 3, 5]), st.sampled_from([None, 0, 1, 2]))
+@settings(max_examples=150)
+def test_tree_matches_the_oracle_tree(case, min_samples, max_depth):
+    rows, labels, sizes, n_classes, _ = case
+    params = Hyperparams(tree_min_samples=min_samples, tree_max_depth=max_depth)
+    root = train_tree(tiny_dataset(rows, labels, sizes, n_classes), params)
+    want = oracles.tree(rows, labels, sizes, n_classes, min_samples, max_depth)
+    assert _as_oracle_tree(root) == want
+
+
+def test_tree_matches_the_oracle_tree_on_the_corpus():
+    data = load_election_corpus()
+    sizes = [a.size for a in data.schema.features]
+    for params in (Hyperparams(), Hyperparams(tree_min_samples=5, tree_max_depth=3)):
+        want = oracles.tree(list(data.rows), list(data.labels), sizes, 3,
+                            params.tree_min_samples, params.tree_max_depth)
+        assert _as_oracle_tree(train_tree(data, params)) == want

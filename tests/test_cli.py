@@ -5,10 +5,15 @@ import pytest
 
 from turnout import (
     Dataset,
+    REFERENCE_TREE_ROOT,
+    Hyperparams,
+    Split,
     dataset_to_csv,
     election_csv_text,
     election_schema_text,
+    load_election_corpus,
     load_election_schema,
+    train_tree,
 )
 from turnout.cli import main
 
@@ -228,6 +233,41 @@ def test_alpha_zero_with_an_absent_class_emits_finite_files(capsys, tmp_path):
     assert len(emitted) > 10
     for path in emitted:
         assert not NON_FINITE.search(path.read_text()), path
+
+
+def test_svg_of_a_one_point_curve_is_a_marker(capsys, tmp_path):
+    # with no "Without participation" record, that class's calibration curve
+    # has a single point
+    lines = election_csv_text().splitlines()
+    kept = [lines[0]] + [line for line in lines[1:]
+                         if not line.endswith(",Without participation")]
+    data = tmp_path / "d.csv"
+    schema = tmp_path / "s.schema"
+    data.write_text("\n".join(kept) + "\n")
+    schema.write_text(election_schema_text())
+    reports = tmp_path / "reports"
+    code, _, err = run(capsys, "evaluate", "--algo", "all", "--seed", "42", "--svg",
+                       "--data", str(data), "--schema", str(schema), "--out", str(reports))
+    assert code == 0, err
+    svg = (reports / "tree" / "calibration_Without_participation.svg").read_text()
+    assert "<circle " in svg and "<polyline" not in svg
+    emitted = [p for p in reports.rglob("*") if p.is_file()]
+    assert len(emitted) > 30
+    for path in emitted:
+        assert not NON_FINITE.search(path.read_text()), path
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1, 3])
+def test_tree_root_note_matches_the_full_tree_at_any_depth_cap(capsys, cap):
+    data = load_election_corpus()
+    root = train_tree(data, Hyperparams(tree_max_depth=cap))
+    name = data.schema.features[root.attribute].name if isinstance(root, Split) else "(single leaf)"
+    verdict = "agrees" if name == REFERENCE_TREE_ROOT else "differs"
+    depth = () if cap is None else ("--max-depth", str(cap))
+    code, out, _ = run(capsys, "evaluate", "--algo", "tree", "--test-on-train", *depth)
+    assert code == 0
+    assert f"tree root attribute: {name} (reference: {REFERENCE_TREE_ROOT}; {verdict})" in out
+    assert (verdict == "agrees") == (cap != 0)
 
 
 def _synthetic_csv(n, seed):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from turnout import (
     ConfusionMatrix,
+    Dataset,
     Hyperparams,
     Protocol,
     class_accuracy,
@@ -235,6 +236,22 @@ def test_thread_count_never_changes_results(corpus):
         m4, s4 = cross_validate(corpus, algo, folds=10, seed=42, jobs=4)
         assert m1.counts == m4.counts
         assert np.array_equal(s1, s4)
+
+
+@pytest.mark.parametrize("algo", ["knn", "naive-bayes", "tree"])
+def test_cross_validation_never_builds_fold_row_tuples(corpus, monkeypatch, algo):
+    subsets = []
+    take = Dataset.subset
+
+    def spy(self, indices):
+        subsets.append(take(self, indices))
+        return subsets[-1]
+
+    monkeypatch.setattr(Dataset, "subset", spy)
+    cross_validate(corpus, algo, folds=10, seed=42)
+    assert len(subsets) == 20  # a training and a held-out subset per fold
+    for subset in subsets:
+        assert subset._rows is None and subset._labels is None
 
 
 def test_duplicated_records_cross_validate_perfectly():

@@ -15,6 +15,8 @@ from turnout import (
     train,
 )
 
+from turnout.cli import main
+
 from oracles import tiny_dataset
 
 ALGOS = ("knn", "naive-bayes", "tree")
@@ -168,6 +170,20 @@ def test_rejects_empty_leaf_distribution():
     broken = re.sub(r"counts [\d ]+$", "counts 0 0", leaf)
     with pytest.raises(ModelFileError, match="invalid class distribution"):
         model_from_text(_tamper(text, leaf, broken))
+
+
+def test_rejects_leaf_label_that_is_not_the_argmax_of_its_counts(capsys, tmp_path):
+    # a zero-gain stump: one leaf whose (2, 2) tie belongs to the earlier class
+    data = tiny_dataset([(0,), (0,), (1,), (1,)], [0, 1, 0, 1], [2], 2)
+    text = model_to_text(train(data, "tree"))
+    assert "node 0: leaf 0 counts 2 2" in text
+    for broken in ("node 0: leaf 1 counts 2 2", "node 0: leaf 0 counts 1 3"):
+        with pytest.raises(ModelFileError, match="not the argmax"):
+            model_from_text(_tamper(text, "node 0: leaf 0 counts 2 2", broken))
+    path = tmp_path / "bad.model"
+    path.write_text(_tamper(text, "node 0: leaf 0", "node 0: leaf 1"))
+    assert main(["predict", str(path)]) == 2
+    assert "not the argmax" in capsys.readouterr().err
 
 
 def test_rejects_payload_line_count_mismatch(corpus):

@@ -121,9 +121,13 @@ def test_svg_scales_to_lift_above_one():
     assert "144.00,48.00" in svg
 
 
-def test_svg_needs_two_points():
+def test_svg_renders_one_point_as_a_marker():
+    svg = curve_svg(CurveSeries(kind="calibration", label="a", points=((0.5, 0.25),)))
+    assert '<circle cx="240.00" cy="336.00" r="3"' in svg
+    assert "<polyline" not in svg
+    assert svg.rstrip().endswith("</svg>")
     with pytest.raises(ValueError):
-        curve_svg(CurveSeries(kind="lift", label="a", points=((1.0, 1.0),)))
+        curve_svg(CurveSeries(kind="lift", label="a", points=()))
 
 
 def test_filenames_are_slugged():
