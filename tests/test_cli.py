@@ -210,8 +210,9 @@ def test_evaluate_rejects_non_finite_alpha(capsys):
 NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
 
-def test_alpha_zero_with_an_absent_class_emits_finite_files(capsys, tmp_path):
-    # the schema still declares "Without participation", but no record has it
+def _corpus_without_its_smallest_class(tmp_path):
+    """The survey minus its 6 "Without participation" records, as data and
+    schema files; the schema still declares that class."""
     lines = election_csv_text().splitlines()
     kept = [lines[0]] + [line for line in lines[1:]
                          if not line.endswith(",Without participation")]
@@ -220,6 +221,11 @@ def test_alpha_zero_with_an_absent_class_emits_finite_files(capsys, tmp_path):
     schema = tmp_path / "s.schema"
     data.write_text("\n".join(kept) + "\n")
     schema.write_text(election_schema_text())
+    return data, schema
+
+
+def test_alpha_zero_with_an_absent_class_emits_finite_files(capsys, tmp_path):
+    data, schema = _corpus_without_its_smallest_class(tmp_path)
     files = ("--data", str(data), "--schema", str(schema), "--alpha", "0")
     reports = tmp_path / "reports"
     model = tmp_path / "nb.model"
@@ -236,15 +242,8 @@ def test_alpha_zero_with_an_absent_class_emits_finite_files(capsys, tmp_path):
 
 
 def test_svg_of_a_one_point_curve_is_a_marker(capsys, tmp_path):
-    # with no "Without participation" record, that class's calibration curve
-    # has a single point
-    lines = election_csv_text().splitlines()
-    kept = [lines[0]] + [line for line in lines[1:]
-                         if not line.endswith(",Without participation")]
-    data = tmp_path / "d.csv"
-    schema = tmp_path / "s.schema"
-    data.write_text("\n".join(kept) + "\n")
-    schema.write_text(election_schema_text())
+    # the absent class's calibration curve has a single point
+    data, schema = _corpus_without_its_smallest_class(tmp_path)
     reports = tmp_path / "reports"
     code, _, err = run(capsys, "evaluate", "--algo", "all", "--seed", "42", "--svg",
                        "--data", str(data), "--schema", str(schema), "--out", str(reports))
