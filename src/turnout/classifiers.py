@@ -40,7 +40,8 @@ ALGORITHMS = ("knn", "naive-bayes", "tree")
 PROBA_TOLERANCE = 1e-9
 
 # distances (queries x training records) that one KNN block computes; with
-# 8-byte keys the block's few buffers stay under about 1 MB
+# 8-byte code XORs and keys of at most 8 bytes the block's few buffers stay
+# under about 1 MB
 KNN_BLOCK_CELLS = 32_768
 
 
@@ -89,6 +90,23 @@ def predict_label(proba: Sequence[float]) -> int:
     return int(predict_labels(np.asarray(proba, dtype=np.float64).reshape(1, -1))[0])
 
 
+def _records(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """A batch of encoded records, shape (m, d) for d = len(sizes), with
+    every value inside its attribute's domain ``0 .. sizes[j] - 1``."""
+    batch = np.asarray(rows, dtype=np.intp)
+    width = len(sizes)
+    if batch.ndim != 2 or batch.shape[1] != width:
+        raise ValueError(f"records have shape {batch.shape}, model expects (m, {width})")
+    bad = (batch < 0) | (batch >= sizes)
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), width)
+        raise ValueError(
+            f"record {i}: value {int(batch[i, j])} is outside the domain of "
+            f"attribute {j} (size {int(sizes[j])})"
+        )
+    return batch
+
+
 def _one_record(values: Sequence[int], width: int) -> np.ndarray:
     """One encoded record as a batch of one, shape (1, width)."""
     record = np.asarray(values, dtype=np.intp)
@@ -97,11 +115,19 @@ def _one_record(values: Sequence[int], width: int) -> np.ndarray:
     return record.reshape(1, width)
 
 
-def _records(rows: np.ndarray, width: int) -> np.ndarray:
-    batch = np.asarray(rows, dtype=np.intp)
-    if batch.ndim != 2 or batch.shape[1] != width:
-        raise ValueError(f"records have shape {batch.shape}, model expects (m, {width})")
-    return batch
+def _bit_codes(records: np.ndarray, offsets: np.ndarray, n_words: int) -> np.ndarray:
+    """Packed one-hot codes of in-domain records, shape (n_words, m).
+
+    Attribute j with value v sets bit ``offsets[j] + v``, counted across
+    ``n_words`` uint64 words; the attributes' bit ranges do not overlap,
+    so each record sets exactly one bit per attribute.
+    """
+    word, bit = np.divmod(records + offsets, 64)
+    ones = np.left_shift(np.uint64(1), bit.astype(np.uint64))
+    return np.stack([
+        np.bitwise_or.reduce(np.where(word == w, ones, np.uint64(0)), axis=1)
+        for w in range(n_words)
+    ])
 
 
 # ---------------------------------------------------------------- KNN
@@ -112,23 +138,37 @@ class KnnModel:
     """Stored training table; all work happens at prediction time.
 
     ``rows`` holds the encoded training records and ``labels`` their
-    class indices; both are kept as integer arrays, (N, d) and (N,).
-    ``rows`` is stored column-major, so each attribute's column is
-    contiguous for the distance loop.
+    class indices, as (N, d) and (N,) integer arrays; ``domain_sizes``
+    gives each attribute's domain size.  Each record is also kept as a
+    packed one-hot bit code (see ``_bit_codes``): two records that
+    disagree on an attribute differ in exactly two of its bits, so the
+    popcount of their codes' XOR is twice their Hamming distance.
+    ``rows`` itself is read only to write the model file.
     """
 
     rows: np.ndarray
     labels: np.ndarray
     k: int
     n_classes: int
+    domain_sizes: tuple[int, ...]
+    _sizes: np.ndarray = field(init=False, repr=False)
+    _offsets: np.ndarray = field(init=False, repr=False)
+    _codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", np.asfortranarray(self.rows, dtype=np.intp))
+        sizes = np.array(self.domain_sizes, dtype=np.intp)
+        offsets = np.cumsum(sizes) - sizes  # each attribute's first bit
+        rows = _records(self.rows, sizes)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.intp))
+        object.__setattr__(self, "_sizes", sizes)
+        object.__setattr__(self, "_offsets", offsets)
+        n_words = -(-int(sizes.sum()) // 64)
+        object.__setattr__(self, "_codes", _bit_codes(rows, offsets, n_words))
 
     def predict_proba(self, values: Sequence[int]) -> np.ndarray:
         """Vote for one record: ``predict_proba_batch`` on a batch of one."""
-        return self.predict_proba_batch(_one_record(values, self.rows.shape[1]))[0]
+        return self.predict_proba_batch(_one_record(values, len(self._sizes)))[0]
 
     def predict_proba_batch(self, queries: np.ndarray) -> np.ndarray:
         """Vote of the min(k, N) nearest records under Hamming distance.
@@ -138,31 +178,38 @@ class KnnModel:
         reproducible.  The vote is unweighted: each neighbor contributes
         1 / neighbors_used to its class.
 
-        Distances accumulate one attribute at a time over a block of
-        queries.  ``distance * N + position`` is then a unique key per
-        training record, so one ``np.partition`` picks the nearest set
-        exactly, ties included.
+        Over a block of queries, one XOR and ``np.bitwise_count`` per code
+        word add up twice the distance to every training record.
+        ``2 * distance * N + position`` is then a unique key per training
+        record, so one ``np.partition`` picks the nearest set exactly,
+        ties included.
         """
-        n, d = self.rows.shape
-        queries = _records(queries, d)
+        queries = _records(queries, self._sizes)
+        n_words, n = self._codes.shape
+        d = len(self._sizes)
         used = min(self.k, n)
-        positions = np.arange(n)
+        # the narrowest types that hold twice the largest distance, and the
+        # largest key; the key type is named explicitly because numpy keeps
+        # ``twice * n`` in the accumulator's narrow type, which wraps, or
+        # raises when N itself does not fit
+        twice_type = np.min_scalar_type(2 * d)
+        key_type = np.int32 if (2 * d + 1) * n < 2**31 else np.int64
+        positions = np.arange(n, dtype=key_type)
+        codes = _bit_codes(queries, self._offsets, n_words)
         out = np.empty((len(queries), self.n_classes), dtype=np.float64)
         block = max(1, KNN_BLOCK_CELLS // n)
         for start in range(0, len(queries), block):
-            q = queries[start : start + block]
-            # the narrowest unsigned type that holds a distance of d
-            distance = np.zeros((len(q), n), dtype=np.min_scalar_type(d))
-            for j, column in enumerate(self.rows.T):
-                distance += column != q[:, j, None]
-            # int64 by request: numpy 1.x would keep ``distance * n`` in the
-            # accumulator's narrow type and wrap once d * N passed its range
-            key = np.multiply(distance, n, dtype=np.int64)
+            q = codes[:, start : start + block, None]
+            twice = np.zeros((q.shape[1], n), dtype=twice_type)
+            for w in range(n_words):
+                twice += np.bitwise_count(q[w] ^ self._codes[w])
+            key = np.multiply(twice, n, dtype=key_type)
             key += positions
             nearest = np.partition(key, used - 1, axis=1)[:, :used] % n
-            cells = self.labels[nearest] + self.n_classes * np.arange(len(q))[:, None]
-            votes = np.bincount(cells.ravel(), minlength=len(q) * self.n_classes)
-            out[start : start + len(q)] = votes.reshape(len(q), self.n_classes) / used
+            m = len(nearest)
+            cells = self.labels[nearest] + self.n_classes * np.arange(m)[:, None]
+            votes = np.bincount(cells.ravel(), minlength=m * self.n_classes)
+            out[start : start + m] = votes.reshape(m, self.n_classes) / used
         return out
 
 
@@ -177,6 +224,7 @@ def train_knn(data: Dataset, params: Hyperparams) -> KnnModel:
         labels=data.label_array,
         k=params.knn_k,
         n_classes=data.schema.n_classes,
+        domain_sizes=tuple(a.size for a in data.schema.features),
     )
 
 
@@ -192,6 +240,7 @@ class NaiveBayesModel:
     alpha: float
     _priors: np.ndarray = field(init=False, repr=False, compare=False)
     _ratios: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.class_counts, dtype=np.int64)
@@ -206,6 +255,7 @@ class NaiveBayesModel:
             ratios.append(ratio)
         object.__setattr__(self, "_priors", counts / counts.sum())
         object.__setattr__(self, "_ratios", tuple(ratios))
+        object.__setattr__(self, "_sizes", np.array([len(t) for t in self.tables], dtype=np.intp))
 
     def predict_proba(self, values: Sequence[int]) -> np.ndarray:
         """Scores for one record: ``predict_proba_batch`` on a batch of one."""
@@ -222,7 +272,7 @@ class NaiveBayesModel:
         zeroes that class out; if that zeroes every class the priors are
         returned instead.
         """
-        rows = _records(rows, len(self.tables))
+        rows = _records(rows, self._sizes)
         scores = np.tile(self._priors, (len(rows), 1))
         for j, ratio in enumerate(self._ratios):
             scores *= ratio[rows[:, j]]
@@ -515,9 +565,12 @@ class TrainedModel:
         return self.schema.fingerprint()
 
     def _predict(self, rows: np.ndarray) -> np.ndarray:
+        # the knn and naive-bayes kernels check their records' domains
+        # themselves; a tree knows only the domains on its paths
         if isinstance(self.model, (KnnModel, NaiveBayesModel)):
             return self.model.predict_proba_batch(rows)
-        return tree_predict_proba_batch(self.model, rows, self.schema.n_classes)
+        sizes = np.array([a.size for a in self.schema.features], dtype=np.intp)
+        return tree_predict_proba_batch(self.model, _records(rows, sizes), self.schema.n_classes)
 
     def predict_proba_row(self, values: Sequence[int]) -> np.ndarray:
         """Probability vector for one already-encoded record."""

@@ -166,12 +166,12 @@ class Dataset:
     ``None`` for a uniformly unlabeled dataset; a mix is unrepresentable.
 
     Construction validates every cell once, with vector comparisons, and
-    caches the records as one read-only ``(n, d)`` integer array,
-    ``matrix``, and the labels as ``label_array``.  ``subset`` selects
-    records by index from an already validated table without validating
-    them again; a subset builds its ``rows``/``labels`` tuples from the
-    arrays only when they are first read.  Two datasets are equal when
-    their schemas, records and labels are.
+    keeps the records as one read-only ``(n, d)`` integer array,
+    ``matrix``, and the labels as ``label_array``.  ``subset`` and
+    ``parse_csv`` build a dataset from arrays already known to be valid,
+    without validating them again.  The ``rows``/``labels`` tuples are
+    built from the arrays only when first read.  Two datasets are equal
+    when their schemas, records and labels are.
     """
 
     schema: AttributeSchema
@@ -216,25 +216,19 @@ class Dataset:
             if bad_labels.size:
                 i = int(bad_labels[0])
                 raise DataError(f"record {i}: label index {int(label_array[i])} out of range")
-        self._init(schema, matrix, label_array, rows, labels)
+        self._init(schema, matrix, label_array)
 
-    def _init(
-        self,
-        schema: AttributeSchema,
-        matrix: np.ndarray,
-        label_array: np.ndarray | None,
-        rows: tuple[tuple[int, ...], ...] | None,
-        labels: tuple[int, ...] | None,
-    ) -> None:
+    def _init(self, schema: AttributeSchema, matrix: np.ndarray,
+              label_array: np.ndarray | None) -> None:
         matrix.flags.writeable = False
         if label_array is not None:
             label_array.flags.writeable = False
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "label_array", label_array)
-        # None until first read when the dataset is a subset
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_labels", labels)
+        # None until first read
+        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_labels", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Dataset is immutable; cannot set {name!r}")
@@ -273,10 +267,16 @@ class Dataset:
     def subset(self, indices: np.ndarray) -> "Dataset":
         """The records at ``indices``, in that order, without re-validation."""
         picked = np.asarray(indices, dtype=np.intp)
-        subset = object.__new__(Dataset)
         label_array = None if self.label_array is None else self.label_array[picked]
-        subset._init(self.schema, self.matrix[picked], label_array, None, None)
-        return subset
+        return _valid_dataset(self.schema, self.matrix[picked], label_array)
+
+
+def _valid_dataset(schema: AttributeSchema, matrix: np.ndarray,
+                   label_array: np.ndarray | None) -> Dataset:
+    """A dataset over arrays already known to be valid, not validated again."""
+    data = object.__new__(Dataset)
+    data._init(schema, matrix, label_array)
+    return data
 
 
 def parse_csv(text: str, schema: AttributeSchema, labeled: bool) -> Dataset:
@@ -305,13 +305,13 @@ def parse_csv(text: str, schema: AttributeSchema, labeled: bool) -> Dataset:
     if header != expected:
         raise DataError(f"header mismatch: expected {expected}, got {header}")
 
-    rows: list[tuple[int, ...]] = []
-    labels: list[int] = []
+    # every cell's domain index, record after record; each is in range by
+    # construction, so the dataset is built without validating it again
+    indices: list[int] = []
     for lineno, line in numbered[1:]:
         cells = line.split(",")
         if len(cells) != len(columns):
             raise DataError(f"line {lineno}: expected {len(columns)} columns, got {len(cells)}")
-        indices: list[int] = []
         for attr, cell in zip(columns, cells):
             value = canonical_label(cell)
             if not value:
@@ -322,16 +322,11 @@ def parse_csv(text: str, schema: AttributeSchema, labeled: bool) -> Dataset:
                 raise DataError(
                     f"line {lineno}: unknown value {value!r} for attribute {attr.name!r}"
                 ) from None
-        if labeled:
-            rows.append(tuple(indices[:-1]))
-            labels.append(indices[-1])
-        else:
-            rows.append(tuple(indices))
-    return Dataset(
-        schema=schema,
-        rows=tuple(rows),
-        labels=tuple(labels) if labeled else None,
-    )
+    table = np.array(indices, dtype=np.intp).reshape(-1, len(columns))
+    if not labeled:
+        return _valid_dataset(schema, table, None)
+    d = len(schema.features)
+    return _valid_dataset(schema, table[:, :d].copy(), table[:, d].copy())
 
 
 def dataset_to_csv(data: Dataset) -> str:

@@ -184,7 +184,8 @@ def _load_knn(payload: list[str], domain_sizes: list[int], n_classes: int, k: in
         labels.append(values[-1])
     if not rows:
         raise ModelFileError("knn payload has no rows")
-    return KnnModel(rows=rows, labels=labels, k=k, n_classes=n_classes)
+    return KnnModel(rows=rows, labels=labels, k=k, n_classes=n_classes,
+                    domain_sizes=tuple(domain_sizes))
 
 
 def _load_nb(payload: list[str], domain_sizes: list[int], n_classes: int, alpha: float) -> NaiveBayesModel:

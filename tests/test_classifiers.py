@@ -383,6 +383,18 @@ def test_train_rejects_empty_and_unlabeled_data():
         train(unlabeled, "tree")
 
 
+@pytest.mark.parametrize("algo", ["knn", "naive-bayes", "tree"])
+@pytest.mark.parametrize("value", [-1, 3])  # just below and at attribute 1's domain size
+def test_out_of_domain_value_is_rejected_naming_the_attribute(algo, value):
+    data = tiny_dataset([(0, 0), (1, 2), (0, 1), (1, 1)], [0, 1, 1, 0], [2, 3], 2)
+    model = train(data, algo)
+    with pytest.raises(ValueError, match=f"value {value} is outside the domain of attribute 1"):
+        model.predict_proba_row((0, value))
+    if algo != "tree":  # the knn and naive-bayes kernels check their own batches too
+        with pytest.raises(ValueError, match="record 1: .* attribute 1"):
+            model.model.predict_proba_batch(np.array([(0, 0), (1, value)]))
+
+
 def test_training_is_deterministic():
     data = load_election_corpus()
     for algo in ("knn", "naive-bayes", "tree"):
@@ -450,6 +462,45 @@ def test_knn_batch_spanning_several_blocks_matches_oracle():
     assert len(queries) > 2 * (KNN_BLOCK_CELLS // n)  # premise: three blocks or more
     data = tiny_dataset(rows, labels, sizes, 3)
     for k in (1, 7, n + 1):
+        got = train_knn(data, Hyperparams(knn_k=k)).predict_proba_batch(np.array(queries))
+        want = [[float(p) for p in oracles.knn_proba(rows, labels, 3, k, q)] for q in queries]
+        assert got.tolist() == want
+
+
+def _knn_case_across_a_word_boundary():
+    """W = 75 bits, two code words; attribute 2 holds bits 60..69, so its
+    values 3 and 4 sit on either side of the boundary at bit 64."""
+    rng = np.random.default_rng(11)
+    sizes = [30, 30, 10, 5]
+    picks = [(0, 29), (0, 29), (2, 3, 4, 5), (0, 4)]
+    rows = [tuple(int(rng.choice(p)) for p in picks) for _ in range(120)]
+    queries = [tuple(int(rng.choice(p)) for p in picks) for _ in range(20)]
+    return sizes, rows, queries
+
+
+def _knn_case_with_a_wide_accumulator():
+    """130 binary attributes: twice a distance reaches 260, past uint8.
+    Training records flip 0..130 of the query's values, so the farthest
+    ones would wrap to look nearest in an 8-bit sum."""
+    rng = np.random.default_rng(12)
+    d = 130
+    query = rng.integers(2, size=d)
+    rows = []
+    for flips in [0, 3, 60, 127, 128, 129, 130, 130, 5, 64, 129, 1]:
+        row = query.copy()
+        row[rng.permutation(d)[:flips]] ^= 1
+        rows.append(tuple(row.tolist()))
+    return [2] * d, rows, [tuple(query.tolist()), rows[6], rows[1]]
+
+
+@pytest.mark.parametrize("case", [_knn_case_across_a_word_boundary,
+                                  _knn_case_with_a_wide_accumulator])
+def test_knn_wide_codes_match_oracle(case):
+    sizes, rows, queries = case()
+    rng = np.random.default_rng(13)
+    labels = [int(c) for c in rng.integers(3, size=len(rows))]
+    data = tiny_dataset(rows, labels, sizes, 3)
+    for k in (1, 5, len(rows) + 1):
         got = train_knn(data, Hyperparams(knn_k=k)).predict_proba_batch(np.array(queries))
         want = [[float(p) for p in oracles.knn_proba(rows, labels, 3, k, q)] for q in queries]
         assert got.tolist() == want

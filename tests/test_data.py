@@ -184,6 +184,9 @@ def test_dataset_caches_arrays_and_subsets_by_index():
     data = parse_csv(
         "Color,Size,Outcome\nRed,Small,Yes\nBlue,Big,No\nGreen,Big,Yes\n", _toy(), labeled=True
     )
+    assert data._rows is None and data._labels is None  # parsing keeps only the arrays
+    built = Dataset(schema=data.schema, rows=((0, 0), (2, 1), (1, 1)), labels=(0, 1, 0))
+    assert data == built and hash(data) == hash(built) and repr(data) == repr(built)
     assert data.matrix.tolist() == [list(row) for row in data.rows]
     assert data.label_array.tolist() == list(data.labels)
     assert not data.matrix.flags.writeable
