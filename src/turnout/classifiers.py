@@ -2,11 +2,13 @@
 
 Each algorithm trains on a labeled :class:`~turnout.data.Dataset` and
 predicts with one batch kernel: an ``(m, d)`` array of encoded records
-in, an ``(m, k)`` matrix of class probabilities out.  The per-record
-entry points (``KnnModel.predict_proba``, ``NaiveBayesModel.predict_proba``,
-``tree_predict_proba`` and ``TrainedModel.predict_proba_row``) call that
-kernel on a batch of one, so a record gets the same bits alone as in a
-batch.  Models are immutable once trained, so prediction is a pure
+in, an ``(m, k)`` matrix of class probabilities out, each value checked
+against its attribute's domain.  ``REGISTRY`` is the one table of
+algorithms: each record names a trainer and a model class, and the model
+class predicts, writes its model-file payload and reads it back.  The
+one per-record entry point, ``TrainedModel.predict_proba_row``, calls
+the kernel on a batch of one, so a record gets the same bits alone as in
+a batch.  Models are immutable once trained, so prediction is a pure
 function of (model, records) and safe to call from several threads at
 once.
 
@@ -28,14 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Protocol, Sequence, Union
 
 import numpy as np
 
 from .data import AttributeSchema, Dataset, class_counts, tally
-from .errors import SchemaMismatchError
-
-ALGORITHMS = ("knn", "naive-bayes", "tree")
+from .errors import ModelFileError, SchemaMismatchError
 
 PROBA_TOLERANCE = 1e-9
 
@@ -90,7 +90,7 @@ def predict_label(proba: Sequence[float]) -> int:
     return int(predict_labels(np.asarray(proba, dtype=np.float64).reshape(1, -1))[0])
 
 
-def _records(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def _records(rows: np.ndarray, sizes: np.ndarray | Sequence[int]) -> np.ndarray:
     """A batch of encoded records, shape (m, d) for d = len(sizes), with
     every value inside its attribute's domain ``0 .. sizes[j] - 1``."""
     batch = np.asarray(rows, dtype=np.intp)
@@ -107,12 +107,21 @@ def _records(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return batch
 
 
-def _one_record(values: Sequence[int], width: int) -> np.ndarray:
-    """One encoded record as a batch of one, shape (1, width)."""
-    record = np.asarray(values, dtype=np.intp)
-    if record.shape != (width,):
-        raise ValueError(f"record has {record.size} values, model expects {width}")
-    return record.reshape(1, width)
+def _training_labels(data: Dataset) -> np.ndarray:
+    """The class of each record of a labeled, nonempty training set."""
+    if data.label_array is None:
+        raise ValueError("training needs a labeled dataset")
+    if data.n == 0:
+        raise ValueError("training needs at least one record")
+    return data.label_array
+
+
+def _ints(text: str, what: str) -> list[int]:
+    """The integers of one model-file payload line."""
+    try:
+        return [int(tok) for tok in text.split()]
+    except ValueError:
+        raise ModelFileError(f"non-integer in {what}: {text!r}") from None
 
 
 def _bit_codes(records: np.ndarray, offsets: np.ndarray, n_words: int) -> np.ndarray:
@@ -166,10 +175,6 @@ class KnnModel:
         n_words = -(-int(sizes.sum()) // 64)
         object.__setattr__(self, "_codes", _bit_codes(rows, offsets, n_words))
 
-    def predict_proba(self, values: Sequence[int]) -> np.ndarray:
-        """Vote for one record: ``predict_proba_batch`` on a batch of one."""
-        return self.predict_proba_batch(_one_record(values, len(self._sizes)))[0]
-
     def predict_proba_batch(self, queries: np.ndarray) -> np.ndarray:
         """Vote of the min(k, N) nearest records under Hamming distance.
 
@@ -212,16 +217,42 @@ class KnnModel:
             out[start : start + m] = votes.reshape(m, self.n_classes) / used
         return out
 
+    def payload(self) -> list[str]:
+        """Model-file lines, one per training record:
+        ``row: <feature indices...> <label>``."""
+        return [
+            "row: " + " ".join(str(v) for v in row) + f" {label}"
+            for row, label in zip(self.rows.tolist(), self.labels.tolist())
+        ]
+
+    @classmethod
+    def from_payload(cls, lines: list[str], schema: AttributeSchema,
+                     params: Hyperparams) -> KnnModel:
+        """The model ``payload`` wrote; anything off is ModelFileError."""
+        sizes = [a.size for a in schema.features]
+        rows, labels = [], []
+        for line in lines:
+            if not line.startswith("row: "):
+                raise ModelFileError(f"expected 'row:' line, got {line!r}")
+            values = _ints(line[len("row: ") :], "knn row")
+            if len(values) != len(sizes) + 1:
+                raise ModelFileError(f"knn row has {len(values)} fields, expected {len(sizes) + 1}")
+            if any(not 0 <= v < size for v, size in zip(values, sizes)):
+                raise ModelFileError(f"knn row value out of domain range: {line!r}")
+            if not 0 <= values[-1] < schema.n_classes:
+                raise ModelFileError(f"knn row label out of range: {line!r}")
+            rows.append(values[:-1])
+            labels.append(values[-1])
+        if not rows:
+            raise ModelFileError("knn payload has no rows")
+        return cls(rows=rows, labels=labels, k=params.knn_k, n_classes=schema.n_classes,
+                   domain_sizes=tuple(sizes))
+
 
 def train_knn(data: Dataset, params: Hyperparams) -> KnnModel:
-    if not data.labeled:
-        raise ValueError("training needs a labeled dataset")
-    if data.n == 0:
-        raise ValueError("training needs at least one record")
-    assert data.label_array is not None
     return KnnModel(
         rows=data.matrix,
-        labels=data.label_array,
+        labels=_training_labels(data),
         k=params.knn_k,
         n_classes=data.schema.n_classes,
         domain_sizes=tuple(a.size for a in data.schema.features),
@@ -257,10 +288,6 @@ class NaiveBayesModel:
         object.__setattr__(self, "_ratios", tuple(ratios))
         object.__setattr__(self, "_sizes", np.array([len(t) for t in self.tables], dtype=np.intp))
 
-    def predict_proba(self, values: Sequence[int]) -> np.ndarray:
-        """Scores for one record: ``predict_proba_batch`` on a batch of one."""
-        return self.predict_proba_batch(_one_record(values, len(self.tables)))[0]
-
     def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
         """Smoothed multinomial scores, normalised to sum to one.
 
@@ -281,17 +308,64 @@ class NaiveBayesModel:
         np.divide(scores, mass, out=out, where=mass != 0.0)
         return out
 
+    def payload(self) -> list[str]:
+        """Model-file lines: ``class-counts: <count per class>``, then
+        ``table <attr> <value>: <count per class>`` per attribute value."""
+        lines = ["class-counts: " + " ".join(str(c) for c in self.class_counts)]
+        for j, table in enumerate(self.tables):
+            for v, row in enumerate(table):
+                lines.append(f"table {j} {v}: " + " ".join(str(c) for c in row))
+        return lines
+
+    @classmethod
+    def from_payload(cls, lines: list[str], schema: AttributeSchema,
+                     params: Hyperparams) -> NaiveBayesModel:
+        """The model ``payload`` wrote; anything off is ModelFileError."""
+        n_classes = schema.n_classes
+        reader = iter(lines)
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise ModelFileError("naive-bayes payload is empty") from None
+        if not first.startswith("class-counts: "):
+            raise ModelFileError(f"expected 'class-counts:' line, got {first!r}")
+        counts = _ints(first[len("class-counts: ") :], "class counts")
+        if len(counts) != n_classes:
+            raise ModelFileError(f"{len(counts)} class counts for {n_classes} classes")
+        if any(c < 0 for c in counts) or sum(counts) == 0:
+            raise ModelFileError("class counts must be non-negative with a positive total")
+        tables: list[tuple[tuple[int, ...], ...]] = []
+        for j, attr in enumerate(schema.features):
+            table: list[tuple[int, ...]] = []
+            for v in range(attr.size):
+                try:
+                    line = next(reader)
+                except StopIteration:
+                    raise ModelFileError("naive-bayes payload truncated") from None
+                prefix = f"table {j} {v}: "
+                if not line.startswith(prefix):
+                    raise ModelFileError(f"expected {prefix!r} line, got {line!r}")
+                row = _ints(line[len(prefix) :], "count table row")
+                if len(row) != n_classes or any(c < 0 for c in row):
+                    raise ModelFileError(f"count row {line!r} needs {n_classes} non-negative counts")
+                table.append(tuple(row))
+            tables.append(tuple(table))
+        leftovers = list(reader)
+        if leftovers:
+            raise ModelFileError(f"unexpected trailing payload line {leftovers[0]!r}")
+        for j, table in enumerate(tables):
+            for c in range(n_classes):
+                if sum(row[c] for row in table) != counts[c]:
+                    raise ModelFileError(f"count table {j} does not sum to the class counts")
+        return cls(class_counts=tuple(counts), tables=tuple(tables), alpha=params.nb_alpha)
+
 
 def train_naive_bayes(data: Dataset, params: Hyperparams) -> NaiveBayesModel:
     """Tally value/class co-occurrence over the full declared domains."""
-    if not data.labeled:
-        raise ValueError("training needs a labeled dataset")
-    if data.n == 0:
-        raise ValueError("training needs at least one record")
-    assert data.label_array is not None
+    labels = _training_labels(data)
     tables = []
     for j, attr in enumerate(data.schema.features):
-        table = tally(data.matrix[:, j], data.label_array, attr.size, data.schema.n_classes)
+        table = tally(data.matrix[:, j], labels, attr.size, data.schema.n_classes)
         tables.append(tuple(tuple(row) for row in table.tolist()))
     return NaiveBayesModel(
         class_counts=class_counts(data), tables=tuple(tables), alpha=params.nb_alpha
@@ -438,11 +512,7 @@ def train_tree(data: Dataset, params: Hyperparams) -> TreeNode:
     it and scores exactly the parent's score, so it never shows positive
     gain: that alone keeps attributes from repeating along a path.
     """
-    if not data.labeled:
-        raise ValueError("training needs a labeled dataset")
-    if data.n == 0:
-        raise ValueError("training needs at least one record")
-    assert data.label_array is not None
+    labels = _training_labels(data)
     k = data.schema.n_classes
     sizes = np.array([a.size for a in data.schema.features], dtype=np.intp)
     offsets = np.cumsum(sizes) - sizes  # each attribute's first (value) column
@@ -454,9 +524,9 @@ def train_tree(data: Dataset, params: Hyperparams) -> TreeNode:
     # per depth: class counts of every node, its split attribute (-1 for a
     # leaf) and the position of its first child among the next depth's nodes
     levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    # the records still in play, their labels and their node at this depth
+    # the records still in play and their node at this depth; ``labels`` is
+    # narrowed along with ``rows``
     rows = np.arange(data.n)
-    labels = data.label_array
     slot = np.zeros(data.n, dtype=np.intp)
     counts = tally(slot, labels, 1, k)
     for depth in range(d + 1):
@@ -526,55 +596,161 @@ def train_tree(data: Dataset, params: Hyperparams) -> TreeNode:
     return root
 
 
-def tree_predict_proba(node: TreeNode, values: Sequence[int]) -> np.ndarray:
-    """Leaf distribution for one record: the batch walk on a batch of one."""
-    record = np.asarray(values, dtype=np.intp).reshape(1, -1)
-    # a single record always reaches one leaf, whose length is the class count
-    return tree_predict_proba_batch(node, record, n_classes=-1)[0]
+@dataclass(frozen=True)
+class TreeModel:
+    """A grown tree: its root, plus the schema's domain sizes and class
+    count, which check a batch's records and shape its result."""
+
+    root: TreeNode
+    domain_sizes: tuple[int, ...]
+    n_classes: int
+
+    def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
+        """Walk each record to a leaf and normalise the leaves' class counts."""
+        leaves = []
+        for values in _records(rows, self.domain_sizes).tolist():
+            node = self.root
+            while isinstance(node, Split):
+                node = node.children[values[node.attribute]]
+            leaves.append(node.counts)
+        counts = np.array(leaves, dtype=np.float64).reshape(len(leaves), self.n_classes)
+        return counts / counts.sum(axis=1, keepdims=True)
+
+    def payload(self) -> list[str]:
+        """Model-file lines, one per node, breadth first from the root
+        (node 0), children referenced by node index:
+        ``node <i>: split <attr> children <child indices...>`` or
+        ``node <i>: leaf <label> counts <count per class>``."""
+        # a node object reached through two branches (shared empty-bucket
+        # leaves) is written once per reference
+        nodes: list[TreeNode] = [self.root]
+        lines: list[str] = []
+        i = 0
+        while i < len(nodes):
+            node = nodes[i]
+            if isinstance(node, Split):
+                first = len(nodes)
+                nodes.extend(node.children)
+                kids = " ".join(str(first + j) for j in range(len(node.children)))
+                lines.append(f"node {i}: split {node.attribute} children {kids}")
+            else:
+                counts = " ".join(str(c) for c in node.counts)
+                lines.append(f"node {i}: leaf {node.label} counts {counts}")
+            i += 1
+        return lines
+
+    @classmethod
+    def from_payload(cls, lines: list[str], schema: AttributeSchema,
+                     params: Hyperparams) -> TreeModel:
+        """The model ``payload`` wrote; anything off is ModelFileError."""
+        sizes = tuple(a.size for a in schema.features)
+        n_classes = schema.n_classes
+        parsed: list[tuple[str, list[int], list[int]]] = []
+        for i, line in enumerate(lines):
+            prefix = f"node {i}: "
+            if not line.startswith(prefix):
+                raise ModelFileError(f"expected {prefix!r} line, got {line!r}")
+            body = line[len(prefix) :]
+            if body.startswith("split "):
+                head, sep, tail = body[len("split ") :].partition(" children ")
+                kind = "split"
+            elif body.startswith("leaf "):
+                head, sep, tail = body[len("leaf ") :].partition(" counts ")
+                kind = "leaf"
+            else:
+                raise ModelFileError(f"unknown tree node kind in {line!r}")
+            if not sep:
+                raise ModelFileError(f"malformed tree node line {line!r}")
+            parsed.append((kind, _ints(head, "tree node"), _ints(tail, "tree node")))
+        if not parsed:
+            raise ModelFileError("tree payload has no nodes")
+
+        def build(i: int, seen: frozenset[int]) -> TreeNode:
+            if not 0 <= i < len(parsed) or i in seen:
+                raise ModelFileError(f"tree node {i} is missing or cyclic")
+            kind, head, tail = parsed[i]
+            if kind == "leaf":
+                if len(head) != 1 or len(tail) != n_classes or not 0 <= head[0] < n_classes:
+                    raise ModelFileError(f"leaf node {i} is malformed")
+                if any(c < 0 for c in tail) or sum(tail) == 0:
+                    raise ModelFileError(f"leaf node {i} has an invalid class distribution")
+                if head[0] != argmax_label(tail):
+                    raise ModelFileError(f"leaf node {i} label is not the argmax of its counts")
+                return Leaf(counts=tuple(tail), label=head[0])
+            if len(head) != 1 or not 0 <= head[0] < len(sizes):
+                raise ModelFileError(f"split node {i} names an unknown attribute")
+            attr = head[0]
+            if len(tail) != sizes[attr]:
+                raise ModelFileError(
+                    f"split node {i} has {len(tail)} children, expected {sizes[attr]}"
+                )
+            return Split(
+                attribute=attr,
+                children=tuple(build(c, seen | {i}) for c in tail),
+            )
+
+        return cls(build(0, frozenset()), sizes, n_classes)
 
 
-def tree_predict_proba_batch(root: TreeNode, rows: np.ndarray, n_classes: int) -> np.ndarray:
-    """Walk each record to a leaf and normalise the leaves' class counts.
-
-    ``n_classes`` shapes the result, so an empty batch gives (0, n_classes).
-    """
-    leaves = []
-    for values in np.asarray(rows, dtype=np.intp).tolist():
-        node = root
-        while isinstance(node, Split):
-            node = node.children[values[node.attribute]]
-        leaves.append(node.counts)
-    counts = np.array(leaves, dtype=np.float64).reshape(len(leaves), n_classes)
-    return counts / counts.sum(axis=1, keepdims=True)
+def _train_tree_model(data: Dataset, params: Hyperparams) -> TreeModel:
+    sizes = tuple(a.size for a in data.schema.features)
+    return TreeModel(train_tree(data, params), sizes, data.schema.n_classes)
 
 
 # ------------------------------------------------------ common front
 
 
+class Model(Protocol):
+    """What each algorithm's model class provides."""
+
+    def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
+        """(m, k) class probabilities of (m, d) encoded records; a value
+        outside its attribute's domain is a ValueError."""
+
+    def payload(self) -> list[str]:
+        """The model-file payload lines."""
+
+    @classmethod
+    def from_payload(cls, lines: list[str], schema: AttributeSchema,
+                     params: Hyperparams) -> Model:
+        """The model ``payload`` wrote; anything off is ModelFileError."""
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One learner: its id, its trainer, and its model class."""
+
+    name: str
+    train: Callable[[Dataset, Hyperparams], Model]
+    model: type[Model]
+
+
+# the one table of algorithms, in report order
+REGISTRY = {a.name: a for a in (
+    Algorithm("knn", train_knn, KnnModel),
+    Algorithm("naive-bayes", train_naive_bayes, NaiveBayesModel),
+    Algorithm("tree", _train_tree_model, TreeModel),
+)}
+ALGORITHMS = tuple(REGISTRY)
+
+
 @dataclass(frozen=True)
 class TrainedModel:
-    """An algorithm tag, its fitted state, and the schema it was fit under."""
+    """An algorithm id, its fitted model, and the schema it was fit under."""
 
     algorithm: str
     schema: AttributeSchema
     params: Hyperparams
-    model: KnnModel | NaiveBayesModel | TreeNode
+    model: Model
 
     @property
     def fingerprint(self) -> str:
         return self.schema.fingerprint()
 
-    def _predict(self, rows: np.ndarray) -> np.ndarray:
-        # the knn and naive-bayes kernels check their records' domains
-        # themselves; a tree knows only the domains on its paths
-        if isinstance(self.model, (KnnModel, NaiveBayesModel)):
-            return self.model.predict_proba_batch(rows)
-        sizes = np.array([a.size for a in self.schema.features], dtype=np.intp)
-        return tree_predict_proba_batch(self.model, _records(rows, sizes), self.schema.n_classes)
-
     def predict_proba_row(self, values: Sequence[int]) -> np.ndarray:
-        """Probability vector for one already-encoded record."""
-        return self._predict(_one_record(values, len(self.schema.features)))[0]
+        """Probability vector for one already-encoded record: the batch
+        kernel on a batch of one."""
+        return self.model.predict_proba_batch(np.asarray(values, dtype=np.intp)[np.newaxis])[0]
 
     def predict_proba(self, data: Dataset) -> np.ndarray:
         """Probability matrix (records x classes) for a whole dataset, in
@@ -588,21 +764,16 @@ class TrainedModel:
                 "dataset schema fingerprint does not match the model's "
                 f"({data.schema.fingerprint()[:12]} vs {self.fingerprint[:12]})"
             )
-        return self._predict(data.matrix)
+        return self.model.predict_proba_batch(data.matrix)
 
     def predict_labels(self, data: Dataset) -> np.ndarray:
         return predict_labels(self.predict_proba(data))
 
 
 def train(data: Dataset, algorithm: str, params: Hyperparams | None = None) -> TrainedModel:
-    """Train one of the three algorithms by id: knn, naive-bayes, tree."""
-    params = params or Hyperparams()
-    if algorithm == "knn":
-        model: KnnModel | NaiveBayesModel | TreeNode = train_knn(data, params)
-    elif algorithm == "naive-bayes":
-        model = train_naive_bayes(data, params)
-    elif algorithm == "tree":
-        model = train_tree(data, params)
-    else:
+    """Train one of the algorithms in ``REGISTRY`` by id."""
+    if algorithm not in REGISTRY:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    params = params or Hyperparams()
+    model = REGISTRY[algorithm].train(data, params)
     return TrainedModel(algorithm=algorithm, schema=data.schema, params=params, model=model)

@@ -193,8 +193,8 @@ def _tree_root_note(data: Dataset, params: Hyperparams) -> str:
     depth = 1 if params.tree_max_depth is None else min(params.tree_max_depth, 1)
     model = train(data, "tree", Hyperparams(tree_min_samples=params.tree_min_samples,
                                             tree_max_depth=depth))
-    if isinstance(model.model, Split):
-        root = data.schema.features[model.model.attribute].name
+    if isinstance(model.model.root, Split):
+        root = data.schema.features[model.model.root.attribute].name
     else:
         root = "(single leaf)"
     verdict = "agrees" if root == corpus.REFERENCE_TREE_ROOT else "differs"

@@ -307,17 +307,18 @@ def parse_csv(text: str, schema: AttributeSchema, labeled: bool) -> Dataset:
 
     # every cell's domain index, record after record; each is in range by
     # construction, so the dataset is built without validating it again
+    lookups = [(attr, {label: i for i, label in enumerate(attr.values)}) for attr in columns]
     indices: list[int] = []
     for lineno, line in numbered[1:]:
         cells = line.split(",")
         if len(cells) != len(columns):
             raise DataError(f"line {lineno}: expected {len(columns)} columns, got {len(cells)}")
-        for attr, cell in zip(columns, cells):
+        for (attr, index_of), cell in zip(lookups, cells):
             value = canonical_label(cell)
             if not value:
                 raise DataError(f"line {lineno}: empty value in column {attr.name!r}")
             try:
-                indices.append(attr.index_of(value))
+                indices.append(index_of[value])
             except KeyError:
                 raise DataError(
                     f"line {lineno}: unknown value {value!r} for attribute {attr.name!r}"

@@ -152,13 +152,14 @@ def test_criterion_5_oracle_equivalence():
             data = tiny_dataset(rows, labels, sizes, n_classes)
 
             alpha = rng.choice([0.5, 1.0, 2.0])
-            got = train_naive_bayes(data, Hyperparams(nb_alpha=alpha)).predict_proba(query)
+            model = train_naive_bayes(data, Hyperparams(nb_alpha=alpha))
+            got = model.predict_proba_batch([query])[0]
             want = oracles.nb_proba(rows, labels, sizes, n_classes, alpha, query)
             assert np.allclose(got, [float(w) for w in want], atol=1e-12, rtol=0.0)
             checked["nb"] += 1
 
             k = rng.randint(1, 18)
-            got = train_knn(data, Hyperparams(knn_k=k)).predict_proba(query)
+            got = train_knn(data, Hyperparams(knn_k=k)).predict_proba_batch([query])[0]
             want = oracles.knn_proba(rows, labels, n_classes, k, query)
             assert got.tolist() == [float(w) for w in want]
             checked["knn"] += 1

@@ -5,23 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from turnout import (
+    ALGORITHMS,
     Hyperparams,
     Leaf,
     Split,
+    TreeModel,
     class_counts,
     entropy,
     hamming_distance,
     info_gain,
     load_election_corpus,
+    model_from_text,
+    model_to_text,
     predict_label,
     predict_labels,
     train,
     train_knn,
     train_naive_bayes,
     train_tree,
-    tree_predict_proba,
 )
-from turnout.classifiers import KNN_BLOCK_CELLS, tree_predict_proba_batch
+from turnout.classifiers import KNN_BLOCK_CELLS
 
 import oracles
 from oracles import tiny_dataset
@@ -86,29 +89,29 @@ def test_predict_labels_is_row_wise_predict_label():
 def test_knn_single_training_record():
     data = tiny_dataset([(0, 0)], [1], [2, 2], 2)
     model = train_knn(data, Hyperparams(knn_k=5))
-    assert model.predict_proba((1, 1)).tolist() == [0.0, 1.0]
+    assert model.predict_proba_batch([(1, 1)])[0].tolist() == [0.0, 1.0]
 
 
 def test_knn_distance_tie_prefers_earlier_record():
     # both records are at distance 1 from the query; k=1 must take row 0
     data = tiny_dataset([(0, 0), (1, 1)], [0, 1], [2, 2], 2)
     model = train_knn(data, Hyperparams(knn_k=1))
-    assert model.predict_proba((0, 1)).tolist() == [1.0, 0.0]
+    assert model.predict_proba_batch([(0, 1)])[0].tolist() == [1.0, 0.0]
 
 
 def test_knn_k_of_n_returns_training_prior():
     data = tiny_dataset([(0,), (0,), (1,), (1,)], [0, 0, 0, 1], [2], 2)
     model = train_knn(data, Hyperparams(knn_k=4))
-    assert model.predict_proba((0,)).tolist() == [0.75, 0.25]
+    assert model.predict_proba_batch([(0,)])[0].tolist() == [0.75, 0.25]
     # k beyond n clamps to n
     model = train_knn(data, Hyperparams(knn_k=100))
-    assert model.predict_proba((1,)).tolist() == [0.75, 0.25]
+    assert model.predict_proba_batch([(1,)])[0].tolist() == [0.75, 0.25]
 
 
 def test_knn_on_corpus_first_record_matches_exhaustive_scan():
     data = load_election_corpus()
     model = train_knn(data, Hyperparams(knn_k=5))
-    got = model.predict_proba(data.rows[0])
+    got = model.predict_proba_batch([data.rows[0]])[0]
     want = oracles.knn_proba(data.rows, data.labels, 3, 5, data.rows[0])
     assert got.tolist() == [float(w) for w in want]
 
@@ -131,7 +134,7 @@ def binary_dataset(draw, min_records=1, max_records=16, max_attrs=4, classes=(2,
 def test_knn_matches_oracle_on_small_datasets(case, k):
     rows, labels, sizes, n_classes, query = case
     data = tiny_dataset(rows, labels, sizes, n_classes)
-    got = train_knn(data, Hyperparams(knn_k=k)).predict_proba(query)
+    got = train_knn(data, Hyperparams(knn_k=k)).predict_proba_batch([query])[0]
     want = [float(w) for w in oracles.knn_proba(rows, labels, n_classes, k, query)]
     assert got.tolist() == want
     assert got.sum() == pytest.approx(1.0, abs=1e-9)
@@ -144,7 +147,7 @@ def test_nb_hand_worked_example():
     # single binary attribute; three of four records positive
     data = tiny_dataset([(0,), (0,), (1,), (1,)], [0, 0, 1, 0], [2], 2)
     model = train_naive_bayes(data, Hyperparams(nb_alpha=1.0))
-    proba = model.predict_proba((0,))
+    proba = model.predict_proba_batch([(0,)])[0]
     assert proba[0] == pytest.approx(0.84375, abs=1e-12)
     assert proba.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -152,14 +155,14 @@ def test_nb_hand_worked_example():
 def test_nb_alpha_zero_zeroes_unseen_combination():
     data = tiny_dataset([(0,), (1,)], [0, 1], [2], 2)
     model = train_naive_bayes(data, Hyperparams(nb_alpha=0.0))
-    proba = model.predict_proba((0,))
+    proba = model.predict_proba_batch([(0,)])[0]
     assert proba.tolist() == [1.0, 0.0]
 
 
 def test_nb_positive_for_all_present_classes_when_smoothed():
     data = tiny_dataset([(0, 0), (1, 1)], [0, 1], [2, 2], 2)
     model = train_naive_bayes(data, Hyperparams(nb_alpha=0.5))
-    proba = model.predict_proba((0, 1))
+    proba = model.predict_proba_batch([(0, 1)])[0]
     assert (proba > 0).all()
 
 
@@ -176,7 +179,7 @@ def test_nb_count_tables_sum_to_class_counts():
 def test_nb_matches_exact_oracle(case, alpha):
     rows, labels, sizes, n_classes, query = case
     data = tiny_dataset(rows, labels, sizes, n_classes)
-    got = train_naive_bayes(data, Hyperparams(nb_alpha=alpha)).predict_proba(query)
+    got = train_naive_bayes(data, Hyperparams(nb_alpha=alpha)).predict_proba_batch([query])[0]
     want = oracles.nb_proba(rows, labels, sizes, n_classes, alpha, query)
     assert np.allclose(got, [float(w) for w in want], atol=1e-12, rtol=0.0)
     assert got.sum() == pytest.approx(1.0, abs=1e-9)
@@ -242,25 +245,27 @@ def test_tree_pure_node_is_a_leaf():
 def test_tree_two_level_example():
     # a0 separates the classes perfectly, a1 is constant
     data = tiny_dataset([(0, 0), (0, 0), (1, 0), (1, 0)], [0, 0, 1, 1], [2, 2], 2)
-    root = train_tree(data, Hyperparams())
+    model = train(data, "tree")
+    root = model.model.root
     assert isinstance(root, Split)
     assert root.attribute == 0
     assert all(isinstance(child, Leaf) for child in root.children)
     assert root.children[0].counts == (2, 0)
     assert root.children[1].counts == (0, 2)
-    assert tree_predict_proba(root, (0, 0)).tolist() == [1.0, 0.0]
-    assert tree_predict_proba(root, (1, 0)).tolist() == [0.0, 1.0]
+    assert model.predict_proba_row((0, 0)).tolist() == [1.0, 0.0]
+    assert model.predict_proba_row((1, 0)).tolist() == [0.0, 1.0]
 
 
 def test_tree_empty_branch_carries_parent_distribution():
     # domain value v2 never occurs in training
     data = tiny_dataset([(0,), (1,)], [0, 1], [3], 2)
-    root = train_tree(data, Hyperparams())
+    model = train(data, "tree")
+    root = model.model.root
     assert isinstance(root, Split)
     ghost = root.children[2]
     assert isinstance(ghost, Leaf)
     assert ghost.counts == (1, 1)
-    assert tree_predict_proba(root, (2,)).tolist() == [0.5, 0.5]
+    assert model.predict_proba_row((2,)).tolist() == [0.5, 0.5]
 
 
 def test_tree_min_samples_stops_growth():
@@ -359,8 +364,7 @@ def test_tree_root_matches_oracle_on_small_datasets(case):
 def test_tree_probabilities_are_normalised(case):
     rows, labels, sizes, n_classes, query = case
     data = tiny_dataset(rows, labels, sizes, n_classes)
-    root = train_tree(data, Hyperparams())
-    proba = tree_predict_proba(root, query)
+    proba = train(data, "tree").predict_proba_row(query)
     assert proba.sum() == pytest.approx(1.0, abs=1e-9)
     assert (proba >= 0).all()
 
@@ -390,9 +394,8 @@ def test_out_of_domain_value_is_rejected_naming_the_attribute(algo, value):
     model = train(data, algo)
     with pytest.raises(ValueError, match=f"value {value} is outside the domain of attribute 1"):
         model.predict_proba_row((0, value))
-    if algo != "tree":  # the knn and naive-bayes kernels check their own batches too
-        with pytest.raises(ValueError, match="record 1: .* attribute 1"):
-            model.model.predict_proba_batch(np.array([(0, 0), (1, value)]))
+    with pytest.raises(ValueError, match="record 1: .* attribute 1"):
+        model.model.predict_proba_batch(np.array([(0, 0), (1, value)]))
 
 
 def test_training_is_deterministic():
@@ -448,8 +451,6 @@ def test_knn_batch_matches_oracle(case, k):
     got = model.predict_proba_batch(np.array(queries))
     want = [[float(p) for p in oracles.knn_proba(rows, labels, n_classes, k, q)] for q in queries]
     assert got.tolist() == want
-    # the per-record entry point is the same kernel on a batch of one
-    assert np.array_equal(got, np.stack([model.predict_proba(q) for q in queries]))
 
 
 def test_knn_batch_spanning_several_blocks_matches_oracle():
@@ -516,7 +517,20 @@ def test_nb_batch_matches_oracle(case, alpha):
     for q, row in zip(queries, got):
         want = oracles.nb_proba(rows, labels, sizes, n_classes, alpha, q)
         assert np.allclose(row, [float(w) for w in want], atol=1e-12, rtol=0.0)
-    assert np.array_equal(got, np.stack([model.predict_proba(q) for q in queries]))
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@given(tied_problem(), st.integers(min_value=1, max_value=45),
+       st.sampled_from([0.0, 1e-3, 1.0, 50.0]))
+def test_predict_proba_row_is_the_batch_kernel_on_a_batch_of_one(algo, case, k, alpha):
+    rows, labels, sizes, n_classes, queries = case
+    model = train(tiny_dataset(rows, labels, sizes, n_classes), algo,
+                  Hyperparams(knn_k=k, nb_alpha=alpha))
+    clone = model_from_text(model_to_text(model))
+    got = model.model.predict_proba_batch(np.array(queries))
+    assert np.array_equal(clone.model.predict_proba_batch(np.array(queries)), got)
+    for trained in (model, clone):
+        assert np.array_equal(np.stack([trained.predict_proba_row(q) for q in queries]), got)
 
 
 def test_nb_alpha_zero_scores_an_absent_class_zero():
@@ -531,10 +545,10 @@ def test_nb_alpha_zero_scores_an_absent_class_zero():
 def test_tree_batch_matches_a_plain_walk(case):
     rows, labels, sizes, n_classes, queries = case
     root = train_tree(tiny_dataset(rows, labels, sizes, n_classes), Hyperparams())
-    got = tree_predict_proba_batch(root, np.array(queries), n_classes)
+    model = TreeModel(root, tuple(sizes), n_classes)
+    got = model.predict_proba_batch(np.array(queries))
     assert got.shape == (len(queries), n_classes)
-    assert tree_predict_proba_batch(root, np.empty((0, len(sizes))), n_classes).shape == (
-        0, n_classes)
+    assert model.predict_proba_batch(np.empty((0, len(sizes)))).shape == (0, n_classes)
     for q, row in zip(queries, got):
         node = root
         while isinstance(node, Split):
