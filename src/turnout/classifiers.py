@@ -9,8 +9,8 @@ class predicts, writes its model-file payload and reads it back.  The
 one per-record entry point, ``TrainedModel.predict_proba_row``, calls
 the kernel on a batch of one, so a record gets the same bits alone as in
 a batch.  Models are immutable once trained, so prediction is a pure
-function of (model, records) and safe to call from several threads at
-once.
+function of (model, records); cross-validation runs its folds one after
+another (see :mod:`turnout.evaluation`).
 
 KNN works through its queries in blocks of about ``KNN_BLOCK_CELLS``
 query-by-training-record distances, a fixed budget that keeps its
@@ -29,8 +29,7 @@ Tie rules are part of the contract:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence, Union
+from typing import Callable, NamedTuple, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -45,31 +44,24 @@ PROBA_TOLERANCE = 1e-9
 KNN_BLOCK_CELLS = 32_768
 
 
-@dataclass(frozen=True)
-class Hyperparams:
+class Hyperparams(NamedTuple("Hyperparams", [
+        ("knn_k", int), ("nb_alpha", float), ("tree_min_samples", int),
+        ("tree_max_depth", int | None)])):
     """Hyperparameters for all three algorithms; unused ones are ignored."""
 
-    knn_k: int = 5
-    nb_alpha: float = 1.0
-    tree_min_samples: int = 2
-    tree_max_depth: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.knn_k < 1:
-            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
-        if not (math.isfinite(self.nb_alpha) and self.nb_alpha >= 0.0):
-            raise ValueError(f"nb_alpha (alpha) must be finite and >= 0, got {self.nb_alpha}")
-        if self.tree_min_samples < 2:
-            raise ValueError(f"tree_min_samples must be >= 2, got {self.tree_min_samples}")
-        if self.tree_max_depth is not None and self.tree_max_depth < 0:
-            raise ValueError(f"tree_max_depth must be >= 0, got {self.tree_max_depth}")
-
-
-def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
-    """Number of positions where two records disagree."""
-    if len(a) != len(b):
-        raise ValueError(f"record lengths differ: {len(a)} vs {len(b)}")
-    return sum(1 for x, y in zip(a, b) if x != y)
+    def __new__(cls, knn_k: int = 5, nb_alpha: float = 1.0, tree_min_samples: int = 2,
+                tree_max_depth: int | None = None) -> Hyperparams:
+        if knn_k < 1:
+            raise ValueError(f"knn_k must be >= 1, got {knn_k}")
+        if not (math.isfinite(nb_alpha) and nb_alpha >= 0.0):
+            raise ValueError(f"nb_alpha (alpha) must be finite and >= 0, got {nb_alpha}")
+        if tree_min_samples < 2:
+            raise ValueError(f"tree_min_samples must be >= 2, got {tree_min_samples}")
+        if tree_max_depth is not None and tree_max_depth < 0:
+            raise ValueError(f"tree_max_depth must be >= 0, got {tree_max_depth}")
+        return super().__new__(cls, knn_k, nb_alpha, tree_min_samples, tree_max_depth)
 
 
 def predict_labels(proba: np.ndarray) -> np.ndarray:
@@ -142,7 +134,6 @@ def _bit_codes(records: np.ndarray, offsets: np.ndarray, n_words: int) -> np.nda
 # ---------------------------------------------------------------- KNN
 
 
-@dataclass(frozen=True, eq=False)
 class KnnModel:
     """Stored training table; all work happens at prediction time.
 
@@ -152,28 +143,24 @@ class KnnModel:
     packed one-hot bit code (see ``_bit_codes``): two records that
     disagree on an attribute differ in exactly two of its bits, so the
     popcount of their codes' XOR is twice their Hamming distance.
-    ``rows`` itself is read only to write the model file.
+    ``rows`` itself is read only to write the model file.  The model is
+    immutable and equal only to itself.
     """
 
-    rows: np.ndarray
-    labels: np.ndarray
-    k: int
-    n_classes: int
-    domain_sizes: tuple[int, ...]
-    _sizes: np.ndarray = field(init=False, repr=False)
-    _offsets: np.ndarray = field(init=False, repr=False)
-    _codes: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        sizes = np.array(self.domain_sizes, dtype=np.intp)
+    def __init__(self, rows: np.ndarray, labels: np.ndarray, k: int, n_classes: int,
+                 domain_sizes: tuple[int, ...]) -> None:
+        sizes = np.array(domain_sizes, dtype=np.intp)
         offsets = np.cumsum(sizes) - sizes  # each attribute's first bit
-        rows = _records(self.rows, sizes)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.intp))
-        object.__setattr__(self, "_sizes", sizes)
-        object.__setattr__(self, "_offsets", offsets)
+        rows = _records(rows, sizes)
         n_words = -(-int(sizes.sum()) // 64)
-        object.__setattr__(self, "_codes", _bit_codes(rows, offsets, n_words))
+        vars(self).update(
+            rows=rows, labels=np.asarray(labels, dtype=np.intp), k=k, n_classes=n_classes,
+            domain_sizes=domain_sizes, _sizes=sizes, _offsets=offsets,
+            _codes=_bit_codes(rows, offsets, n_words),
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"KnnModel is immutable; cannot set {name!r}")
 
     def predict_proba_batch(self, queries: np.ndarray) -> np.ndarray:
         """Vote of the min(k, N) nearest records under Hamming distance.
@@ -262,31 +249,39 @@ def train_knn(data: Dataset, params: Hyperparams) -> KnnModel:
 # ------------------------------------------------------- Naive Bayes
 
 
-@dataclass(frozen=True)
 class NaiveBayesModel:
-    """Class priors and per-attribute value/class count tables."""
+    """Class priors and per-attribute value/class count tables
+    (``tables[attribute][value][class]``); immutable, equal by value."""
 
-    class_counts: tuple[int, ...]
-    tables: tuple[tuple[tuple[int, ...], ...], ...]  # [attribute][value][class]
-    alpha: float
-    _priors: np.ndarray = field(init=False, repr=False, compare=False)
-    _ratios: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    _sizes: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.class_counts, dtype=np.int64)
+    def __init__(self, class_counts: tuple[int, ...],
+                 tables: tuple[tuple[tuple[int, ...], ...], ...], alpha: float) -> None:
+        counts = np.asarray(class_counts, dtype=np.int64)
         ratios = []
-        for table in self.tables:
+        for table in tables:
             seen = np.asarray(table, dtype=np.int64).reshape(len(table), len(counts))
-            per_class = counts + self.alpha * len(table)
+            per_class = counts + alpha * len(table)
             # a class with no records and alpha = 0 would divide 0 by 0; its
             # prior is 0, so its score is 0 whatever its ratio, as for alpha > 0
             ratio = np.zeros(seen.shape, dtype=np.float64)
-            np.divide(seen + self.alpha, per_class, out=ratio, where=per_class != 0)
+            np.divide(seen + alpha, per_class, out=ratio, where=per_class != 0)
             ratios.append(ratio)
-        object.__setattr__(self, "_priors", counts / counts.sum())
-        object.__setattr__(self, "_ratios", tuple(ratios))
-        object.__setattr__(self, "_sizes", np.array([len(t) for t in self.tables], dtype=np.intp))
+        vars(self).update(
+            class_counts=class_counts, tables=tables, alpha=alpha,
+            _priors=counts / counts.sum(), _ratios=tuple(ratios),
+            _sizes=np.array([len(t) for t in tables], dtype=np.intp),
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"NaiveBayesModel is immutable; cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NaiveBayesModel):
+            return NotImplemented
+        return (self.class_counts, self.tables, self.alpha) == (
+            other.class_counts, other.tables, other.alpha)
+
+    def __hash__(self) -> int:
+        return hash((self.class_counts, self.tables, self.alpha))
 
     def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
         """Smoothed multinomial scores, normalised to sum to one.
@@ -436,14 +431,12 @@ def _score_less(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] * b[1] < b[0] * a[1]
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     counts: tuple[int, ...]
     label: int
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple):
     attribute: int  # feature index in schema order
     children: tuple["TreeNode", ...]  # one child per domain value, in domain order
 
@@ -596,8 +589,7 @@ def train_tree(data: Dataset, params: Hyperparams) -> TreeNode:
     return root
 
 
-@dataclass(frozen=True)
-class TreeModel:
+class TreeModel(NamedTuple):
     """A grown tree: its root, plus the schema's domain sizes and class
     count, which check a batch's records and shape its result."""
 
@@ -716,8 +708,7 @@ class Model(Protocol):
         """The model ``payload`` wrote; anything off is ModelFileError."""
 
 
-@dataclass(frozen=True)
-class Algorithm:
+class Algorithm(NamedTuple):
     """One learner: its id, its trainer, and its model class."""
 
     name: str
@@ -734,8 +725,7 @@ REGISTRY = {a.name: a for a in (
 ALGORITHMS = tuple(REGISTRY)
 
 
-@dataclass(frozen=True)
-class TrainedModel:
+class TrainedModel(NamedTuple):
     """An algorithm id, its fitted model, and the schema it was fit under."""
 
     algorithm: str
@@ -756,18 +746,16 @@ class TrainedModel:
         """Probability matrix (records x classes) for a whole dataset, in
         one batch.
 
-        The dataset must carry a schema with the same fingerprint the
-        model was trained under; anything else is rejected outright.
+        The dataset's schema must equal the one the model was trained
+        under (for schemas read from text, the same as their fingerprints
+        being equal); anything else is rejected outright.
         """
-        if data.schema.fingerprint() != self.fingerprint:
+        if data.schema != self.schema:
             raise SchemaMismatchError(
                 "dataset schema fingerprint does not match the model's "
                 f"({data.schema.fingerprint()[:12]} vs {self.fingerprint[:12]})"
             )
         return self.model.predict_proba_batch(data.matrix)
-
-    def predict_labels(self, data: Dataset) -> np.ndarray:
-        return predict_labels(self.predict_proba(data))
 
 
 def train(data: Dataset, algorithm: str, params: Hyperparams | None = None) -> TrainedModel:

@@ -84,7 +84,8 @@ def _build_parser() -> _Parser:
                    help="recompute the metrics table from an emitted confusion.tsv")
     p.add_argument("--out", default=None, help="directory for report files")
     p.add_argument("--svg", action="store_true", help="also render curves as SVG")
-    p.add_argument("--jobs", type=int, default=1, help="threads for fold evaluation (default 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="kept for compatibility; folds run sequentially (must be >= 1)")
 
     p = sub.add_parser("train", help="fit a model and save it")
     add_data_flags(p)
@@ -139,6 +140,14 @@ def _load_data(args: argparse.Namespace, labeled: bool | None,
     if labeled is None:
         labeled = _detect_labeled(text, schema)
     return parse_csv(text, schema, labeled=labeled), source
+
+
+def _load_training_data(args: argparse.Namespace) -> tuple[Dataset, str]:
+    """Load labeled --data/--schema with at least one record."""
+    data, source = _load_data(args, labeled=True)
+    if data.n == 0:
+        raise DataError(f"dataset {source!r} has no records")
+    return data, source
 
 
 def _hyperparams(args: argparse.Namespace) -> Hyperparams:
@@ -224,7 +233,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             raise UsageError("--seed is required for cross-validation")
         protocol = Protocol(kind="cv", folds=args.folds, seed=args.seed)
 
-    data, source = _load_data(args, labeled=True)
+    data, source = _load_training_data(args)
     params = _hyperparams(args)
     algos = ALGORITHMS if args.algo == "all" else (args.algo,)
 
@@ -235,7 +244,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     ]
     reports = {}
     for algo in algos:
-        reports[algo] = evaluate(data, algo, params, protocol, jobs=args.jobs)
+        reports[algo] = evaluate(data, algo, params, protocol)
         summary.append(f"{algo}: CA {class_accuracy(reports[algo].matrix):.4f}")
     if "tree" in algos:
         summary.append(_tree_root_note(data, params))
@@ -258,7 +267,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    data, _ = _load_data(args, labeled=True)
+    data, _ = _load_training_data(args)
     model = train(data, args.algo, _hyperparams(args))
     save_model(model, args.out)
     print(f"wrote {args.algo} model to {args.out}")
@@ -309,20 +318,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        raise
     except Exception as exc:  # pragma: no cover - nothing should land here
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -17,12 +17,18 @@ separated by ``|`` and keep the order they appear in.  Exactly one
 whitespace runs collapse to a single space; matching is otherwise exact
 (no case folding).  Commas are not allowed in names or labels so that
 data files never need quoting.
+
+The package's record types, here and in :mod:`turnout.classifiers` and
+:mod:`turnout.evaluation`, are ``typing.NamedTuple`` classes: read-only
+fields, equality, hash and ``repr`` by value.  As tuples they also equal
+a plain tuple of the same values, which no code here relies on.  A
+record with invariants checks them in ``__new__``; the tuple-level
+``_make`` and ``_replace`` skip those checks.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,57 +45,49 @@ def canonical_label(text: str) -> str:
     return " ".join(text.split())
 
 
-@dataclass(frozen=True)
-class Attribute:
+class Attribute(NamedTuple("Attribute", [("name", str), ("values", tuple[str, ...])])):
     """A named categorical attribute with an ordered, closed domain."""
 
-    name: str
-    values: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str, values: tuple[str, ...]) -> Attribute:
+        if not name:
             raise SchemaError("attribute name must be nonempty")
-        if "," in self.name or "|" in self.name:
-            raise SchemaError(f"attribute name {self.name!r} may not contain ',' or '|'")
-        if len(self.values) < 2:
+        if "," in name or "|" in name:
+            raise SchemaError(f"attribute name {name!r} may not contain ',' or '|'")
+        if len(values) < 2:
             raise SchemaError(
-                f"attribute {self.name!r} needs at least 2 domain labels, got {len(self.values)}"
+                f"attribute {name!r} needs at least 2 domain labels, got {len(values)}"
             )
-        for label in self.values:
+        for label in values:
             if not label:
-                raise SchemaError(f"attribute {self.name!r} has an empty domain label")
+                raise SchemaError(f"attribute {name!r} has an empty domain label")
             if "," in label or "|" in label:
                 raise SchemaError(f"label {label!r} may not contain ',' or '|'")
-        if len(set(self.values)) != len(self.values):
-            raise SchemaError(f"attribute {self.name!r} has duplicate domain labels")
+        if len(set(values)) != len(values):
+            raise SchemaError(f"attribute {name!r} has duplicate domain labels")
+        return super().__new__(cls, name, values)
 
     @property
     def size(self) -> int:
         return len(self.values)
 
-    def index_of(self, label: str) -> int:
-        """Domain index of ``label``; raises KeyError for out-of-domain text."""
-        try:
-            return self.values.index(label)
-        except ValueError:
-            raise KeyError(label) from None
 
-
-@dataclass(frozen=True)
-class AttributeSchema:
+class AttributeSchema(NamedTuple("AttributeSchema", [("features", tuple[Attribute, ...]),
+                                                     ("target", Attribute)])):
     """Ordered feature attributes plus one target attribute."""
 
-    features: tuple[Attribute, ...]
-    target: Attribute
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.features:
+    def __new__(cls, features: tuple[Attribute, ...], target: Attribute) -> AttributeSchema:
+        if not features:
             raise SchemaError("schema needs at least one feature attribute")
-        names = [f.name for f in self.features]
+        names = [f.name for f in features]
         if len(set(names)) != len(names):
             raise SchemaError("duplicate feature attribute names")
-        if self.target.name in names:
-            raise SchemaError(f"target {self.target.name!r} is also a feature attribute")
+        if target.name in names:
+            raise SchemaError(f"target {target.name!r} is also a feature attribute")
+        return super().__new__(cls, features, target)
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -117,6 +115,8 @@ class AttributeSchema:
 
     def fingerprint(self) -> str:
         """SHA-256 of the canonical schema text; names and order both count."""
+        import hashlib  # only model files and schema mismatches need it
+
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
 
 

@@ -4,9 +4,9 @@ All randomness flows from one seeded generator, so every result is a
 pure function of (data, algorithm, hyperparameters, protocol, seed).
 Each fold trains on an index selection of the validated dataset and
 scores its held-out records with one batch call to the model's kernel
-(see :mod:`turnout.classifiers`).  Fold evaluation may run on several
-threads; per-record scores are written back by record index, so thread
-count never changes a byte of any downstream report.
+(see :mod:`turnout.classifiers`).  Folds run one after another; the
+``jobs`` argument of ``cross_validate`` and ``evaluate`` is accepted for
+compatibility and has no effect.
 
 Curves sort the scores once: ROC takes cumulative sums at the ends of
 tie blocks (Fawcett 2006, Alg. 1-2), lift at every rank, and
@@ -16,9 +16,7 @@ the same floating-point order, as a per-threshold or per-record loop.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,8 +27,7 @@ from .data import Dataset, class_counts
 # ----------------------------------------------------------- folding
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
+class FoldAssignment(NamedTuple):
     """Fold index per record, plus the protocol that produced it."""
 
     fold_of: tuple[int, ...]
@@ -65,19 +62,20 @@ def stratified_folds(data: Dataset, folds: int, seed: int) -> FoldAssignment:
 # ------------------------------------------------- confusion + metrics
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(NamedTuple("ConfusionMatrix", [("counts", tuple[tuple[int, ...], ...]),
+                                                     ("labels", tuple[str, ...])])):
     """Square count matrix; rows are actual classes, columns predicted."""
 
-    counts: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        k = len(self.labels)
-        if len(self.counts) != k or any(len(row) != k for row in self.counts):
+    def __new__(cls, counts: tuple[tuple[int, ...], ...],
+                labels: tuple[str, ...]) -> ConfusionMatrix:
+        k = len(labels)
+        if len(counts) != k or any(len(row) != k for row in counts):
             raise ValueError("confusion matrix must be square with one row per class")
-        if any(c < 0 for row in self.counts for c in row):
+        if any(c < 0 for row in counts for c in row):
             raise ValueError("confusion matrix counts must be non-negative")
+        return super().__new__(cls, counts, labels)
 
     @property
     def n(self) -> int:
@@ -101,8 +99,7 @@ def class_accuracy(matrix: ConfusionMatrix) -> float:
     return sum(matrix.counts[i][i] for i in range(len(matrix.labels))) / total
 
 
-@dataclass(frozen=True)
-class PerClassMetrics:
+class PerClassMetrics(NamedTuple):
     """One-vs-rest metrics for a single positive class.
 
     A zero denominator leaves the value at 0.0 and records the metric
@@ -169,8 +166,7 @@ def majority_baseline(data: Dataset) -> float:
 # -------------------------------------------------------------- curves
 
 
-@dataclass(frozen=True)
-class CurveSeries:
+class CurveSeries(NamedTuple):
     kind: str  # "roc" | "lift" | "calibration"
     label: str  # positive class
     points: tuple[tuple[float, float], ...]
@@ -259,19 +255,19 @@ def calibration_points(
 # ----------------------------------------------------------- protocol
 
 
-@dataclass(frozen=True)
-class Protocol:
-    """How predictions are obtained: k-fold CV or test-on-train."""
+class Protocol(NamedTuple("Protocol", [("kind", str), ("folds", int | None),
+                                       ("seed", int | None)])):
+    """How predictions are obtained: k-fold CV (``kind="cv"``, with
+    ``folds`` and ``seed``) or ``kind="test-on-train"``."""
 
-    kind: str  # "cv" | "test-on-train"
-    folds: int | None = None
-    seed: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("cv", "test-on-train"):
-            raise ValueError(f"unknown protocol kind {self.kind!r}")
-        if self.kind == "cv" and (self.folds is None or self.seed is None):
+    def __new__(cls, kind: str, folds: int | None = None, seed: int | None = None) -> Protocol:
+        if kind not in ("cv", "test-on-train"):
+            raise ValueError(f"unknown protocol kind {kind!r}")
+        if kind == "cv" and (folds is None or seed is None):
             raise ValueError("cv protocol needs folds and seed")
+        return super().__new__(cls, kind, folds, seed)
 
     def describe(self) -> str:
         if self.kind == "cv":
@@ -291,26 +287,20 @@ def cross_validate(
 
     Returns the confusion matrix of held-out label predictions plus the
     (records x classes) score table, indexed by original record order.
+    Folds run one after another; ``jobs`` is accepted for compatibility
+    and has no effect.
     """
     params = params or Hyperparams()
     assignment = stratified_folds(data, folds, seed)
     fold_of = np.asarray(assignment.fold_of, dtype=np.intp)
     scores = np.zeros((data.n, data.schema.n_classes), dtype=np.float64)
     assert data.label_array is not None
-
-    def run_fold(f: int) -> None:
+    for f in range(folds):
         test_idx = np.flatnonzero(fold_of == f)
         if test_idx.size == 0:
-            return
+            continue
         model = train(data.subset(np.flatnonzero(fold_of != f)), algorithm, params)
         scores[test_idx] = model.predict_proba(data.subset(test_idx))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run_fold, range(folds)))
-    else:
-        for f in range(folds):
-            run_fold(f)
 
     predicted = predict_labels(scores)
     matrix = ConfusionMatrix.from_predictions(data.label_array, predicted, data.schema.class_labels)
@@ -334,8 +324,7 @@ def test_on_train(
 # --------------------------------------------------------- full report
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     algorithm: str
     params: Hyperparams
     protocol: Protocol
@@ -355,14 +344,15 @@ def evaluate(
 
     Curves pool each record's single held-out score per class.  A curve
     whose preconditions fail (a class with no positives or no negatives)
-    is omitted rather than raising.
+    is omitted rather than raising.  ``jobs`` is accepted for
+    compatibility and has no effect.
     """
     params = params or Hyperparams()
     protocol = protocol or Protocol(kind="cv", folds=10, seed=0)
     if protocol.kind == "cv":
         assert protocol.folds is not None and protocol.seed is not None
         matrix, scores = cross_validate(
-            data, algorithm, params, folds=protocol.folds, seed=protocol.seed, jobs=jobs
+            data, algorithm, params, folds=protocol.folds, seed=protocol.seed
         )
     else:
         matrix, scores = test_on_train(data, algorithm, params)

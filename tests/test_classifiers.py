@@ -12,7 +12,6 @@ from turnout import (
     TreeModel,
     class_counts,
     entropy,
-    hamming_distance,
     info_gain,
     load_election_corpus,
     model_from_text,
@@ -34,29 +33,19 @@ from oracles import tiny_dataset
 
 
 def test_hamming_examples():
-    assert hamming_distance((0, 1, 2), (0, 1, 2)) == 0
-    assert hamming_distance((0, 1), (1, 0)) == 2
-    assert hamming_distance((0, 1, 0), (0, 1, 1)) == 1
+    # 1-NN takes the label of the training record that disagrees with the
+    # query on the fewest attributes, the earlier record on a tie
+    data = tiny_dataset([(1, 0, 1), (0, 1, 1), (0, 1, 2)], [0, 1, 2], [2, 2, 3], 3)
+    model = train(data, "knn", Hyperparams(knn_k=1))
+    assert model.predict_proba_row((0, 1, 2)).tolist() == [0.0, 0.0, 1.0]  # distances 3, 1, 0
+    assert model.predict_proba_row((1, 0, 0)).tolist() == [1.0, 0.0, 0.0]  # distances 1, 3, 3
+    assert model.predict_proba_row((0, 1, 0)).tolist() == [0.0, 1.0, 0.0]  # distances 3, 1, 1
 
 
 def test_hamming_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        hamming_distance((0, 1), (0, 1, 2))
-
-
-vectors = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=9)
-
-
-@given(st.data())
-def test_hamming_is_a_metric(data):
-    n = data.draw(st.integers(min_value=1, max_value=9))
-    point = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
-    a, b, c = data.draw(point), data.draw(point), data.draw(point)
-    assert hamming_distance(a, a) == 0
-    assert hamming_distance(a, b) == hamming_distance(b, a)
-    assert hamming_distance(a, c) <= hamming_distance(a, b) + hamming_distance(b, c)
-    if a != b:
-        assert hamming_distance(a, b) >= 1
+    model = train(tiny_dataset([(0, 1, 2)], [0], [2, 2, 3], 2), "knn")
+    with pytest.raises(ValueError, match=r"records have shape \(1, 2\), model expects \(m, 3\)"):
+        model.predict_proba_row((0, 1))
 
 
 # ----------------------------------------------------- predict_label
@@ -338,7 +327,7 @@ def test_tree_corpus_root_matches_oracle_argmax():
 def test_tree_training_accuracy_beats_majority_vote():
     data = load_election_corpus()
     model = train(data, "tree")
-    predicted = model.predict_labels(data)
+    predicted = predict_labels(model.predict_proba(data))
     accuracy = float((predicted == np.asarray(data.labels)).mean())
     assert accuracy >= max(class_counts(data)) / data.n
 

@@ -369,6 +369,24 @@ def test_predict_header_only_file(capsys, tmp_path):
     assert out == "index\tprediction\tPartnership\tPossible participation\tWithout participation\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("evaluate", "--algo", "all", "--seed", "1"),
+    ("evaluate", "--algo", "all", "--test-on-train"),
+    ("train", "--algo", "knn", "--out", "knn.model"),
+])
+def test_header_only_labeled_file_is_a_data_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    schema = tmp_path / "s.schema"
+    data = tmp_path / "empty.csv"
+    schema.write_text(election_schema_text())
+    data.write_text(election_csv_text().splitlines()[0] + "\n")
+    code, out, err = run(capsys, *argv, "--data", str(data), "--schema", str(schema))
+    assert code == 2
+    assert out == ""
+    assert err == f"data error: dataset {str(data)!r} has no records\n"
+    assert not (tmp_path / "knn.model").exists()
+
+
 def test_predict_rejects_out_of_domain_value(capsys, tmp_path):
     model_path = tmp_path / "knn.model"
     assert run(capsys, "train", "--algo", "knn", "--out", str(model_path))[0] == 0

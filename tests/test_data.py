@@ -41,8 +41,9 @@ def test_parse_schema_happy_path():
 
 def test_parse_schema_preserves_declaration_order():
     schema = parse_schema(GOOD_SCHEMA)
-    assert schema.features[0].index_of("Blue") == 2
-    assert schema.target.index_of("No") == 1
+    data = parse_csv("Color,Size,Outcome\nBlue,Small,No\n", schema, labeled=True)
+    assert data.rows == ((2, 0),)
+    assert data.labels == (1,)
 
 
 def test_schema_text_round_trip():
