@@ -504,6 +504,11 @@ def train_tree(data: Dataset, params: Hyperparams) -> TreeNode:
     by float order.  An attribute split on above a node is constant in
     it and scores exactly the parent's score, so it never shows positive
     gain: that alone keeps attributes from repeating along a path.
+
+    A node whose best float score is exactly 0.0 splits on it with no exact
+    step: pure children score 0.0 bit for bit, each f(n_v) less f(n_v) plus
+    zeros; any other split, and an open node's parent, scores at least 2 (n H
+    at (1, 1)), far beyond 2 eps; and ``argmin`` takes the earliest at 0.0.
     """
     labels = _training_labels(data)
     k = data.schema.n_classes
@@ -550,7 +555,8 @@ def train_tree(data: Dataset, params: Hyperparams) -> TreeNode:
         best_score = score[np.arange(m), best]
         margin = 2.0 * eps_per_f * f[n_open]
         near = score - best_score[:, None] <= margin[:, None]
-        choice = np.where((near.sum(axis=1) == 1) & (parent - best_score > margin), best, -1)
+        clear = (near.sum(axis=1) == 1) & (parent - best_score > margin)
+        choice = np.where(clear | (best_score == 0.0), best, -1)
         for i in (choice < 0).nonzero()[0].tolist():
             choice[i] = _exact_split(table[i], counts[nodes[i]], near[i].nonzero()[0],
                                      offsets, sizes)
@@ -573,11 +579,12 @@ def train_tree(data: Dataset, params: Hyperparams) -> TreeNode:
     below: list[TreeNode | None] = []
     for counts, attribute, first_child in reversed(levels):
         built: list[TreeNode | None] = []
-        for c, a, first in zip(counts.tolist(), attribute.tolist(), first_child.tolist()):
+        for c, label, a, first in zip(counts.tolist(), counts.argmax(axis=1).tolist(),
+                                      attribute.tolist(), first_child.tolist()):
             if not any(c):
                 built.append(None)
                 continue
-            leaf = Leaf(counts=tuple(c), label=argmax_label(c))
+            leaf = Leaf(counts=tuple(c), label=label)  # argmax: ties to the earlier class
             if a < 0:
                 built.append(leaf)
             else:

@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus
 from .classifiers import ALGORITHMS, Hyperparams, Split, predict_labels, train
 from .data import (
@@ -112,11 +114,11 @@ def _read_text(path: str, what: str) -> str:
 
 
 def _detect_labeled(text: str, schema: AttributeSchema) -> bool:
-    for line in strip_bom(text).splitlines():
-        if line.strip():
-            header = [canonical_label(c) for c in line.split(",")]
-            return header != list(schema.feature_names)
-    raise DataError("data file has no header line")
+    # line breaks are whitespace: the first non-blank line starts at the first non-space
+    head = strip_bom(text).lstrip().partition("\n")[0].splitlines()
+    if not head:
+        raise DataError("data file has no header line")
+    return [canonical_label(c) for c in head[0].split(",")] != list(schema.feature_names)
 
 
 def _load_data(args: argparse.Namespace, labeled: bool | None,
@@ -281,9 +283,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     winners = predict_labels(proba).tolist()
     labels = model.schema.class_labels
     lines = ["index\tprediction\t" + "\t".join(labels)]
-    for i, row in enumerate(proba):
-        cells = [str(i), labels[winners[i]]] + [f"{p:.6f}" for p in row.tolist()]
-        lines.append("\t".join(cells))
+    line = "%d\t%s" + "\t%.6f" * len(labels)  # labels are arguments: they may hold '%'
+    lines += [line % (i, labels[w], *row)
+              for i, (w, row) in enumerate(zip(winners, map(np.ndarray.tolist, proba)))]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

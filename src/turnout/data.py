@@ -28,6 +28,7 @@ record with invariants checks them in ``__new__``; the tuple-level
 
 from __future__ import annotations
 
+from operator import getitem
 from typing import NamedTuple
 
 import numpy as np
@@ -308,11 +309,18 @@ def parse_csv(text: str, schema: AttributeSchema, labeled: bool) -> Dataset:
     # every cell's domain index, record after record; each is in range by
     # construction, so the dataset is built without validating it again
     lookups = [(attr, {label: i for i, label in enumerate(attr.values)}) for attr in columns]
+    # a line of canonical labels only is looked up whole; others go cell by cell
+    exact = [{v: i for i, v in enumerate(a.values) if canonical_label(v) == v} for a in columns]
     indices: list[int] = []
     for lineno, line in numbered[1:]:
         cells = line.split(",")
         if len(cells) != len(columns):
             raise DataError(f"line {lineno}: expected {len(columns)} columns, got {len(cells)}")
+        try:
+            indices += tuple(map(getitem, exact, cells))  # the whole line or nothing
+            continue
+        except KeyError:
+            pass
         for (attr, index_of), cell in zip(lookups, cells):
             value = canonical_label(cell)
             if not value:

@@ -45,6 +45,8 @@ def stratified_folds(data: Dataset, folds: int, seed: int) -> FoldAssignment:
     """
     if not data.labeled:
         raise ValueError("stratified folds need a labeled dataset")
+    if data.n == 0:
+        raise ValueError("the dataset has no records; stratified folds need at least one")
     if not 2 <= folds <= data.n:
         raise ValueError(f"folds must be between 2 and {data.n}, got {folds}")
     rng = np.random.default_rng(seed)
@@ -160,6 +162,8 @@ def per_class_metrics(matrix: ConfusionMatrix, positive: int) -> PerClassMetrics
 def majority_baseline(data: Dataset) -> float:
     """Accuracy of always predicting the most frequent class."""
     counts = class_counts(data)
+    if data.n == 0:
+        raise ValueError("the dataset has no records; the majority baseline needs at least one")
     return max(counts) / sum(counts)
 
 

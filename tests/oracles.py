@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from turnout import Attribute, AttributeSchema, Dataset
+from turnout import Attribute, AttributeSchema, DataError, Dataset
 
 
 def tiny_schema(domain_sizes, n_classes, names=None):
@@ -34,6 +34,52 @@ def tiny_dataset(rows, labels, domain_sizes, n_classes):
         schema=tiny_schema(domain_sizes, n_classes),
         rows=tuple(tuple(r) for r in rows),
         labels=tuple(labels) if labels is not None else None,
+    )
+
+
+def parse_csv(text, schema, labeled):
+    """The cell-by-cell parser: every cell canonicalised, then looked up.
+
+    Raises ``DataError`` with the library's messages, for the earliest
+    failing line and, within it, the earliest failing cell.
+    """
+
+    def canonical(cell):
+        return " ".join(cell.split())
+
+    numbered = [
+        (lineno, line)
+        for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1)
+        if line.strip()
+    ]
+    if not numbered:
+        raise DataError("data file has no header line")
+    columns = list(schema.features) + ([schema.target] if labeled else [])
+    expected = [attr.name for attr in columns]
+    header = [canonical(cell) for cell in numbered[0][1].split(",")]
+    if header != expected:
+        raise DataError(f"header mismatch: expected {expected}, got {header}")
+    records = []
+    for lineno, line in numbered[1:]:
+        cells = line.split(",")
+        if len(cells) != len(columns):
+            raise DataError(f"line {lineno}: expected {len(columns)} columns, got {len(cells)}")
+        record = []
+        for attr, cell in zip(columns, cells):
+            value = canonical(cell)
+            if not value:
+                raise DataError(f"line {lineno}: empty value in column {attr.name!r}")
+            if value not in attr.values:
+                raise DataError(
+                    f"line {lineno}: unknown value {value!r} for attribute {attr.name!r}"
+                )
+            record.append(attr.values.index(value))
+        records.append(record)
+    d = len(schema.features)
+    return Dataset(
+        schema=schema,
+        rows=tuple(tuple(r[:d]) for r in records),
+        labels=tuple(r[d] for r in records) if labeled else None,
     )
 
 

@@ -23,6 +23,7 @@ from turnout import (
     train_naive_bayes,
     train_tree,
 )
+from turnout import classifiers
 from turnout.classifiers import KNN_BLOCK_CELLS
 
 import oracles
@@ -298,6 +299,18 @@ def test_tree_exact_gain_tie_goes_to_the_earlier_attribute():
     root = train_tree(tiny_dataset(rows, labels, [3, 3], 2), Hyperparams())
     assert isinstance(root, Split) and root.attribute == 0
     assert [child.counts for child in root.children] == [(1, 2), (2, 5), (5, 5)]
+
+
+def test_tree_perfect_splits_need_no_exact_step(monkeypatch):
+    # a0 and a1 both split the classes perfectly and score 0.0; the earlier wins
+    def refuse(*args):
+        raise AssertionError("a perfect split reached the exact step")
+
+    monkeypatch.setattr(classifiers, "_exact_split", refuse)
+    rows = [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (2, 0, 1)]
+    root = train_tree(tiny_dataset(rows, [0, 0, 1, 1, 1], [3, 2, 2], 2), Hyperparams())
+    assert root == Split(attribute=0, children=(Leaf((2, 0), 0), Leaf((0, 2), 1),
+                                                Leaf((0, 1), 1)))
 
 
 def _paths(node, used=()):

@@ -2,8 +2,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import turnout.cli
 from turnout import (
+    Attribute,
+    AttributeSchema,
+    DataError,
     Dataset,
     REFERENCE_TREE_ROOT,
     Hyperparams,
@@ -13,9 +18,10 @@ from turnout import (
     election_schema_text,
     load_election_corpus,
     load_election_schema,
+    predict_labels,
     train_tree,
 )
-from turnout.cli import main
+from turnout.cli import _detect_labeled, main
 
 DESCRIBE = (
     "100 records; classes: Partnership=84, "
@@ -367,6 +373,77 @@ def test_predict_header_only_file(capsys, tmp_path):
     code, out, _ = run(capsys, "predict", str(model_path), "--data", str(query))
     assert code == 0
     assert out == "index\tprediction\tPartnership\tPossible participation\tWithout participation\n"
+
+
+class _FixedModel:
+    """Stands in for a loaded model: a schema and fixed probabilities."""
+
+    def __init__(self, schema, proba):
+        self.schema = schema
+        self.proba = proba
+
+    def predict_proba(self, data):
+        assert data.n == len(self.proba)
+        return self.proba
+
+
+def test_predict_lines_match_the_per_cell_format(capsys, tmp_path, monkeypatch):
+    # labels holding '%' stay text: they are arguments, not format
+    schema = AttributeSchema(features=(Attribute("A", ("p", "q")),),
+                             target=Attribute("Vote", ("50%", "%d%%", "%s")))
+    proba = np.array([[0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1 / 3],
+                      [5e-7, 0.5, 0.5 - 5e-7], [1.0, 0.0, 0.0]])
+    monkeypatch.setattr(turnout.cli, "load_model", lambda path: _FixedModel(schema, proba))
+    query = tmp_path / "query.csv"
+    query.write_text("A\np\nq\nq\np\n")
+    labels = schema.class_labels
+    want = ["index\tprediction\t" + "\t".join(labels)]
+    for i, row in enumerate(proba):
+        cells = [str(i), labels[predict_labels(proba)[i]]] + [f"{p:.6f}" for p in row.tolist()]
+        want.append("\t".join(cells))
+    code, out, _ = run(capsys, "predict", "unused.model", "--data", str(query))
+    assert code == 0
+    assert out == "\n".join(want) + "\n"
+    assert out.splitlines()[3] == "2\t%d%%\t0.000000\t0.500000\t0.499999"
+
+
+def _detect_labeled_per_line(text, schema):
+    for line in text.removeprefix("\ufeff").splitlines():
+        if line.strip():
+            return [" ".join(c.split()) for c in line.split(",")] != list(schema.feature_names)
+    raise DataError("data file has no header line")
+
+
+@pytest.mark.parametrize("text, labeled", [
+    ("\ufeffA\np\n", False),
+    ("\ufeffA,Vote\np,50%\n", True),
+    ("A\r\np\r\n", False),
+    ("A,Vote\r\np,50%\r\n", True),
+    ("\n \n\t\r\n A \np\n", False),
+    ("\r\n\r\nA,Vote\r\n", True),
+    ("\ufeff\n\nA\rp\r", False),
+])
+def test_detect_labeled_reads_the_first_non_blank_line(text, labeled):
+    schema = AttributeSchema(features=(Attribute("A", ("p", "q")),),
+                             target=Attribute("Vote", ("50%", "%s")))
+    assert _detect_labeled(text, schema) is labeled
+    assert _detect_labeled_per_line(text, schema) is labeled
+
+
+@given(st.lists(st.sampled_from(["\n", "\r\n", "\r", " ", "\t", "\x0c", "\x1c", "\u2028",
+                                 "\ufeff", "A", "Vote", ",", "x"]), max_size=12))
+def test_detect_labeled_matches_splitting_every_line(pieces):
+    schema = AttributeSchema(features=(Attribute("A", ("p", "q")),),
+                             target=Attribute("Vote", ("50%", "%s")))
+    text = "".join(pieces)
+
+    def outcome(detect):
+        try:
+            return detect(text, schema)
+        except DataError as exc:
+            return str(exc)
+
+    assert outcome(_detect_labeled) == outcome(_detect_labeled_per_line)
 
 
 @pytest.mark.parametrize("argv", [

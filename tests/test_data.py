@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import turnout.data
 from turnout import (
     Attribute,
     AttributeSchema,
@@ -15,6 +16,8 @@ from turnout import (
     parse_csv,
     parse_schema,
 )
+
+import oracles
 
 GOOD_SCHEMA = """\
 # toy survey
@@ -282,3 +285,93 @@ def test_csv_round_trip(data):
 @given(schema_and_rows())
 def test_schema_round_trip(data):
     assert parse_schema(data.schema.to_text()) == data.schema
+
+
+# --- canonical lines are looked up whole; every other line cell by cell --
+
+
+def _outcome(parse, text, schema, labeled):
+    try:
+        return parse(text, schema, labeled)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+# labels with an internal space, and one built in code that is not
+# canonical: a raw cell can never match it, padded or not
+LINE_SCHEMA = AttributeSchema(
+    features=(Attribute("Color", ("Red", "Dark Blue")),
+              Attribute("Mix", ("x  y", "z", "100%"))),
+    target=Attribute("Outcome", ("Yes", "No")),
+)
+
+
+@st.composite
+def line_file(draw):
+    """A data file for LINE_SCHEMA mixing canonical lines with padded,
+    tabbed, empty, unknown and wrong-width cells, blank lines and a BOM."""
+    labeled = draw(st.booleans())
+    columns = list(LINE_SCHEMA.features) + ([LINE_SCHEMA.target] if labeled else [])
+
+    def cell(attr):
+        label = draw(st.sampled_from(attr.values))
+        return draw(st.sampled_from([
+            label, label, label, f" {label}", f"{label}\t", label.replace(" ", "\t"),
+            label.replace(" ", "  "), "", "  ", "x y", "red", "Blue", "No ", "?",
+        ]))
+
+    lines = [",".join(a.name for a in columns)]
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = draw(st.sampled_from(["record"] * 6 + ["blank", "short", "long"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        cells = [cell(attr) for attr in columns]
+        if kind == "short":
+            cells.pop()
+        elif kind == "long":
+            cells.append("Yes")
+        lines.append(",".join(cells))
+    if draw(st.booleans()):
+        lines.insert(0, "")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + end.join(lines) + end, labeled
+
+
+@given(line_file())
+@settings(max_examples=300)
+def test_parse_csv_matches_the_per_cell_parser(case):
+    text, labeled = case
+    got = _outcome(parse_csv, text, LINE_SCHEMA, labeled)
+    assert got == _outcome(oracles.parse_csv, text, LINE_SCHEMA, labeled)
+
+
+def test_a_non_canonical_schema_label_never_matches_a_cell():
+    for cell in ("x  y", "x y", " x  y "):
+        text = f"Color,Mix\nRed,z\nRed,{cell}\n"
+        with pytest.raises(DataError) as err:
+            parse_csv(text, LINE_SCHEMA, labeled=False)
+        assert str(err.value) == "line 3: unknown value 'x y' for attribute 'Mix'"
+    # the whole-line lookup appends nothing for a line it gives up on
+    data = parse_csv("Color,Mix\nDark Blue,100%\nRed, z \n", LINE_SCHEMA, labeled=False)
+    assert data.rows == ((1, 2), (0, 1))
+
+
+def test_canonical_records_are_not_canonicalised_cell_by_cell(monkeypatch):
+    real = turnout.data.canonical_label
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(turnout.data, "canonical_label", counting)
+
+    def calls_to_parse(n):
+        calls.clear()
+        text = "Color,Size,Outcome\n" + "Blue,Big,No\nRed,Small,Yes\n" * (n // 2)
+        assert parse_csv(text, _toy(), labeled=True).n == n
+        return len(calls)
+
+    assert calls_to_parse(10) == calls_to_parse(1000)

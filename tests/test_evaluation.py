@@ -183,6 +183,16 @@ def test_majority_baseline(corpus):
     assert majority_baseline(data) == pytest.approx(0.6, abs=1e-12)
 
 
+
+def test_a_dataset_without_records_is_named_not_divided_by(corpus):
+    empty = corpus.subset([])
+    assert empty.labeled and empty.n == 0
+    with pytest.raises(ValueError, match="^the dataset has no records; the majority"):
+        majority_baseline(empty)
+    with pytest.raises(ValueError, match="^the dataset has no records; stratified folds"):
+        stratified_folds(empty, folds=10, seed=0)
+
+
 # ----------------------------------------------------------- protocols
 
 
