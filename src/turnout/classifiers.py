@@ -21,7 +21,7 @@ Tie rules are part of the contract:
 * ``predict_label`` breaks probability ties toward the earlier class.
 * KNN breaks distance ties toward the earlier training record.
 * Tree induction breaks information-gain ties toward the earlier
-  attribute in schema order.  Split scores are floats with a proven
+  attribute in schema order.  A split's score is a float with a proven
   error bound; any comparison closer than that bound is redone exactly
   on the integer counts, so ties are real ties and never float noise.
 """
@@ -29,7 +29,7 @@ Tie rules are part of the contract:
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Protocol, Sequence, Union
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -431,28 +431,6 @@ def _score_less(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] * b[1] < b[0] * a[1]
 
 
-class Leaf(NamedTuple):
-    counts: tuple[int, ...]
-    label: int
-
-
-class Split(NamedTuple):
-    attribute: int  # feature index in schema order
-    children: tuple["TreeNode", ...]  # one child per domain value, in domain order
-
-
-TreeNode = Union[Leaf, Split]
-
-
-def argmax_label(counts: Sequence[int]) -> int:
-    """Index of the largest count; ties go to the earlier class."""
-    best = 0
-    for c, n in enumerate(counts):
-        if n > counts[best]:
-            best = c
-    return best
-
-
 def _exact_split(
     table: np.ndarray, counts: np.ndarray, candidates: np.ndarray,
     offsets: np.ndarray, sizes: np.ndarray,
@@ -467,7 +445,124 @@ def _exact_split(
     return best_j
 
 
-def train_tree(data: Dataset, params: Hyperparams) -> TreeNode:
+class TreeModel:
+    """A grown tree as one flat node table, breadth first from the root,
+    node 0: the same numbering as the model file's ``node <i>`` lines.
+
+    ``attribute[i]`` is node i's split attribute (-1 for a leaf) and
+    ``children[i, v]`` the node that its records with value v go to (-1
+    past the attribute's domain and on a leaf's row).  ``counts[i]`` holds
+    its class counts; an empty child slot carries its parent's, and a
+    split node read from a model file, which stores none, has zeros.  A
+    leaf's label is the argmax of its counts, ties to the earlier class.
+    A table read from a model file may share a child between parents.
+    The model is immutable and equal only to itself.
+    """
+
+    def __init__(self, attribute: np.ndarray, children: np.ndarray, counts: np.ndarray,
+                 domain_sizes: tuple[int, ...], n_classes: int) -> None:
+        vars(self).update(
+            attribute=attribute, children=children, counts=counts, domain_sizes=domain_sizes,
+            n_classes=n_classes, _sizes=np.array(domain_sizes, dtype=np.intp),
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"TreeModel is immutable; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"TreeModel(attribute={self.attribute.tolist()}, "
+                f"children={self.children.tolist()}, counts={self.counts.tolist()}, "
+                f"domain_sizes={self.domain_sizes}, n_classes={self.n_classes})")
+
+    def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
+        """Move every record still at a split node one depth down per step,
+        then normalise the class counts of the leaves reached."""
+        rows = _records(rows, self._sizes)
+        node = np.zeros(len(rows), dtype=np.intp)
+        live = np.arange(len(rows))
+        while live.size:
+            at = node[live]
+            attribute = self.attribute[at]
+            split = attribute >= 0
+            live, at = live[split], at[split]
+            node[live] = self.children[at, rows[live, attribute[split]]]
+        counts = self.counts[node].astype(np.float64)
+        return counts / counts.sum(axis=1, keepdims=True)
+
+    def payload(self) -> list[str]:
+        """Model-file lines, one per node of the table:
+        ``node <i>: split <attr> children <child indices...>`` or
+        ``node <i>: leaf <label> counts <count per class>``."""
+        lines = []
+        for i, (a, kids, counts, label) in enumerate(zip(
+                self.attribute.tolist(), self.children.tolist(), self.counts.tolist(),
+                self.counts.argmax(axis=1).tolist())):
+            if a >= 0:
+                lines.append(f"node {i}: split {a} children "
+                             + " ".join(map(str, kids[: self.domain_sizes[a]])))
+            else:
+                lines.append(f"node {i}: leaf {label} counts " + " ".join(map(str, counts)))
+        return lines
+
+    @classmethod
+    def from_payload(cls, lines: list[str], schema: AttributeSchema,
+                     params: Hyperparams) -> TreeModel:
+        """The model ``payload`` wrote; anything off is ModelFileError.
+        Every node line is checked, and no path from the root may loop."""
+        sizes = tuple(a.size for a in schema.features)
+        n_classes, n = schema.n_classes, len(lines)
+        if not lines:
+            raise ModelFileError("tree payload has no nodes")
+        attribute = np.full(n, -1, dtype=np.intp)
+        children = np.full((n, max(sizes)), -1, dtype=np.intp)
+        counts = np.zeros((n, n_classes), dtype=np.int64)
+        for i, line in enumerate(lines):
+            prefix = f"node {i}: "
+            if not line.startswith(prefix):
+                raise ModelFileError(f"expected {prefix!r} line, got {line!r}")
+            body = line[len(prefix) :]
+            leaf = body.startswith("leaf ")
+            if leaf:
+                head, sep, tail = body[len("leaf ") :].partition(" counts ")
+            elif body.startswith("split "):
+                head, sep, tail = body[len("split ") :].partition(" children ")
+            else:
+                raise ModelFileError(f"unknown tree node kind in {line!r}")
+            if not sep:
+                raise ModelFileError(f"malformed tree node line {line!r}")
+            head, tail = _ints(head, "tree node"), _ints(tail, "tree node")
+            if leaf:
+                if len(head) != 1 or len(tail) != n_classes or not 0 <= head[0] < n_classes:
+                    raise ModelFileError(f"leaf node {i} is malformed")
+                if any(not 0 <= c < 2**63 for c in tail) or sum(tail) == 0:
+                    raise ModelFileError(f"leaf node {i} has an invalid class distribution")
+                if head[0] != tail.index(max(tail)):
+                    raise ModelFileError(f"leaf node {i} label is not the argmax of its counts")
+                counts[i] = tail
+                continue
+            if len(head) != 1 or not 0 <= head[0] < len(sizes):
+                raise ModelFileError(f"split node {i} names an unknown attribute")
+            if len(tail) != sizes[head[0]]:
+                raise ModelFileError(
+                    f"split node {i} has {len(tail)} children, expected {sizes[head[0]]}"
+                )
+            for c in tail:
+                if not 0 <= c < n:
+                    raise ModelFileError(f"tree node {c} is missing or cyclic")
+            attribute[i] = head[0]
+            children[i, : len(tail)] = tail
+        # the nodes a path of t steps from the root reaches; after n steps
+        # some node repeats on the path, so a nonempty set means a loop
+        reached = np.zeros(1, dtype=np.intp)
+        for _ in range(n):
+            kids = children[reached[attribute[reached] >= 0]]
+            reached = np.unique(kids[kids >= 0])
+            if not reached.size:
+                return cls(attribute, children, counts, sizes, n_classes)
+        raise ModelFileError(f"tree node {int(reached[0])} is missing or cyclic")
+
+
+def train_tree(data: Dataset, params: Hyperparams) -> TreeModel:
     """Grow an unpruned multiway tree by maximum information gain.
 
     A node becomes a leaf when it is pure, has fewer than
@@ -476,11 +571,12 @@ def train_tree(data: Dataset, params: Hyperparams) -> TreeNode:
     branches get a leaf carrying the parent distribution.  No attribute
     is reused along a path.
 
-    The tree grows one depth at a time.  Each record of a node that may
-    still split carries that node's number, and one ``np.bincount`` over
-    (node, attribute, value, class) tallies every such node against every
-    attribute at once, so the numpy calls per tree grow with its depth,
-    not its node count.  A node with n records scores attribute j by
+    The tree grows one depth at a time, each depth's nodes following the
+    previous depth's in the :class:`TreeModel` table.  Each record of a
+    node that may still split carries that node's number, and one
+    ``np.bincount`` over (node, attribute, value, class) tallies every
+    such node against every attribute at once, so the numpy calls per
+    tree grow with its depth, not its node count.  A node with n records scores attribute j by
 
         s_j = sum_v f(n_v) - sum_{v,c} f(n_vc),   f(n) = n * log2(n),
 
@@ -500,10 +596,12 @@ def train_tree(data: Dataset, params: Hyperparams) -> TreeNode:
     2 eps below the parent's and below every other attribute's splits on
     that attribute.  Any other node is decided exactly on its integer
     tallies with ``_split_score``/``_score_less``, over the attributes
-    within 2 eps of the best; so ties, and zero gain, are never settled
-    by float order.  An attribute split on above a node is constant in
-    it and scores exactly the parent's score, so it never shows positive
-    gain: that alone keeps attributes from repeating along a path.
+    within 2 eps of the best that take more than one value in the node;
+    so ties, and zero gain, are never settled by float order.  An
+    attribute constant in a node, such as one split on above it, scores
+    exactly the parent's score, so it never shows positive gain: that
+    alone keeps attributes from repeating along a path, and a node whose
+    near attributes are all constant is a leaf with no exact step.
 
     A node whose best float score is exactly 0.0 splits on it with no exact
     step: pure children score 0.0 bit for bit, each f(n_v) less f(n_v) plus
@@ -519,9 +617,14 @@ def train_tree(data: Dataset, params: Hyperparams) -> TreeNode:
     f = np.concatenate(([0.0], n * np.log2(n)))  # f[n] = n * log2(n)
     eps_per_f = ((k + 1) * int(sizes.max()) + 10) * 2.0**-50
 
-    # per depth: class counts of every node, its split attribute (-1 for a
-    # leaf) and the position of its first child among the next depth's nodes
-    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    # the node table, one depth at a time: every node's class counts and
+    # split attribute, and below the root its parent's node number and the
+    # value that leads there from the parent
+    counts_at: list[np.ndarray] = []
+    attribute_at: list[np.ndarray] = []
+    parent_at = [np.zeros(0, dtype=np.intp)]
+    value_at = [np.zeros(0, dtype=np.intp)]
+    base = 0  # node number of this depth's first node
     # the records still in play and their node at this depth; ``labels`` is
     # narrowed along with ``rows``
     rows = np.arange(data.n)
@@ -533,8 +636,8 @@ def train_tree(data: Dataset, params: Hyperparams) -> TreeNode:
         if depth == d or (params.tree_max_depth is not None and depth >= params.tree_max_depth):
             open_[:] = False
         attribute = np.full(len(counts), -1, dtype=np.intp)
-        first_child = np.zeros(len(counts), dtype=np.intp)
-        levels.append((counts, attribute, first_child))
+        counts_at.append(counts)
+        attribute_at.append(attribute)
         nodes = open_.nonzero()[0]
         if nodes.size == 0:
             break
@@ -557,143 +660,39 @@ def train_tree(data: Dataset, params: Hyperparams) -> TreeNode:
         near = score - best_score[:, None] <= margin[:, None]
         clear = (near.sum(axis=1) == 1) & (parent - best_score > margin)
         choice = np.where(clear | (best_score == 0.0), best, -1)
-        for i in (choice < 0).nonzero()[0].tolist():
-            choice[i] = _exact_split(table[i], counts[nodes[i]], near[i].nonzero()[0],
-                                     offsets, sizes)
+        # an attribute with one value present in the node scores exactly the
+        # parent's score and never wins, so only the others go to the exact step
+        undecided = (choice < 0).nonzero()[0]
+        varied = np.add.reduceat(table[undecided].any(axis=2), offsets, axis=1) > 1
+        for i, candidates in zip(undecided.tolist(), near[undecided] & varied):
+            if candidates.any():
+                choice[i] = _exact_split(table[i], counts[nodes[i]], candidates.nonzero()[0],
+                                         offsets, sizes)
 
         # one child slot per value of the chosen attribute, empty ones included
         split = choice >= 0
         n_children = np.where(split, sizes[choice], 0)
         first = np.cumsum(n_children) - n_children
         attribute[nodes] = choice
-        first_child[nodes] = first
         parent_of = np.repeat(np.arange(m), n_children)
         value = np.arange(len(parent_of)) - first[parent_of]
+        parent_at.append(base + nodes[parent_of])
+        value_at.append(value)
+        base += len(attribute)
         counts = table[parent_of, offsets[choice[parent_of]] + value]
         moved = split[node_of]
         rows, labels, node_of = rows[moved], labels[moved], node_of[moved]
         slot = first[node_of] + data.matrix[rows, choice[node_of]]
 
-    # assemble bottom up; an empty child slot takes its parent's leaf
-    domain = sizes.tolist()
-    below: list[TreeNode | None] = []
-    for counts, attribute, first_child in reversed(levels):
-        built: list[TreeNode | None] = []
-        for c, label, a, first in zip(counts.tolist(), counts.argmax(axis=1).tolist(),
-                                      attribute.tolist(), first_child.tolist()):
-            if not any(c):
-                built.append(None)
-                continue
-            leaf = Leaf(counts=tuple(c), label=label)  # argmax: ties to the earlier class
-            if a < 0:
-                built.append(leaf)
-            else:
-                children = below[first : first + domain[a]]
-                built.append(Split(attribute=a, children=tuple(ch or leaf for ch in children)))
-        below = built
-    root = below[0]
-    assert root is not None
-    return root
-
-
-class TreeModel(NamedTuple):
-    """A grown tree: its root, plus the schema's domain sizes and class
-    count, which check a batch's records and shape its result."""
-
-    root: TreeNode
-    domain_sizes: tuple[int, ...]
-    n_classes: int
-
-    def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Walk each record to a leaf and normalise the leaves' class counts."""
-        leaves = []
-        for values in _records(rows, self.domain_sizes).tolist():
-            node = self.root
-            while isinstance(node, Split):
-                node = node.children[values[node.attribute]]
-            leaves.append(node.counts)
-        counts = np.array(leaves, dtype=np.float64).reshape(len(leaves), self.n_classes)
-        return counts / counts.sum(axis=1, keepdims=True)
-
-    def payload(self) -> list[str]:
-        """Model-file lines, one per node, breadth first from the root
-        (node 0), children referenced by node index:
-        ``node <i>: split <attr> children <child indices...>`` or
-        ``node <i>: leaf <label> counts <count per class>``."""
-        # a node object reached through two branches (shared empty-bucket
-        # leaves) is written once per reference
-        nodes: list[TreeNode] = [self.root]
-        lines: list[str] = []
-        i = 0
-        while i < len(nodes):
-            node = nodes[i]
-            if isinstance(node, Split):
-                first = len(nodes)
-                nodes.extend(node.children)
-                kids = " ".join(str(first + j) for j in range(len(node.children)))
-                lines.append(f"node {i}: split {node.attribute} children {kids}")
-            else:
-                counts = " ".join(str(c) for c in node.counts)
-                lines.append(f"node {i}: leaf {node.label} counts {counts}")
-            i += 1
-        return lines
-
-    @classmethod
-    def from_payload(cls, lines: list[str], schema: AttributeSchema,
-                     params: Hyperparams) -> TreeModel:
-        """The model ``payload`` wrote; anything off is ModelFileError."""
-        sizes = tuple(a.size for a in schema.features)
-        n_classes = schema.n_classes
-        parsed: list[tuple[str, list[int], list[int]]] = []
-        for i, line in enumerate(lines):
-            prefix = f"node {i}: "
-            if not line.startswith(prefix):
-                raise ModelFileError(f"expected {prefix!r} line, got {line!r}")
-            body = line[len(prefix) :]
-            if body.startswith("split "):
-                head, sep, tail = body[len("split ") :].partition(" children ")
-                kind = "split"
-            elif body.startswith("leaf "):
-                head, sep, tail = body[len("leaf ") :].partition(" counts ")
-                kind = "leaf"
-            else:
-                raise ModelFileError(f"unknown tree node kind in {line!r}")
-            if not sep:
-                raise ModelFileError(f"malformed tree node line {line!r}")
-            parsed.append((kind, _ints(head, "tree node"), _ints(tail, "tree node")))
-        if not parsed:
-            raise ModelFileError("tree payload has no nodes")
-
-        def build(i: int, seen: frozenset[int]) -> TreeNode:
-            if not 0 <= i < len(parsed) or i in seen:
-                raise ModelFileError(f"tree node {i} is missing or cyclic")
-            kind, head, tail = parsed[i]
-            if kind == "leaf":
-                if len(head) != 1 or len(tail) != n_classes or not 0 <= head[0] < n_classes:
-                    raise ModelFileError(f"leaf node {i} is malformed")
-                if any(c < 0 for c in tail) or sum(tail) == 0:
-                    raise ModelFileError(f"leaf node {i} has an invalid class distribution")
-                if head[0] != argmax_label(tail):
-                    raise ModelFileError(f"leaf node {i} label is not the argmax of its counts")
-                return Leaf(counts=tuple(tail), label=head[0])
-            if len(head) != 1 or not 0 <= head[0] < len(sizes):
-                raise ModelFileError(f"split node {i} names an unknown attribute")
-            attr = head[0]
-            if len(tail) != sizes[attr]:
-                raise ModelFileError(
-                    f"split node {i} has {len(tail)} children, expected {sizes[attr]}"
-                )
-            return Split(
-                attribute=attr,
-                children=tuple(build(c, seen | {i}) for c in tail),
-            )
-
-        return cls(build(0, frozenset()), sizes, n_classes)
-
-
-def _train_tree_model(data: Dataset, params: Hyperparams) -> TreeModel:
-    sizes = tuple(a.size for a in data.schema.features)
-    return TreeModel(train_tree(data, params), sizes, data.schema.n_classes)
+    # breadth first, node i > 0 is the child of parents[i - 1] on values[i - 1]
+    counts = np.concatenate(counts_at)
+    parents, values = np.concatenate(parent_at), np.concatenate(value_at)
+    children = np.full((len(counts), int(sizes.max())), -1, dtype=np.intp)
+    children[parents, values] = np.arange(1, len(counts))
+    empty = (counts[1:].sum(axis=1) == 0).nonzero()[0]
+    counts[empty + 1] = counts[parents[empty]]
+    return TreeModel(np.concatenate(attribute_at), children, counts,
+                     tuple(sizes.tolist()), k)
 
 
 # ------------------------------------------------------ common front
@@ -727,7 +726,7 @@ class Algorithm(NamedTuple):
 REGISTRY = {a.name: a for a in (
     Algorithm("knn", train_knn, KnnModel),
     Algorithm("naive-bayes", train_naive_bayes, NaiveBayesModel),
-    Algorithm("tree", _train_tree_model, TreeModel),
+    Algorithm("tree", train_tree, TreeModel),
 )}
 ALGORITHMS = tuple(REGISTRY)
 

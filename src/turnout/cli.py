@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus
-from .classifiers import ALGORITHMS, Hyperparams, Split, predict_labels, train
+from .classifiers import ALGORITHMS, Hyperparams, predict_labels, train
 from .data import (
     AttributeSchema,
     Dataset,
@@ -118,7 +118,8 @@ def _detect_labeled(text: str, schema: AttributeSchema) -> bool:
     head = strip_bom(text).lstrip().partition("\n")[0].splitlines()
     if not head:
         raise DataError("data file has no header line")
-    return [canonical_label(c) for c in head[0].split(",")] != list(schema.feature_names)
+    labeled = [*schema.feature_names, schema.target.name]
+    return [canonical_label(c) for c in head[0].split(",")] == labeled
 
 
 def _load_data(args: argparse.Namespace, labeled: bool | None,
@@ -204,10 +205,8 @@ def _tree_root_note(data: Dataset, params: Hyperparams) -> str:
     depth = 1 if params.tree_max_depth is None else min(params.tree_max_depth, 1)
     model = train(data, "tree", Hyperparams(tree_min_samples=params.tree_min_samples,
                                             tree_max_depth=depth))
-    if isinstance(model.model.root, Split):
-        root = data.schema.features[model.model.root.attribute].name
-    else:
-        root = "(single leaf)"
+    attribute = int(model.model.attribute[0])
+    root = data.schema.features[attribute].name if attribute >= 0 else "(single leaf)"
     verdict = "agrees" if root == corpus.REFERENCE_TREE_ROOT else "differs"
     return (f"tree root attribute: {root} "
             f"(reference: {corpus.REFERENCE_TREE_ROOT}; {verdict})")

@@ -289,19 +289,16 @@ def parse_csv(text: str, schema: AttributeSchema, labeled: bool) -> Dataset:
     number and column name.  Blank lines are skipped; cell order is
     preserved exactly.
     """
-    numbered = [
-        (lineno, line)
-        for lineno, line in enumerate(strip_bom(text).splitlines(), start=1)
-        if line.strip()
-    ]
-    if not numbered:
+    lines = enumerate(strip_bom(text).splitlines(), start=1)
+    # the first nonblank line; the record loop goes on from the line after it
+    header_line = next((line for _, line in lines if line.strip()), None)
+    if header_line is None:
         raise DataError("data file has no header line")
     expected = list(schema.feature_names)
     columns: list[Attribute] = list(schema.features)
     if labeled:
         expected.append(schema.target.name)
         columns.append(schema.target)
-    _, header_line = numbered[0]
     header = [canonical_label(cell) for cell in header_line.split(",")]
     if header != expected:
         raise DataError(f"header mismatch: expected {expected}, got {header}")
@@ -312,7 +309,9 @@ def parse_csv(text: str, schema: AttributeSchema, labeled: bool) -> Dataset:
     # a line of canonical labels only is looked up whole; others go cell by cell
     exact = [{v: i for i, v in enumerate(a.values) if canonical_label(v) == v} for a in columns]
     indices: list[int] = []
-    for lineno, line in numbered[1:]:
+    for lineno, line in lines:
+        if not line.strip():
+            continue
         cells = line.split(",")
         if len(cells) != len(columns):
             raise DataError(f"line {lineno}: expected {len(columns)} columns, got {len(cells)}")

@@ -54,11 +54,10 @@ def stratified_folds(data: Dataset, folds: int, seed: int) -> FoldAssignment:
     fold_of = np.zeros(data.n, dtype=np.intp)
     cursor = 0
     for c in range(data.schema.n_classes):
-        members = np.flatnonzero(labels == c)
-        for i in rng.permutation(members):
-            fold_of[i] = cursor % folds
-            cursor += 1
-    return FoldAssignment(fold_of=tuple(int(f) for f in fold_of), folds=folds, seed=seed)
+        members = rng.permutation(np.flatnonzero(labels == c))
+        fold_of[members] = (cursor + np.arange(len(members))) % folds
+        cursor += len(members)
+    return FoldAssignment(fold_of=tuple(fold_of.tolist()), folds=folds, seed=seed)
 
 
 # ------------------------------------------------- confusion + metrics

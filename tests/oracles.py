@@ -5,13 +5,18 @@ exact Fraction / big-integer arithmetic, sharing no code with the
 package under test.  The curve sweeps at the end are the exception:
 they are the straightforward per-threshold and per-record float loops,
 kept so that the vectorised curves can be required to equal them
-exactly, same floating-point operations in the same order.
+exactly, same floating-point operations in the same order.  The fold
+deal draws from numpy's seeded generator, as the library must, and
+deals record by record.  ``table_as_tree`` only converts a trained
+``TreeModel`` into ``tree``'s nested form, so the two can be compared.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from turnout import Attribute, AttributeSchema, DataError, Dataset
 
@@ -81,6 +86,21 @@ def parse_csv(text, schema, labeled):
         rows=tuple(tuple(r[:d]) for r in records),
         labels=tuple(r[d] for r in records) if labeled else None,
     )
+
+
+def stratified_folds(labels, n_classes, folds, seed):
+    """The per-record deal: each class's record positions, in class order
+    and shuffled by numpy's generator seeded with ``seed`` (the library's
+    one source of randomness), dealt one at a time onto a single
+    round-robin cursor.  Returns each record's fold."""
+    rng = np.random.default_rng(seed)
+    fold_of = [0] * len(labels)
+    cursor = 0
+    for c in range(n_classes):
+        for i in rng.permutation([i for i, y in enumerate(labels) if y == c]).tolist():
+            fold_of[i] = cursor % folds
+            cursor += 1
+    return tuple(fold_of)
 
 
 def knn_proba(rows, labels, n_classes, k, query):
@@ -188,6 +208,17 @@ def tree(rows, labels, domain_sizes, n_classes, min_samples=2, max_depth=None):
         return ("split", j, tuple(children))
 
     return grow(list(range(len(rows))), list(range(len(domain_sizes))), 0)
+
+
+def table_as_tree(model, node=0):
+    """A ``TreeModel``'s node table in the nested form ``tree`` returns,
+    read from ``node`` down; a leaf's label is its first largest count."""
+    attribute = int(model.attribute[node])
+    if attribute < 0:
+        counts = tuple(model.counts[node].tolist())
+        return ("leaf", counts, counts.index(max(counts)))
+    kids = model.children[node, : model.domain_sizes[attribute]].tolist()
+    return ("split", attribute, tuple(table_as_tree(model, kid) for kid in kids))
 
 
 def auc_pair_statistic(scores, positive):

@@ -19,9 +19,7 @@ import pytest
 from turnout import (
     ConfusionMatrix,
     Hyperparams,
-    Leaf,
     REFERENCE_TREE_ROOT,
-    Split,
     class_accuracy,
     class_counts,
     cross_validate,
@@ -165,12 +163,12 @@ def test_criterion_5_oracle_equivalence():
             checked["knn"] += 1
 
             if len(rows) >= 2 and len(set(labels)) > 1:
-                root = train_tree(data, Hyperparams())
+                root = oracles.table_as_tree(train_tree(data, Hyperparams()))
                 best = oracles.best_split(rows, labels, sizes, n_classes)
                 if best is None:
-                    assert isinstance(root, Leaf)
+                    assert root[0] == "leaf"
                 else:
-                    assert isinstance(root, Split) and root.attribute == best
+                    assert root[0] == "split" and root[1] == best
                 checked["tree"] += 1
         assert min(checked.values()) >= 100, f"too few sampled cases: {checked}"
         print(f"  sampled cases checked: {checked}")
@@ -238,9 +236,9 @@ def test_criterion_7_byte_identical_runs(tmp_path):
 def test_criterion_8_tree_root_narrative(capsys):
     with criterion(8, "tree root narrative (reported, not asserted)"):
         data = load_election_corpus()
-        root = train_tree(data, Hyperparams())
-        if isinstance(root, Split):
-            name = data.schema.features[root.attribute].name
+        root = oracles.table_as_tree(train_tree(data, Hyperparams()))
+        if root[0] == "split":
+            name = data.schema.features[root[1]].name
         else:
             name = "(single leaf)"
         verdict = "agrees with" if name == REFERENCE_TREE_ROOT else "differs from"

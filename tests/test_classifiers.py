@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from turnout import (
     ALGORITHMS,
     Hyperparams,
-    Leaf,
-    Split,
     TreeModel,
     class_counts,
     entropy,
@@ -27,7 +25,7 @@ from turnout import classifiers
 from turnout.classifiers import KNN_BLOCK_CELLS
 
 import oracles
-from oracles import tiny_dataset
+from oracles import table_as_tree, tiny_dataset
 
 
 # --------------------------------------------------------- hamming
@@ -226,22 +224,14 @@ def test_info_gain_bounds(case):
 
 def test_tree_pure_node_is_a_leaf():
     data = tiny_dataset([(0, 1), (1, 0)], [1, 1], [2, 2], 2)
-    root = train_tree(data, Hyperparams())
-    assert isinstance(root, Leaf)
-    assert root.label == 1
-    assert root.counts == (0, 2)
+    assert table_as_tree(train_tree(data, Hyperparams())) == ("leaf", (0, 2), 1)
 
 
 def test_tree_two_level_example():
     # a0 separates the classes perfectly, a1 is constant
     data = tiny_dataset([(0, 0), (0, 0), (1, 0), (1, 0)], [0, 0, 1, 1], [2, 2], 2)
     model = train(data, "tree")
-    root = model.model.root
-    assert isinstance(root, Split)
-    assert root.attribute == 0
-    assert all(isinstance(child, Leaf) for child in root.children)
-    assert root.children[0].counts == (2, 0)
-    assert root.children[1].counts == (0, 2)
+    assert table_as_tree(model.model) == ("split", 0, (("leaf", (2, 0), 0), ("leaf", (0, 2), 1)))
     assert model.predict_proba_row((0, 0)).tolist() == [1.0, 0.0]
     assert model.predict_proba_row((1, 0)).tolist() == [0.0, 1.0]
 
@@ -250,33 +240,27 @@ def test_tree_empty_branch_carries_parent_distribution():
     # domain value v2 never occurs in training
     data = tiny_dataset([(0,), (1,)], [0, 1], [3], 2)
     model = train(data, "tree")
-    root = model.model.root
-    assert isinstance(root, Split)
-    ghost = root.children[2]
-    assert isinstance(ghost, Leaf)
-    assert ghost.counts == (1, 1)
+    kind, _, children = table_as_tree(model.model)
+    assert kind == "split"
+    assert children[2] == ("leaf", (1, 1), 0)
     assert model.predict_proba_row((2,)).tolist() == [0.5, 0.5]
 
 
 def test_tree_min_samples_stops_growth():
     data = tiny_dataset([(0,), (1,)], [0, 1], [2], 2)
-    root = train_tree(data, Hyperparams(tree_min_samples=3))
-    assert isinstance(root, Leaf)
+    assert table_as_tree(train_tree(data, Hyperparams(tree_min_samples=3)))[0] == "leaf"
 
 
 def test_tree_max_depth_zero_is_a_stump():
     data = tiny_dataset([(0,), (0,), (1,), (1,)], [0, 0, 1, 1], [2], 2)
-    root = train_tree(data, Hyperparams(tree_max_depth=0))
-    assert isinstance(root, Leaf)
-    assert root.counts == (2, 2)
-    assert root.label == 0  # tie resolves to the earlier class
+    root = table_as_tree(train_tree(data, Hyperparams(tree_max_depth=0)))
+    assert root == ("leaf", (2, 2), 0)  # tie resolves to the earlier class
 
 
 def test_tree_zero_gain_makes_a_leaf():
     # both attributes are pure noise: every split leaves a (1,1) child mix
     data = tiny_dataset([(0, 0), (0, 1), (1, 0), (1, 1)], [0, 1, 1, 0], [2, 2], 2)
-    root = train_tree(data, Hyperparams())
-    assert isinstance(root, Leaf)
+    assert table_as_tree(train_tree(data, Hyperparams()))[0] == "leaf"
 
 
 def test_tree_zero_gain_with_proportional_children_makes_a_leaf():
@@ -285,7 +269,7 @@ def test_tree_zero_gain_with_proportional_children_makes_a_leaf():
     rows = [(0,)] * 3 + [(1,)] * 6
     labels = [0, 1, 1] + [0, 0, 1, 1, 1, 1]
     root = train_tree(tiny_dataset(rows, labels, [2], 2), Hyperparams())
-    assert root == Leaf(counts=(3, 6), label=1)
+    assert table_as_tree(root) == ("leaf", (3, 6), 1)
 
 
 def test_tree_exact_gain_tie_goes_to_the_earlier_attribute():
@@ -296,9 +280,10 @@ def test_tree_exact_gain_tie_goes_to_the_earlier_attribute():
     for values, (n0, n1) in groups:
         rows += [values] * (n0 + n1)
         labels += [0] * n0 + [1] * n1
-    root = train_tree(tiny_dataset(rows, labels, [3, 3], 2), Hyperparams())
-    assert isinstance(root, Split) and root.attribute == 0
-    assert [child.counts for child in root.children] == [(1, 2), (2, 5), (5, 5)]
+    kind, attribute, children = table_as_tree(
+        train_tree(tiny_dataset(rows, labels, [3, 3], 2), Hyperparams()))
+    assert kind == "split" and attribute == 0
+    assert [child[1] for child in children] == [(1, 2), (2, 5), (5, 5)]
 
 
 def test_tree_perfect_splits_need_no_exact_step(monkeypatch):
@@ -309,32 +294,46 @@ def test_tree_perfect_splits_need_no_exact_step(monkeypatch):
     monkeypatch.setattr(classifiers, "_exact_split", refuse)
     rows = [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (2, 0, 1)]
     root = train_tree(tiny_dataset(rows, [0, 0, 1, 1, 1], [3, 2, 2], 2), Hyperparams())
-    assert root == Split(attribute=0, children=(Leaf((2, 0), 0), Leaf((0, 2), 1),
-                                                Leaf((0, 1), 1)))
+    assert table_as_tree(root) == ("split", 0, (("leaf", (2, 0), 0), ("leaf", (0, 2), 1),
+                                                ("leaf", (0, 1), 1)))
+
+
+def test_tree_node_with_only_constant_near_attributes_needs_no_exact_step(monkeypatch):
+    # a0 splits the root clearly; in each (3, 1) child both a0 and a1 take one
+    # value and score exactly the parent, so the child is a leaf
+    def refuse(*args):
+        raise AssertionError("a node with constant candidates reached the exact step")
+
+    monkeypatch.setattr(classifiers, "_exact_split", refuse)
+    rows = [(0, 0)] * 4 + [(1, 0)] * 4
+    labels = [0, 0, 0, 1, 1, 1, 1, 0]
+    root = train_tree(tiny_dataset(rows, labels, [2, 2], 2), Hyperparams())
+    assert table_as_tree(root) == oracles.tree(rows, labels, [2, 2], 2)
+    assert table_as_tree(root) == ("split", 0, (("leaf", (3, 1), 0), ("leaf", (1, 3), 1)))
 
 
 def _paths(node, used=()):
-    if isinstance(node, Leaf):
+    if node[0] == "leaf":
         yield used
         return
-    for child in node.children:
-        yield from _paths(child, used + (node.attribute,))
+    for child in node[2]:
+        yield from _paths(child, used + (node[1],))
 
 
 def test_tree_never_reuses_an_attribute_on_a_path():
     data = load_election_corpus()
-    root = train_tree(data, Hyperparams())
+    root = table_as_tree(train_tree(data, Hyperparams()))
     for path in _paths(root):
         assert len(path) == len(set(path))
 
 
 def test_tree_corpus_root_matches_oracle_argmax():
     data = load_election_corpus()
-    root = train_tree(data, Hyperparams())
-    assert isinstance(root, Split)
+    kind, attribute, _ = table_as_tree(train_tree(data, Hyperparams()))
+    assert kind == "split"
     sizes = [a.size for a in data.schema.features]
     want = oracles.best_split(list(data.rows), list(data.labels), sizes, 3)
-    assert root.attribute == want
+    assert attribute == want
 
 
 def test_tree_training_accuracy_beats_majority_vote():
@@ -350,16 +349,16 @@ def test_tree_training_accuracy_beats_majority_vote():
 def test_tree_root_matches_oracle_on_small_datasets(case):
     rows, labels, sizes, n_classes, _ = case
     data = tiny_dataset(rows, labels, sizes, n_classes)
-    root = train_tree(data, Hyperparams())
+    root = table_as_tree(train_tree(data, Hyperparams()))
     if len(set(labels)) == 1:
-        assert isinstance(root, Leaf)
+        assert root[0] == "leaf"
         return
     want = oracles.best_split(rows, labels, sizes, n_classes)
     if want is None:
-        assert isinstance(root, Leaf)
+        assert root[0] == "leaf"
     else:
-        assert isinstance(root, Split)
-        assert root.attribute == want
+        assert root[0] == "split"
+        assert root[1] == want
 
 
 @given(binary_dataset(min_records=1))
@@ -546,23 +545,18 @@ def test_nb_alpha_zero_scores_an_absent_class_zero():
 @given(tied_problem())
 def test_tree_batch_matches_a_plain_walk(case):
     rows, labels, sizes, n_classes, queries = case
-    root = train_tree(tiny_dataset(rows, labels, sizes, n_classes), Hyperparams())
-    model = TreeModel(root, tuple(sizes), n_classes)
+    model = train_tree(tiny_dataset(rows, labels, sizes, n_classes), Hyperparams())
+    assert isinstance(model, TreeModel)
     got = model.predict_proba_batch(np.array(queries))
     assert got.shape == (len(queries), n_classes)
     assert model.predict_proba_batch(np.empty((0, len(sizes)))).shape == (0, n_classes)
+    root = oracles.tree(rows, labels, sizes, n_classes)
     for q, row in zip(queries, got):
         node = root
-        while isinstance(node, Split):
-            node = node.children[q[node.attribute]]
-        total = sum(node.counts)
-        assert row.tolist() == [c / total for c in node.counts]
-
-
-def _as_oracle_tree(node):
-    if isinstance(node, Leaf):
-        return ("leaf", node.counts, node.label)
-    return ("split", node.attribute, tuple(_as_oracle_tree(c) for c in node.children))
+        while node[0] == "split":
+            node = node[2][q[node[1]]]
+        total = sum(node[1])
+        assert row.tolist() == [c / total for c in node[1]]
 
 
 @given(tied_problem(), st.sampled_from([2, 3, 5]), st.sampled_from([None, 0, 1, 2]))
@@ -572,7 +566,7 @@ def test_tree_matches_the_oracle_tree(case, min_samples, max_depth):
     params = Hyperparams(tree_min_samples=min_samples, tree_max_depth=max_depth)
     root = train_tree(tiny_dataset(rows, labels, sizes, n_classes), params)
     want = oracles.tree(rows, labels, sizes, n_classes, min_samples, max_depth)
-    assert _as_oracle_tree(root) == want
+    assert table_as_tree(root) == want
 
 
 def test_tree_matches_the_oracle_tree_on_the_corpus():
@@ -581,4 +575,4 @@ def test_tree_matches_the_oracle_tree_on_the_corpus():
     for params in (Hyperparams(), Hyperparams(tree_min_samples=5, tree_max_depth=3)):
         want = oracles.tree(list(data.rows), list(data.labels), sizes, 3,
                             params.tree_min_samples, params.tree_max_depth)
-        assert _as_oracle_tree(train_tree(data, params)) == want
+        assert table_as_tree(train_tree(data, params)) == want

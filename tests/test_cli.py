@@ -12,7 +12,6 @@ from turnout import (
     Dataset,
     REFERENCE_TREE_ROOT,
     Hyperparams,
-    Split,
     dataset_to_csv,
     election_csv_text,
     election_schema_text,
@@ -22,6 +21,8 @@ from turnout import (
     train_tree,
 )
 from turnout.cli import _detect_labeled, main
+
+from oracles import table_as_tree
 
 DESCRIBE = (
     "100 records; classes: Partnership=84, "
@@ -265,8 +266,8 @@ def test_svg_of_a_one_point_curve_is_a_marker(capsys, tmp_path):
 @pytest.mark.parametrize("cap", [None, 0, 1, 3])
 def test_tree_root_note_matches_the_full_tree_at_any_depth_cap(capsys, cap):
     data = load_election_corpus()
-    root = train_tree(data, Hyperparams(tree_max_depth=cap))
-    name = data.schema.features[root.attribute].name if isinstance(root, Split) else "(single leaf)"
+    root = table_as_tree(train_tree(data, Hyperparams(tree_max_depth=cap)))
+    name = data.schema.features[root[1]].name if root[0] == "split" else "(single leaf)"
     verdict = "agrees" if name == REFERENCE_TREE_ROOT else "differs"
     depth = () if cap is None else ("--max-depth", str(cap))
     code, out, _ = run(capsys, "evaluate", "--algo", "tree", "--test-on-train", *depth)
@@ -410,7 +411,8 @@ def test_predict_lines_match_the_per_cell_format(capsys, tmp_path, monkeypatch):
 def _detect_labeled_per_line(text, schema):
     for line in text.removeprefix("\ufeff").splitlines():
         if line.strip():
-            return [" ".join(c.split()) for c in line.split(",")] != list(schema.feature_names)
+            labeled = [*schema.feature_names, schema.target.name]
+            return [" ".join(c.split()) for c in line.split(",")] == labeled
     raise DataError("data file has no header line")
 
 
@@ -477,6 +479,23 @@ def test_predict_rejects_out_of_domain_value(capsys, tmp_path):
     code, _, err = run(capsys, "predict", str(model_path), "--data", str(query))
     assert code == 2
     assert "Immortal" in err
+
+
+@pytest.mark.parametrize("command", ["predict", "validate"])
+def test_header_of_neither_form_is_read_as_unlabeled(capsys, tmp_path, command):
+    # only the feature list plus the target marks a labeled file, so a short
+    # header is checked against the feature list that prediction needs
+    query = tmp_path / "query.csv"
+    query.write_text("Age,Sex\n")
+    schema = tmp_path / "s.schema"
+    schema.write_text(election_schema_text())
+    model = tmp_path / "nb.model"
+    assert run(capsys, "train", "--algo", "naive-bayes", "--out", str(model))[0] == 0
+    first = (str(model),) if command == "predict" else ("--schema", str(schema))
+    code, _, err = run(capsys, command, *first, "--data", str(query))
+    assert code == 2
+    features = list(load_election_schema().feature_names)
+    assert f"header mismatch: expected {features}, got ['Age', 'Sex']" in err
 
 
 def test_predict_rejects_garbage_model_file(capsys, tmp_path):

@@ -19,6 +19,7 @@ from turnout import (
 )
 from turnout import test_on_train as resubstitute  # plain name would be collected as a test
 
+import oracles
 from oracles import tiny_dataset
 
 
@@ -93,6 +94,18 @@ def test_fold_balance_property(labels, seed, data):
         occupancy = Counter(group)
         sizes = [occupancy.get(f, 0) for f in range(folds)]
         assert max(sizes) - min(sizes) <= 1
+
+
+@given(
+    labels=st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_folds_match_the_per_record_deal(labels, seed, data):
+    folds = data.draw(st.integers(min_value=2, max_value=len(labels)))
+    ds = tiny_dataset([(0,)] * len(labels), labels, [2], 4)
+    want = oracles.stratified_folds(labels, 4, folds, seed)
+    assert stratified_folds(ds, folds=folds, seed=seed).fold_of == want
 
 
 # ------------------------------------------------- confusion + metrics

@@ -158,9 +158,45 @@ def test_rejects_cyclic_tree(corpus):
 def test_rejects_dangling_child_index(corpus):
     text = model_to_text(train(corpus, "tree"))
     root = next(line for line in text.splitlines() if line.startswith("node 0: split "))
-    broken = re.sub(r"children \d+", "children 99999", root, count=1)
-    with pytest.raises(ModelFileError, match="missing or cyclic"):
-        model_from_text(_tamper(text, root, broken))
+    for child in ("99999", "-1"):
+        broken = re.sub(r"children \d+", f"children {child}", root, count=1)
+        with pytest.raises(ModelFileError, match=f"tree node {child} is missing or cyclic"):
+            model_from_text(_tamper(text, root, broken))
+
+
+def test_rejects_cycle_below_the_root(corpus):
+    text = model_to_text(train(corpus, "tree"))
+    inner = [line for line in text.splitlines() if " split " in line][1]
+    broken = re.sub(r"children \d+", "children 0", inner, count=1)
+    with pytest.raises(ModelFileError, match="tree node 0 is missing or cyclic"):
+        model_from_text(_tamper(text, inner, broken))
+
+
+def test_tree_file_with_a_shared_child_predicts_like_the_tree():
+    data = tiny_dataset([(0, 0), (1, 1), (2, 0)], [0, 1, 1], [3, 2], 2)
+    text = model_to_text(train(data, "tree"))
+    tree = "node 0: split 0 children 1 2 3\n"
+    assert tree in text and "node 3: leaf 1 counts 0 1\n" in text
+    # the root's last branch reuses node 2, which equals node 3
+    shared = _tamper(_tamper(_tamper(text, tree, "node 0: split 0 children 1 2 2\n"),
+                             "node 3: leaf 1 counts 0 1\n", ""),
+                     "payload-lines: 4", "payload-lines: 3")
+    queries = np.array([(v, w) for v in range(3) for w in range(2)])
+    got = model_from_text(shared)
+    want = model_from_text(text)
+    assert np.array_equal(got.model.predict_proba_batch(queries),
+                          want.model.predict_proba_batch(queries))
+    assert model_to_text(got) == shared
+
+
+def test_rejects_malformed_node_that_no_path_reaches():
+    data = tiny_dataset([(0,), (1,)], [0, 1], [2], 2)
+    text = model_to_text(train(data, "tree"))
+    end = text.index("end\n")
+    extra = text[:end] + "node 3: leaf 0 counts 1\nend\n"
+    extra = _tamper(extra, "payload-lines: 3", "payload-lines: 4")
+    with pytest.raises(ModelFileError, match="leaf node 3 is malformed"):
+        model_from_text(extra)
 
 
 def test_rejects_empty_leaf_distribution():

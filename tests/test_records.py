@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from turnout import (
@@ -17,11 +18,9 @@ from turnout import (
     EvaluationReport,
     FoldAssignment,
     Hyperparams,
-    Leaf,
     PerClassMetrics,
     Protocol,
     SchemaError,
-    Split,
     TrainedModel,
     TreeModel,
     load_election_corpus,
@@ -36,57 +35,55 @@ ROOT = Path(__file__).resolve().parent.parent
 A = Attribute("a", ("x", "y"))
 T = Attribute("t", ("p", "q"))
 SCHEMA = AttributeSchema((A,), T)
-LEAF = Leaf((3, 1), 0)
 MATRIX = ConfusionMatrix(((3, 1), (0, 2)), ("p", "q"))
 CURVE = CurveSeries("roc", "p", ((0.0, 0.0), (1.0, 1.0)), 0.5)
 METRICS = PerClassMetrics("p", 0.75, 0.75, 1.0, 1.0, 0.75, 0.8, frozenset())
-TREE = TreeModel(LEAF, (2,), 2)
+TREE = TreeModel(np.array([-1]), np.array([[-1, -1]]), np.array([[3, 1]]), (2,), 2)
 
-# (type, positional arguments, the same as keywords, exact repr)
-CASES = [
-    (Attribute, ("a", ("x", "y")), {"name": "a", "values": ("x", "y")},
+# id: (type, positional arguments, the same as keywords, exact repr); the ids
+# are fixed, so removing a case leaves the others' ids as they were
+CASES = {
+    "Attribute-0": (Attribute, ("a", ("x", "y")), {"name": "a", "values": ("x", "y")},
      "Attribute(name='a', values=('x', 'y'))"),
-    (AttributeSchema, ((A,), T), {"features": (A,), "target": T},
+    "AttributeSchema-1": (AttributeSchema, ((A,), T), {"features": (A,), "target": T},
      "AttributeSchema(features=(Attribute(name='a', values=('x', 'y')),), "
      "target=Attribute(name='t', values=('p', 'q')))"),
-    (Hyperparams, (), {},
+    "Hyperparams-2": (Hyperparams, (), {},
      "Hyperparams(knn_k=5, nb_alpha=1.0, tree_min_samples=2, tree_max_depth=None)"),
-    (Hyperparams, (3, 0.5, 4, 2),
+    "Hyperparams-3": (Hyperparams, (3, 0.5, 4, 2),
      {"knn_k": 3, "nb_alpha": 0.5, "tree_min_samples": 4, "tree_max_depth": 2},
      "Hyperparams(knn_k=3, nb_alpha=0.5, tree_min_samples=4, tree_max_depth=2)"),
-    (Protocol, ("test-on-train",), {"kind": "test-on-train"},
+    "Protocol-4": (Protocol, ("test-on-train",), {"kind": "test-on-train"},
      "Protocol(kind='test-on-train', folds=None, seed=None)"),
-    (Protocol, ("cv", 10, 42), {"kind": "cv", "folds": 10, "seed": 42},
+    "Protocol-5": (Protocol, ("cv", 10, 42), {"kind": "cv", "folds": 10, "seed": 42},
      "Protocol(kind='cv', folds=10, seed=42)"),
-    (ConfusionMatrix, (((3, 1), (0, 2)), ("p", "q")),
+    "ConfusionMatrix-6": (ConfusionMatrix, (((3, 1), (0, 2)), ("p", "q")),
      {"counts": ((3, 1), (0, 2)), "labels": ("p", "q")},
      "ConfusionMatrix(counts=((3, 1), (0, 2)), labels=('p', 'q'))"),
-    (Leaf, ((3, 1), 0), {"counts": (3, 1), "label": 0}, "Leaf(counts=(3, 1), label=0)"),
-    (Split, (0, (LEAF, LEAF)), {"attribute": 0, "children": (LEAF, LEAF)},
-     "Split(attribute=0, children=(Leaf(counts=(3, 1), label=0), Leaf(counts=(3, 1), label=0)))"),
-    (TreeModel, (LEAF, (2,), 2), {"root": LEAF, "domain_sizes": (2,), "n_classes": 2},
-     "TreeModel(root=Leaf(counts=(3, 1), label=0), domain_sizes=(2,), n_classes=2)"),
-    (Algorithm, ("x", len, int), {"name": "x", "train": len, "model": int},
+    "Algorithm-10": (Algorithm, ("x", len, int), {"name": "x", "train": len, "model": int},
      "Algorithm(name='x', train=<built-in function len>, model=<class 'int'>)"),
-    (TrainedModel, ("tree", SCHEMA, Hyperparams(), TREE),
+    "TrainedModel-11": (TrainedModel, ("tree", SCHEMA, Hyperparams(), TREE),
      {"algorithm": "tree", "schema": SCHEMA, "params": Hyperparams(), "model": TREE},
      "TrainedModel(algorithm='tree', schema=AttributeSchema(features=(Attribute(name='a', "
      "values=('x', 'y')),), target=Attribute(name='t', values=('p', 'q'))), "
      "params=Hyperparams(knn_k=5, nb_alpha=1.0, tree_min_samples=2, tree_max_depth=None), "
-     "model=TreeModel(root=Leaf(counts=(3, 1), label=0), domain_sizes=(2,), n_classes=2))"),
-    (FoldAssignment, ((0, 1, 0), 2, 7), {"fold_of": (0, 1, 0), "folds": 2, "seed": 7},
+     "model=TreeModel(attribute=[-1], children=[[-1, -1]], counts=[[3, 1]], domain_sizes=(2,), "
+     "n_classes=2))"),
+    "FoldAssignment-12": (FoldAssignment, ((0, 1, 0), 2, 7),
+     {"fold_of": (0, 1, 0), "folds": 2, "seed": 7},
      "FoldAssignment(fold_of=(0, 1, 0), folds=2, seed=7)"),
-    (PerClassMetrics, ("p", 0.75, 0.75, 1.0, 1.0, 0.75, 0.8, frozenset()),
+    "PerClassMetrics-13": (PerClassMetrics, ("p", 0.75, 0.75, 1.0, 1.0, 0.75, 0.8, frozenset()),
      {"label": "p", "accuracy": 0.75, "sensitivity": 0.75, "specificity": 1.0,
       "precision": 1.0, "recall": 0.75, "f1": 0.8, "undefined": frozenset()},
      "PerClassMetrics(label='p', accuracy=0.75, sensitivity=0.75, specificity=1.0, "
      "precision=1.0, recall=0.75, f1=0.8, undefined=frozenset())"),
-    (CurveSeries, ("lift", "p", ((1.0, 1.0),)), {"kind": "lift", "label": "p", "points": ((1.0, 1.0),)},
+    "CurveSeries-14": (CurveSeries, ("lift", "p", ((1.0, 1.0),)),
+     {"kind": "lift", "label": "p", "points": ((1.0, 1.0),)},
      "CurveSeries(kind='lift', label='p', points=((1.0, 1.0),), auc=None)"),
-    (CurveSeries, ("roc", "p", ((0.0, 0.0), (1.0, 1.0)), 0.5),
+    "CurveSeries-15": (CurveSeries, ("roc", "p", ((0.0, 0.0), (1.0, 1.0)), 0.5),
      {"kind": "roc", "label": "p", "points": ((0.0, 0.0), (1.0, 1.0)), "auc": 0.5},
      "CurveSeries(kind='roc', label='p', points=((0.0, 0.0), (1.0, 1.0)), auc=0.5)"),
-    (EvaluationReport, ("knn", Hyperparams(), Protocol("test-on-train"), MATRIX, (METRICS,), (CURVE,)),
+    "EvaluationReport-16": (EvaluationReport, ("knn", Hyperparams(), Protocol("test-on-train"), MATRIX, (METRICS,), (CURVE,)),
      {"algorithm": "knn", "params": Hyperparams(), "protocol": Protocol("test-on-train"),
       "matrix": MATRIX, "per_class": (METRICS,), "curves": (CURVE,)},
      "EvaluationReport(algorithm='knn', params=Hyperparams(knn_k=5, nb_alpha=1.0, "
@@ -95,11 +92,10 @@ CASES = [
      "per_class=(PerClassMetrics(label='p', accuracy=0.75, sensitivity=0.75, specificity=1.0, "
      "precision=1.0, recall=0.75, f1=0.8, undefined=frozenset()),), "
      "curves=(CurveSeries(kind='roc', label='p', points=((0.0, 0.0), (1.0, 1.0)), auc=0.5),))"),
-]
+}
 
 
-@pytest.mark.parametrize("cls, args, kwargs, text", CASES,
-                         ids=[f"{case[0].__name__}-{i}" for i, case in enumerate(CASES)])
+@pytest.mark.parametrize("cls, args, kwargs, text", CASES.values(), ids=CASES.keys())
 def test_record_construction_equality_and_repr(cls, args, kwargs, text):
     record = cls(*args)
     same = cls(**kwargs)
@@ -121,7 +117,7 @@ def test_record_construction_equality_and_repr(cls, args, kwargs, text):
     (Hyperparams, (5,), (6,)),
     (Protocol, ("cv", 10, 1), ("cv", 10, 2)),
     (ConfusionMatrix, (((1,),), ("p",)), (((2,),), ("p",))),
-    (Leaf, ((1, 0), 0), ((0, 1), 1)),
+    (FoldAssignment, ((0, 1), 2, 7), ((0, 1), 2, 8)),
     (CurveSeries, ("roc", "p", ()), ("roc", "p", (), 0.5)),
 ])
 def test_records_differing_in_a_field_are_unequal(cls, a, b):
@@ -172,7 +168,9 @@ def test_validated_records_reject_bad_fields(build, error, message):
 def test_model_classes_reject_assignment():
     data = load_election_corpus()
     knn, nb = train(data, "knn").model, train(data, "naive-bayes").model
-    for model, name in ((knn, "k"), (knn, "rows"), (nb, "alpha"), (nb, "tables")):
+    tree = train(data, "tree").model
+    for model, name in ((knn, "k"), (knn, "rows"), (nb, "alpha"), (nb, "tables"),
+                        (tree, "attribute"), (tree, "counts")):
         with pytest.raises(AttributeError):
             setattr(model, name, getattr(model, name))
     # naive Bayes models compare by counts and alpha, KNN models by identity
