@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .data import (
     parse_schema,
     strip_bom,
 )
-from .errors import DataError, InputError
+from .errors import DataError, InputError, not_utf8
 from .evaluation import (
     Protocol,
     class_accuracy,
@@ -111,6 +112,8 @@ def _read_text(path: str, what: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {what} {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(not_utf8(what, path, exc)) from None
 
 
 def _detect_labeled(text: str, schema: AttributeSchema) -> bool:
@@ -331,4 +334,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    """Process entry for ``python -m turnout`` and the ``turnout`` script."""
+    # The process exits when main returns, so what the imports made (numpy,
+    # argparse, turnout) lives until then: frozen, no collection walks it,
+    # shutdown's included.  main does not freeze, because library callers
+    # run on after it.
+    gc.freeze()
     sys.exit(main())

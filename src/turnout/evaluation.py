@@ -49,6 +49,8 @@ def stratified_folds(data: Dataset, folds: int, seed: int) -> FoldAssignment:
         raise ValueError("the dataset has no records; stratified folds need at least one")
     if not 2 <= folds <= data.n:
         raise ValueError(f"folds must be between 2 and {data.n}, got {folds}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     labels = data.label_array
     fold_of = np.zeros(data.n, dtype=np.intp)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .classifiers import REGISTRY, Hyperparams, TrainedModel
 from .data import parse_schema
-from .errors import ModelFileError, SchemaError
+from .errors import ModelFileError, SchemaError, not_utf8
 
 FORMAT_LINE = "turnout-model v1"
 
@@ -138,4 +138,8 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    return model_from_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(not_utf8("model file", path, exc)) from None
+    return model_from_text(text)

@@ -1,4 +1,7 @@
+import gc
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -125,6 +128,12 @@ def test_evaluate_test_on_train_rejects_seed(capsys):
     code, _, err = run(capsys, "evaluate", "--algo", "knn", "--test-on-train", "--seed", "1")
     assert code == 1
     assert "does not take --seed" in err
+
+
+def test_evaluate_rejects_a_negative_seed(capsys):
+    code, _, err = run(capsys, "evaluate", "--algo", "knn", "--seed", "-1")
+    assert code == 1
+    assert "usage error: seed must be >= 0, got -1" in err
 
 
 def test_evaluate_rejects_bad_jobs(capsys):
@@ -504,6 +513,73 @@ def test_predict_rejects_garbage_model_file(capsys, tmp_path):
     code, _, err = run(capsys, "predict", str(bogus))
     assert code == 2
     assert "unsupported model format" in err
+
+
+@pytest.mark.parametrize("what, argv", [
+    ("data file", ("validate", "--data", "{bad}", "--schema", "{dir}/election.schema")),
+    ("schema file", ("validate", "--data", "{dir}/election.csv", "--schema", "{bad}")),
+    ("model file", ("predict", "{bad}")),
+    ("matrix file", ("evaluate", "--from-matrix", "{bad}")),
+])
+def test_file_that_is_not_utf8_is_a_data_error_naming_it(capsys, tmp_path, what, argv):
+    assert run(capsys, "export-corpus", "--out", str(tmp_path))[0] == 0
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("Age,Sex,Caf\u00e9\n".encode("latin-1"))
+    code, _, err = run(capsys, *(a.format(bad=bad, dir=tmp_path) for a in argv))
+    assert code == 2
+    assert (f"data error: {what} {str(bad)!r} is not UTF-8: byte 0xe9 at offset 11 "
+            "(invalid continuation byte)") in err
+
+
+# -------------------------------------------------------- process entry
+
+
+def _collector_state() -> tuple:
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+def test_process_entry_freezes_the_import_time_heap():
+    # runpy with alter_sys=True is how ``python -m turnout`` runs the package;
+    # the atexit hook reports the collector's state once the command is done
+    probe = ("import atexit, gc, runpy, sys\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count(), gc.isenabled()))\n"
+             "sys.argv = ['turnout', 'validate']\n"
+             "runpy.run_module('turnout', run_name='__main__', alter_sys=True)\n")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == DESCRIBE
+    _, frozen, enabled = result.stdout.splitlines()[-1].split()
+    assert int(frozen) > 0
+    assert enabled == "True"
+
+
+def test_in_process_main_leaves_the_collector_as_it_was(capsys):
+    before = _collector_state()
+    assert run(capsys, "validate")[0] == 0
+    assert _collector_state() == before
+
+
+def test_train_and_predict_as_processes_write_the_in_process_bytes(capsys, tmp_path):
+    def commands(out):
+        for algo in ("knn", "naive-bayes", "tree"):
+            yield ("train", "--algo", algo, "--out", str(out / f"{algo}.model"))
+            yield ("predict", str(out / f"{algo}.model"), "--out", str(out / f"{algo}.tsv"))
+
+    spawned, in_process = tmp_path / "spawned", tmp_path / "in-process"
+    for out in (spawned, in_process):
+        out.mkdir()
+    for argv in commands(spawned):
+        result = subprocess.run([sys.executable, "-m", "turnout", *argv],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+    for argv in commands(in_process):
+        assert run(capsys, *argv)[0] == 0
+    files = sorted(p.name for p in spawned.iterdir())
+    assert len(files) == 6
+    assert files == sorted(p.name for p in in_process.iterdir())
+    for name in files:
+        assert (spawned / name).read_bytes() == (in_process / name).read_bytes(), name
 
 
 # -------------------------------------------------------------- common

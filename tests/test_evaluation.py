@@ -68,6 +68,11 @@ def test_fold_count_bounds(corpus):
         stratified_folds(corpus, folds=corpus.n + 1, seed=0)
 
 
+def test_folds_reject_a_negative_seed(corpus):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        stratified_folds(corpus, folds=10, seed=-1)
+
+
 def test_folds_reject_unlabeled_data():
     data = tiny_dataset([(0,), (1,)], None, [2], 2)
     with pytest.raises(ValueError):
