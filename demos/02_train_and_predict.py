@@ -27,8 +27,8 @@ with tempfile.TemporaryDirectory() as tmp:
 # predict the first three records with every model
 labels = data.schema.class_labels
 for i in range(3):
-    row = data.rows[i]
-    actual = labels[data.labels[i]]
+    row = data.matrix[i]
+    actual = labels[data.label_array[i]]
     print(f"\nrecord {i} (actual: {actual})")
     for algo, model in models.items():
         proba = model.predict_proba_row(row)

@@ -51,7 +51,6 @@ from .evaluation import (
     ConfusionMatrix,
     CurveSeries,
     EvaluationReport,
-    FoldAssignment,
     PerClassMetrics,
     Protocol,
     calibration_points,
@@ -78,7 +77,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "EvaluationReport",
-    "FoldAssignment",
     "Hyperparams",
     "InputError",
     "KnnModel",

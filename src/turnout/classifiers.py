@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .data import AttributeSchema, Dataset, class_counts, tally
+from .data import AttributeSchema, Dataset, index_array, tally
 from .errors import ModelFileError, SchemaMismatchError
 
 PROBA_TOLERANCE = 1e-9
@@ -85,7 +85,7 @@ def predict_label(proba: Sequence[float]) -> int:
 def _records(rows: np.ndarray, sizes: np.ndarray | Sequence[int]) -> np.ndarray:
     """A batch of encoded records, shape (m, d) for d = len(sizes), with
     every value inside its attribute's domain ``0 .. sizes[j] - 1``."""
-    batch = np.asarray(rows, dtype=np.intp)
+    batch = index_array(rows, "record values")
     width = len(sizes)
     if batch.ndim != 2 or batch.shape[1] != width:
         raise ValueError(f"records have shape {batch.shape}, model expects (m, {width})")
@@ -250,38 +250,33 @@ def train_knn(data: Dataset, params: Hyperparams) -> KnnModel:
 
 
 class NaiveBayesModel:
-    """Class priors and per-attribute value/class count tables
-    (``tables[attribute][value][class]``); immutable, equal by value."""
+    """Class counts and one value/class count table.
 
-    def __init__(self, class_counts: tuple[int, ...],
-                 tables: tuple[tuple[tuple[int, ...], ...], ...], alpha: float) -> None:
-        counts = np.asarray(class_counts, dtype=np.int64)
-        ratios = []
-        for table in tables:
-            seen = np.asarray(table, dtype=np.int64).reshape(len(table), len(counts))
-            per_class = counts + alpha * len(table)
-            # a class with no records and alpha = 0 would divide 0 by 0; its
-            # prior is 0, so its score is 0 whatever its ratio, as for alpha > 0
-            ratio = np.zeros(seen.shape, dtype=np.float64)
-            np.divide(seen + alpha, per_class, out=ratio, where=per_class != 0)
-            ratios.append(ratio)
+    ``class_counts[c]`` is the number of training records of class c and
+    ``counts[offsets[j] + v, c]`` how many of them have value v for
+    attribute j, where ``offsets[j]`` sums the domain sizes before j: a
+    (W, k) int64 table over the summed domain sizes W, the layout of KNN's
+    bit codes and the tree's tally.  The model is immutable and equal only
+    to itself.
+    """
+
+    def __init__(self, class_counts: np.ndarray, counts: np.ndarray,
+                 domain_sizes: tuple[int, ...], alpha: float) -> None:
+        sizes = np.array(domain_sizes, dtype=np.intp)
+        # each table row's denominator, count(c) + alpha * domain size
+        per_class = np.repeat(class_counts + alpha * sizes[:, None], sizes, axis=0)
+        # a class with no records and alpha = 0 would divide 0 by 0; its
+        # prior is 0, so its score is 0 whatever its ratio, as for alpha > 0
+        ratios = np.zeros(counts.shape, dtype=np.float64)
+        np.divide(counts + alpha, per_class, out=ratios, where=per_class != 0)
         vars(self).update(
-            class_counts=class_counts, tables=tables, alpha=alpha,
-            _priors=counts / counts.sum(), _ratios=tuple(ratios),
-            _sizes=np.array([len(t) for t in tables], dtype=np.intp),
+            class_counts=class_counts, counts=counts, domain_sizes=domain_sizes, alpha=alpha,
+            _priors=class_counts / class_counts.sum(), _ratios=ratios, _sizes=sizes,
+            _offsets=(np.cumsum(sizes) - sizes).tolist(),
         )
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"NaiveBayesModel is immutable; cannot set {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NaiveBayesModel):
-            return NotImplemented
-        return (self.class_counts, self.tables, self.alpha) == (
-            other.class_counts, other.tables, other.alpha)
-
-    def __hash__(self) -> int:
-        return hash((self.class_counts, self.tables, self.alpha))
 
     def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
         """Smoothed multinomial scores, normalised to sum to one.
@@ -296,8 +291,8 @@ class NaiveBayesModel:
         """
         rows = _records(rows, self._sizes)
         scores = np.tile(self._priors, (len(rows), 1))
-        for j, ratio in enumerate(self._ratios):
-            scores *= ratio[rows[:, j]]
+        for j, offset in enumerate(self._offsets):
+            scores *= self._ratios[rows[:, j] + offset]
         mass = scores.sum(axis=1, keepdims=True)
         out = np.tile(self._priors, (len(rows), 1))
         np.divide(scores, mass, out=out, where=mass != 0.0)
@@ -305,12 +300,12 @@ class NaiveBayesModel:
 
     def payload(self) -> list[str]:
         """Model-file lines: ``class-counts: <count per class>``, then
-        ``table <attr> <value>: <count per class>`` per attribute value."""
-        lines = ["class-counts: " + " ".join(str(c) for c in self.class_counts)]
-        for j, table in enumerate(self.tables):
-            for v, row in enumerate(table):
-                lines.append(f"table {j} {v}: " + " ".join(str(c) for c in row))
-        return lines
+        ``table <attr> <value>: <count per class>`` per table row."""
+        keys = [(j, v) for j, size in enumerate(self.domain_sizes) for v in range(size)]
+        return ["class-counts: " + " ".join(map(str, self.class_counts.tolist()))] + [
+            f"table {j} {v}: " + " ".join(map(str, row))
+            for (j, v), row in zip(keys, self.counts.tolist())
+        ]
 
     @classmethod
     def from_payload(cls, lines: list[str], schema: AttributeSchema,
@@ -329,10 +324,10 @@ class NaiveBayesModel:
             raise ModelFileError(f"{len(counts)} class counts for {n_classes} classes")
         if any(c < 0 for c in counts) or sum(counts) == 0:
             raise ModelFileError("class counts must be non-negative with a positive total")
-        tables: list[tuple[tuple[int, ...], ...]] = []
-        for j, attr in enumerate(schema.features):
-            table: list[tuple[int, ...]] = []
-            for v in range(attr.size):
+        sizes = tuple(a.size for a in schema.features)
+        table: list[list[int]] = []
+        for j, size in enumerate(sizes):
+            for v in range(size):
                 try:
                     line = next(reader)
                 except StopIteration:
@@ -343,28 +338,27 @@ class NaiveBayesModel:
                 row = _ints(line[len(prefix) :], "count table row")
                 if len(row) != n_classes or any(c < 0 for c in row):
                     raise ModelFileError(f"count row {line!r} needs {n_classes} non-negative counts")
-                table.append(tuple(row))
-            tables.append(tuple(table))
+                table.append(row)
         leftovers = list(reader)
         if leftovers:
             raise ModelFileError(f"unexpected trailing payload line {leftovers[0]!r}")
-        for j, table in enumerate(tables):
-            for c in range(n_classes):
-                if sum(row[c] for row in table) != counts[c]:
-                    raise ModelFileError(f"count table {j} does not sum to the class counts")
-        return cls(class_counts=tuple(counts), tables=tuple(tables), alpha=params.nb_alpha)
+        start = 0
+        for j, size in enumerate(sizes):
+            if [sum(column) for column in zip(*table[start : start + size])] != counts:
+                raise ModelFileError(f"count table {j} does not sum to the class counts")
+            start += size
+        return cls(np.array(counts, dtype=np.int64), np.array(table, dtype=np.int64), sizes,
+                   params.nb_alpha)
 
 
 def train_naive_bayes(data: Dataset, params: Hyperparams) -> NaiveBayesModel:
     """Tally value/class co-occurrence over the full declared domains."""
     labels = _training_labels(data)
-    tables = []
-    for j, attr in enumerate(data.schema.features):
-        table = tally(data.matrix[:, j], labels, attr.size, data.schema.n_classes)
-        tables.append(tuple(tuple(row) for row in table.tolist()))
-    return NaiveBayesModel(
-        class_counts=class_counts(data), tables=tuple(tables), alpha=params.nb_alpha
-    )
+    sizes = tuple(a.size for a in data.schema.features)
+    k = data.schema.n_classes
+    cells = data.matrix + (np.cumsum(sizes) - sizes)
+    return NaiveBayesModel(np.bincount(labels, minlength=k),
+                           tally(cells, labels[:, None], sum(sizes), k), sizes, params.nb_alpha)
 
 
 # -------------------------------------------------------------- tree
@@ -385,9 +379,8 @@ def entropy(counts: Sequence[int]) -> float:
 
 def info_gain(data: Dataset, attribute: str, indices: Sequence[int] | None = None) -> float:
     """Information gain of splitting the (sub)set on one attribute."""
-    if not data.labeled:
+    if data.label_array is None:
         raise ValueError("info_gain needs a labeled dataset")
-    assert data.label_array is not None
     j = data.schema.feature_index(attribute)
     picked = slice(None) if indices is None else np.asarray(indices, dtype=np.intp)
     table = tally(
@@ -746,7 +739,7 @@ class TrainedModel(NamedTuple):
     def predict_proba_row(self, values: Sequence[int]) -> np.ndarray:
         """Probability vector for one already-encoded record: the batch
         kernel on a batch of one."""
-        return self.model.predict_proba_batch(np.asarray(values, dtype=np.intp)[np.newaxis])[0]
+        return self.model.predict_proba_batch(np.asarray(values)[np.newaxis])[0]
 
     def predict_proba(self, data: Dataset) -> np.ndarray:
         """Probability matrix (records x classes) for a whole dataset, in

@@ -162,31 +162,23 @@ def parse_schema(text: str) -> AttributeSchema:
 class Dataset:
     """Immutable record table.
 
-    Each record is a tuple of domain indices, one per feature attribute,
-    in schema order.  ``labels`` holds the target index per record, or is
-    ``None`` for a uniformly unlabeled dataset; a mix is unrepresentable.
+    ``matrix`` holds the records as one read-only ``(n, d)`` integer array
+    of domain indices, one column per feature attribute in schema order.
+    ``label_array`` holds the target index per record, or is ``None`` for
+    a uniformly unlabeled dataset; a mix is unrepresentable.
 
-    Construction validates every cell once, with vector comparisons, and
-    keeps the records as one read-only ``(n, d)`` integer array,
-    ``matrix``, and the labels as ``label_array``.  ``subset`` and
-    ``parse_csv`` build a dataset from arrays already known to be valid,
-    without validating them again.  The ``rows``/``labels`` tuples are
-    built from the arrays only when first read.  Two datasets are equal
-    when their schemas, records and labels are.
+    Construction from ``rows`` and ``labels`` validates every cell once,
+    with vector comparisons.  ``subset`` and ``parse_csv`` build a dataset
+    from arrays already known to be valid, without validating them again.
+    Two datasets are equal when their schemas, records and labels are.
     """
 
     schema: AttributeSchema
     matrix: np.ndarray
     label_array: np.ndarray | None
-    _rows: tuple[tuple[int, ...], ...] | None
-    _labels: tuple[int, ...] | None
 
-    def __init__(
-        self,
-        schema: AttributeSchema,
-        rows: tuple[tuple[int, ...], ...],
-        labels: tuple[int, ...] | None,
-    ) -> None:
+    def __init__(self, schema: AttributeSchema, rows: tuple[tuple[int, ...], ...],
+                 labels: tuple[int, ...] | None) -> None:
         features = schema.features
         width = len(features)
         lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
@@ -194,7 +186,8 @@ class Dataset:
         # records before the first one of the wrong width are checked first,
         # so the error names the earliest failing record
         n_ok = int(short[0]) if short.size else len(rows)
-        matrix = np.array(rows[:n_ok], dtype=np.intp).reshape(n_ok, width)
+        # copied, so no caller holds a writable view of the table
+        matrix = index_array(rows[:n_ok], "record values").reshape(n_ok, width).copy()
         sizes = np.array([f.size for f in features], dtype=np.intp)
         bad = (matrix < 0) | (matrix >= sizes)
         if bad.any():
@@ -212,7 +205,7 @@ class Dataset:
                     f"{len(labels)} labels for {len(rows)} records; "
                     "records must be uniformly labeled or uniformly unlabeled"
                 )
-            label_array = np.array(labels, dtype=np.intp).reshape(len(labels))
+            label_array = index_array(labels, "labels").reshape(len(labels)).copy()
             bad_labels = np.flatnonzero((label_array < 0) | (label_array >= schema.target.size))
             if bad_labels.size:
                 i = int(bad_labels[0])
@@ -224,27 +217,10 @@ class Dataset:
         matrix.flags.writeable = False
         if label_array is not None:
             label_array.flags.writeable = False
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "label_array", label_array)
-        # None until first read
-        object.__setattr__(self, "_rows", None)
-        object.__setattr__(self, "_labels", None)
+        vars(self).update(schema=schema, matrix=matrix, label_array=label_array)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Dataset is immutable; cannot set {name!r}")
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        if self._rows is None:
-            object.__setattr__(self, "_rows", tuple(map(tuple, self.matrix.tolist())))
-        return self._rows
-
-    @property
-    def labels(self) -> tuple[int, ...] | None:
-        if self._labels is None and self.label_array is not None:
-            object.__setattr__(self, "_labels", tuple(self.label_array.tolist()))
-        return self._labels
 
     @property
     def n(self) -> int:
@@ -254,22 +230,39 @@ class Dataset:
     def labeled(self) -> bool:
         return self.label_array is not None
 
+    def _key(self) -> tuple[AttributeSchema, bytes, bytes | None]:
+        # intp arrays of the width the schema fixes: equal bytes, equal arrays
+        labels = None if self.label_array is None else self.label_array.tobytes()
+        return self.schema, self.matrix.tobytes(), labels
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (self.schema, self.rows, self.labels) == (other.schema, other.rows, other.labels)
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.schema, self.rows, self.labels))
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"Dataset(schema={self.schema!r}, rows={self.rows!r}, labels={self.labels!r})"
+        labels = None if self.label_array is None else self.label_array.tolist()
+        return (f"Dataset(schema={self.schema!r}, matrix={self.matrix.tolist()!r}, "
+                f"label_array={labels!r})")
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         """The records at ``indices``, in that order, without re-validation."""
         picked = np.asarray(indices, dtype=np.intp)
         label_array = None if self.label_array is None else self.label_array[picked]
         return _valid_dataset(self.schema, self.matrix[picked], label_array)
+
+
+def index_array(values: object, what: str) -> np.ndarray:
+    """``values`` as an intp array, not copied when it already is one.  A
+    non-integer dtype, which the cast would truncate, is a ValueError naming
+    ``what``; an empty sequence, which numpy reads as float, is accepted."""
+    array = np.asarray(values)
+    if array.size and not np.issubdtype(array.dtype, np.integer):
+        raise ValueError(f"{what} must be integers, got {array.dtype} values")
+    return array.astype(np.intp, copy=False)
 
 
 def _valid_dataset(schema: AttributeSchema, matrix: np.ndarray,

@@ -27,16 +27,9 @@ from .data import Dataset, class_counts
 # ----------------------------------------------------------- folding
 
 
-class FoldAssignment(NamedTuple):
-    """Fold index per record, plus the protocol that produced it."""
-
-    fold_of: tuple[int, ...]
-    folds: int
-    seed: int
-
-
-def stratified_folds(data: Dataset, folds: int, seed: int) -> FoldAssignment:
-    """Deal each class's records round-robin into ``folds`` folds.
+def stratified_folds(data: Dataset, folds: int, seed: int) -> np.ndarray:
+    """The fold of each record, a read-only intp array: each class's
+    records dealt round-robin into ``folds`` folds.
 
     Records are grouped by class, each group is shuffled by a generator
     seeded with ``seed``, and the groups are dealt in class order onto a
@@ -59,7 +52,8 @@ def stratified_folds(data: Dataset, folds: int, seed: int) -> FoldAssignment:
         members = rng.permutation(np.flatnonzero(labels == c))
         fold_of[members] = (cursor + np.arange(len(members))) % folds
         cursor += len(members)
-    return FoldAssignment(fold_of=tuple(fold_of.tolist()), folds=folds, seed=seed)
+    fold_of.flags.writeable = False
+    return fold_of
 
 
 # ------------------------------------------------- confusion + metrics
@@ -296,10 +290,8 @@ def cross_validate(
     and has no effect.
     """
     params = params or Hyperparams()
-    assignment = stratified_folds(data, folds, seed)
-    fold_of = np.asarray(assignment.fold_of, dtype=np.intp)
+    fold_of = stratified_folds(data, folds, seed)
     scores = np.zeros((data.n, data.schema.n_classes), dtype=np.float64)
-    assert data.label_array is not None
     for f in range(folds):
         test_idx = np.flatnonzero(fold_of == f)
         if test_idx.size == 0:
@@ -316,9 +308,8 @@ def test_on_train(
     data: Dataset, algorithm: str, params: Hyperparams | None = None
 ) -> tuple[ConfusionMatrix, np.ndarray]:
     """Train on everything, predict everything (resubstitution)."""
-    if not data.labeled:
+    if data.label_array is None:
         raise ValueError("evaluation needs a labeled dataset")
-    assert data.label_array is not None
     model = train(data, algorithm, params or Hyperparams())
     scores = model.predict_proba(data)
     predicted = predict_labels(scores)
@@ -361,8 +352,7 @@ def evaluate(
         )
     else:
         matrix, scores = test_on_train(data, algorithm, params)
-    labels = data.label_array
-    assert labels is not None
+    labels = data.label_array  # both protocols have refused unlabeled data
     per_class = tuple(
         per_class_metrics(matrix, c) for c in range(data.schema.n_classes)
     )

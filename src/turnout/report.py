@@ -17,16 +17,10 @@ from .evaluation import (
     per_class_metrics,
 )
 
-METRIC_COLUMNS = ("CA", "Sens", "Spec", "F1", "Prec", "Recall")
-
-_METRIC_FIELDS = {
-    "CA": ("accuracy", None),
-    "Sens": ("sensitivity", "sensitivity"),
-    "Spec": ("specificity", "specificity"),
-    "F1": ("f1", "f1"),
-    "Prec": ("precision", "precision"),
-    "Recall": ("recall", "recall"),
-}
+# column -> PerClassMetrics field; a field named in ``undefined`` renders as NA
+_METRIC_FIELDS = (("CA", "accuracy"), ("Sens", "sensitivity"), ("Spec", "specificity"),
+                  ("F1", "f1"), ("Prec", "precision"), ("Recall", "recall"))
+METRIC_COLUMNS = tuple(column for column, _ in _METRIC_FIELDS)
 
 
 def _cell(value: float, undefined: bool) -> str:
@@ -39,9 +33,8 @@ def format_metrics_table(matrix: ConfusionMatrix) -> str:
     for c in range(len(matrix.labels)):
         m = per_class_metrics(matrix, c)
         cells = [m.label]
-        for column in METRIC_COLUMNS:
-            field, flag = _METRIC_FIELDS[column]
-            cells.append(_cell(getattr(m, field), flag in m.undefined))
+        for _, field in _METRIC_FIELDS:
+            cells.append(_cell(getattr(m, field), field in m.undefined))
         lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -99,8 +99,9 @@ def test_knn_k_of_n_returns_training_prior():
 def test_knn_on_corpus_first_record_matches_exhaustive_scan():
     data = load_election_corpus()
     model = train_knn(data, Hyperparams(knn_k=5))
-    got = model.predict_proba_batch([data.rows[0]])[0]
-    want = oracles.knn_proba(data.rows, data.labels, 3, 5, data.rows[0])
+    rows, labels = data.matrix.tolist(), data.label_array.tolist()
+    got = model.predict_proba_batch(data.matrix[:1])[0]
+    want = oracles.knn_proba(rows, labels, 3, 5, rows[0])
     assert got.tolist() == [float(w) for w in want]
 
 
@@ -157,10 +158,16 @@ def test_nb_positive_for_all_present_classes_when_smoothed():
 def test_nb_count_tables_sum_to_class_counts():
     data = load_election_corpus()
     model = train_naive_bayes(data, Hyperparams())
-    counts = class_counts(data)
-    for table in model.tables:
-        for c in range(len(counts)):
-            assert sum(row[c] for row in table) == counts[c]
+    assert model.class_counts.tolist() == list(class_counts(data))
+    sizes = [a.size for a in data.schema.features]
+    assert model.counts.shape == (sum(sizes), 3) and model.counts.dtype == np.int64
+    offsets = np.cumsum(sizes) - sizes
+    for j, (offset, size) in enumerate(zip(offsets, sizes)):
+        assert model.counts[offset : offset + size].sum(axis=0).tolist() == list(class_counts(data))
+        # row offsets[j] + v counts the records with value v for attribute j
+        for v in range(size):
+            assert model.counts[offset + v].tolist() == [
+                int(((data.matrix[:, j] == v) & (data.label_array == c)).sum()) for c in range(3)]
 
 
 @given(binary_dataset(), st.floats(min_value=0.01, max_value=4.0, allow_nan=False))
@@ -332,7 +339,7 @@ def test_tree_corpus_root_matches_oracle_argmax():
     kind, attribute, _ = table_as_tree(train_tree(data, Hyperparams()))
     assert kind == "split"
     sizes = [a.size for a in data.schema.features]
-    want = oracles.best_split(list(data.rows), list(data.labels), sizes, 3)
+    want = oracles.best_split(data.matrix.tolist(), data.label_array.tolist(), sizes, 3)
     assert attribute == want
 
 
@@ -340,7 +347,7 @@ def test_tree_training_accuracy_beats_majority_vote():
     data = load_election_corpus()
     model = train(data, "tree")
     predicted = predict_labels(model.predict_proba(data))
-    accuracy = float((predicted == np.asarray(data.labels)).mean())
+    accuracy = float((predicted == data.label_array).mean())
     assert accuracy >= max(class_counts(data)) / data.n
 
 
@@ -397,6 +404,19 @@ def test_out_of_domain_value_is_rejected_naming_the_attribute(algo, value):
         model.predict_proba_row((0, value))
     with pytest.raises(ValueError, match="record 1: .* attribute 1"):
         model.model.predict_proba_batch(np.array([(0, 0), (1, value)]))
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_non_integer_values_are_rejected_not_truncated(algo):
+    data = load_election_corpus()
+    model = train(data, algo)
+    message = "^record values must be integers, got float64 values$"
+    with pytest.raises(ValueError, match=message):
+        model.predict_proba_row(data.matrix[0] + 0.9)
+    with pytest.raises(ValueError, match=message):
+        model.model.predict_proba_batch(data.matrix[:2] + 0.9)
+    # an empty batch carries no value to truncate
+    assert model.model.predict_proba_batch(np.zeros((0, 9))).shape == (0, 3)
 
 
 def test_training_is_deterministic():
@@ -573,6 +593,6 @@ def test_tree_matches_the_oracle_tree_on_the_corpus():
     data = load_election_corpus()
     sizes = [a.size for a in data.schema.features]
     for params in (Hyperparams(), Hyperparams(tree_min_samples=5, tree_max_depth=3)):
-        want = oracles.tree(list(data.rows), list(data.labels), sizes, 3,
+        want = oracles.tree(data.matrix.tolist(), data.label_array.tolist(), sizes, 3,
                             params.tree_min_samples, params.tree_max_depth)
         assert table_as_tree(train_tree(data, params)) == want

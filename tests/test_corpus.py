@@ -42,9 +42,9 @@ def test_labels_kept_verbatim():
 def test_first_two_records_differ_in_eight_positions():
     data = load_election_corpus()
     # they share only the attitude-to-elections answer
-    assert sum(a != b for a, b in zip(data.rows[0], data.rows[1])) == 8
+    assert int((data.matrix[0] != data.matrix[1]).sum()) == 8
     j = data.schema.feature_index("Attitude to elections")
-    assert data.rows[0][j] == data.rows[1][j]
+    assert data.matrix[0, j] == data.matrix[1, j]
 
 
 def _hand_tally(attribute_column):

@@ -45,8 +45,8 @@ def test_parse_schema_happy_path():
 def test_parse_schema_preserves_declaration_order():
     schema = parse_schema(GOOD_SCHEMA)
     data = parse_csv("Color,Size,Outcome\nBlue,Small,No\n", schema, labeled=True)
-    assert data.rows == ((2, 0),)
-    assert data.labels == (1,)
+    assert data.matrix.tolist() == [[2, 0]]
+    assert data.label_array.tolist() == [1]
 
 
 def test_schema_text_round_trip():
@@ -88,22 +88,22 @@ def _toy():
 def test_parse_csv_labeled():
     text = "Color,Size,Outcome\nRed,Small,Yes\nBlue,Big,No\n"
     data = parse_csv(text, _toy(), labeled=True)
-    assert data.rows == ((0, 0), (2, 1))
-    assert data.labels == (0, 1)
+    assert data.matrix.tolist() == [[0, 0], [2, 1]]
+    assert data.label_array.tolist() == [0, 1]
 
 
 def test_parse_csv_unlabeled():
     text = "Color,Size\nGreen,Big\n"
     data = parse_csv(text, _toy(), labeled=False)
-    assert data.rows == ((1, 1),)
-    assert data.labels is None
+    assert data.matrix.tolist() == [[1, 1]]
+    assert data.label_array is None
     assert not data.labeled
 
 
 def test_parse_csv_collapses_cell_whitespace():
     text = "Color , Size , Outcome\n Red ,  Small\t, Yes \n"
     data = parse_csv(text, _toy(), labeled=True)
-    assert data.rows == ((0, 0),)
+    assert data.matrix.tolist() == [[0, 0]]
 
 
 def test_parse_csv_is_case_sensitive():
@@ -156,7 +156,7 @@ def test_parse_csv_preserves_record_order():
         f"{color},Small,Yes\n" for color in ["Blue", "Red", "Green", "Red"]
     )
     data = parse_csv(text, _toy(), labeled=True)
-    assert [r[0] for r in data.rows] == [2, 0, 1, 0]
+    assert data.matrix[:, 0].tolist() == [2, 0, 1, 0]
 
 
 def test_dataset_rejects_mismatched_labels():
@@ -188,27 +188,65 @@ def test_dataset_caches_arrays_and_subsets_by_index():
     data = parse_csv(
         "Color,Size,Outcome\nRed,Small,Yes\nBlue,Big,No\nGreen,Big,Yes\n", _toy(), labeled=True
     )
-    assert data._rows is None and data._labels is None  # parsing keeps only the arrays
+    assert vars(data).keys() == {"schema", "matrix", "label_array"}  # the arrays only
     built = Dataset(schema=data.schema, rows=((0, 0), (2, 1), (1, 1)), labels=(0, 1, 0))
     assert data == built and hash(data) == hash(built) and repr(data) == repr(built)
-    assert data.matrix.tolist() == [list(row) for row in data.rows]
-    assert data.label_array.tolist() == list(data.labels)
+    assert data.matrix.tolist() == [[0, 0], [2, 1], [1, 1]]
+    assert data.label_array.tolist() == [0, 1, 0]
     assert not data.matrix.flags.writeable
     picked = data.subset(np.array([2, 0]))
-    assert picked == Dataset(schema=data.schema, rows=(data.rows[2], data.rows[0]),
-                             labels=(data.labels[2], data.labels[0]))
-    assert picked.matrix.tolist() == [list(data.rows[2]), list(data.rows[0])]
+    assert picked == Dataset(schema=data.schema, rows=((1, 1), (0, 0)), labels=(0, 0))
+    assert picked.matrix.tolist() == [[1, 1], [0, 0]]
     assert picked.label_array.tolist() == [0, 0]
     assert picked.n == 2 and picked.labeled
     with pytest.raises(AttributeError, match="immutable"):
         picked.schema = data.schema
 
 
+def test_dataset_equality_hash_and_repr_read_the_arrays():
+    schema = _toy()
+    data = Dataset(schema, ((0, 0), (2, 1)), (0, 1))
+    assert data != Dataset(schema, ((0, 0), (2, 1)), (0, 0))
+    assert data != Dataset(schema, ((0, 0), (2, 0)), (0, 1))
+    assert data != Dataset(schema, ((0, 0), (2, 1)), None)
+    assert data != Dataset(parse_schema(GOOD_SCHEMA.replace("Big", "Large")),
+                           ((0, 0), (2, 1)), (0, 1))
+    assert Dataset(schema, (), ()) != Dataset(schema, (), None)
+    assert len({data, Dataset(schema, ((0, 0), (2, 1)), (0, 1)), Dataset(schema, (), None)}) == 2
+    assert repr(data) == f"Dataset(schema={schema!r}, matrix=[[0, 0], [2, 1]], label_array=[0, 1])"
+    assert repr(Dataset(schema, (), None)) == f"Dataset(schema={schema!r}, matrix=[], label_array=None)"
+
+
+def test_dataset_copies_the_arrays_it_is_given():
+    rows, labels = np.array([[0, 0], [2, 1]]), np.array([0, 1])
+    data = Dataset(_toy(), rows, labels)
+    rows[0, 0], labels[0] = 1, 1
+    assert data.matrix.tolist() == [[0, 0], [2, 1]] and data.label_array.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("rows, labels, message", [
+    (((0.7, 0), (1.2, 1)), (0, 1), "record values must be integers, got float64 values"),
+    (((0, 0), (1, 1)), (0.5, 1.9), "labels must be integers, got float64 values"),
+    ((("1", "0"),), (0,), "record values must be integers, got <U1 values"),
+    (((True, False),), (0,), "record values must be integers, got bool values"),
+], ids=["float-records", "float-labels", "str-records", "bool-records"])
+def test_dataset_rejects_non_integer_values(rows, labels, message):
+    with pytest.raises(ValueError) as caught:
+        Dataset(_toy(), rows, labels)
+    assert str(caught.value) == message
+
+
+def test_dataset_accepts_an_empty_batch():
+    # numpy reads () as a float array; it has no value to truncate
+    data = Dataset(_toy(), (), ())
+    assert data.matrix.shape == (0, 2) and data.label_array.shape == (0,)
+
+
 def test_leading_byte_order_mark_is_stripped():
     schema = parse_schema("\ufeff" + GOOD_SCHEMA)
     assert schema == parse_schema(GOOD_SCHEMA)
     data = parse_csv("\ufeffColor,Size,Outcome\nRed,Small,Yes\n", schema, labeled=True)
-    assert data.rows == ((0, 0),)
+    assert data.matrix.tolist() == [[0, 0]]
 
 
 def test_class_counts_requires_labels():
@@ -355,7 +393,7 @@ def test_a_non_canonical_schema_label_never_matches_a_cell():
         assert str(err.value) == "line 3: unknown value 'x y' for attribute 'Mix'"
     # the whole-line lookup appends nothing for a line it gives up on
     data = parse_csv("Color,Mix\nDark Blue,100%\nRed, z \n", LINE_SCHEMA, labeled=False)
-    assert data.rows == ((1, 2), (0, 1))
+    assert data.matrix.tolist() == [[1, 2], [0, 1]]
 
 
 def test_canonical_records_are_not_canonicalised_cell_by_cell(monkeypatch):

@@ -32,33 +32,32 @@ def corpus():
 
 
 def test_folds_are_balanced_within_each_class(corpus):
-    assignment = stratified_folds(corpus, folds=10, seed=0)
-    labels = corpus.labels
+    fold_of = stratified_folds(corpus, folds=10, seed=0)
+    labels = corpus.label_array
     for c in range(3):
-        per_fold = Counter(f for f, y in zip(assignment.fold_of, labels) if y == c)
-        sizes = [per_fold.get(f, 0) for f in range(10)]
+        sizes = np.bincount(fold_of[labels == c], minlength=10)
         assert max(sizes) - min(sizes) <= 1
-        assert sum(sizes) == labels.count(c)
+        assert sizes.sum() == (labels == c).sum()
 
 
 def test_fold_indices_cover_every_record(corpus):
-    assignment = stratified_folds(corpus, folds=10, seed=3)
-    assert len(assignment.fold_of) == corpus.n
-    assert all(0 <= f < 10 for f in assignment.fold_of)
+    fold_of = stratified_folds(corpus, folds=10, seed=3)
+    assert fold_of.shape == (corpus.n,) and fold_of.dtype == np.intp
+    assert not fold_of.flags.writeable
+    assert ((0 <= fold_of) & (fold_of < 10)).all()
 
 
 def test_folds_equal_to_n_is_leave_one_out(corpus):
-    assignment = stratified_folds(corpus, folds=corpus.n, seed=5)
-    occupancy = Counter(assignment.fold_of)
-    assert all(occupancy[f] == 1 for f in range(corpus.n))
+    fold_of = stratified_folds(corpus, folds=corpus.n, seed=5)
+    assert sorted(fold_of.tolist()) == list(range(corpus.n))
 
 
 def test_fold_assignment_is_seed_deterministic(corpus):
     a = stratified_folds(corpus, folds=10, seed=42)
     b = stratified_folds(corpus, folds=10, seed=42)
     c = stratified_folds(corpus, folds=10, seed=43)
-    assert a.fold_of == b.fold_of
-    assert a.fold_of != c.fold_of
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_fold_count_bounds(corpus):
@@ -88,10 +87,10 @@ def test_fold_balance_property(labels, seed, data):
     n = len(labels)
     folds = data.draw(st.integers(min_value=2, max_value=n))
     ds = tiny_dataset([(0,)] * n, labels, [2], 3)
-    assignment = stratified_folds(ds, folds=folds, seed=seed)
+    fold_of = stratified_folds(ds, folds=folds, seed=seed).tolist()
     # balance holds within every class and over the whole dataset
-    groups = [list(assignment.fold_of)] + [
-        [f for f, y in zip(assignment.fold_of, labels) if y == c] for c in range(3)
+    groups = [fold_of] + [
+        [f for f, y in zip(fold_of, labels) if y == c] for c in range(3)
     ]
     for group in groups:
         if not group:
@@ -110,7 +109,7 @@ def test_folds_match_the_per_record_deal(labels, seed, data):
     folds = data.draw(st.integers(min_value=2, max_value=len(labels)))
     ds = tiny_dataset([(0,)] * len(labels), labels, [2], 4)
     want = oracles.stratified_folds(labels, 4, folds, seed)
-    assert stratified_folds(ds, folds=folds, seed=seed).fold_of == want
+    assert stratified_folds(ds, folds=folds, seed=seed).tolist() == list(want)
 
 
 # ------------------------------------------------- confusion + metrics
@@ -279,7 +278,7 @@ def test_cross_validation_never_builds_fold_row_tuples(corpus, monkeypatch, algo
     cross_validate(corpus, algo, folds=10, seed=42)
     assert len(subsets) == 20  # a training and a held-out subset per fold
     for subset in subsets:
-        assert subset._rows is None and subset._labels is None
+        assert vars(subset).keys() == {"schema", "matrix", "label_array"}
 
 
 def test_duplicated_records_cross_validate_perfectly():
@@ -289,10 +288,10 @@ def test_duplicated_records_cross_validate_perfectly():
     rows = unique * 3
     labels = [0, 0, 0, 1, 1, 1] * 3
     data = tiny_dataset(rows, labels, [2, 2, 2], 2)
-    assignment = stratified_folds(data, folds=3, seed=0)
+    fold_of = stratified_folds(data, folds=3, seed=0)
     for g, row in enumerate(unique):
         copies = [i for i, r in enumerate(rows) if r == row]
-        spread = {assignment.fold_of[i] for i in copies}
+        spread = {int(fold_of[i]) for i in copies}
         assert len(spread) >= 2, f"premise broken: group {g} sits in one fold"
     matrix, _ = cross_validate(data, "knn", Hyperparams(knn_k=1), folds=3, seed=0)
     assert class_accuracy(matrix) == 1.0
