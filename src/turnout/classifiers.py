@@ -324,6 +324,8 @@ class NaiveBayesModel:
             raise ModelFileError(f"{len(counts)} class counts for {n_classes} classes")
         if any(c < 0 for c in counts) or sum(counts) == 0:
             raise ModelFileError("class counts must be non-negative with a positive total")
+        if sum(counts) >= 2**63:  # the tables sum to the class counts, so they fit too
+            raise ModelFileError("class counts must total less than 2**63")
         sizes = tuple(a.size for a in schema.features)
         table: list[list[int]] = []
         for j, size in enumerate(sizes):

@@ -26,19 +26,8 @@ from .data import (
     strip_bom,
 )
 from .errors import DataError, InputError, not_utf8
-from .evaluation import (
-    Protocol,
-    class_accuracy,
-    evaluate,
-    majority_baseline,
-)
+# bound here, like Dataset, because tracing wraps them through cli's namespace
 from .model_io import load_model, save_model
-from .report import (
-    format_confusion_table,
-    format_metrics_table,
-    parse_confusion_table,
-    write_report,
-)
 
 EMBEDDED = "embedded:election"
 
@@ -216,6 +205,10 @@ def _tree_root_note(data: Dataset, params: Hyperparams) -> str:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluation import Protocol, class_accuracy, evaluate, majority_baseline
+    from .report import (format_confusion_table, format_metrics_table, parse_confusion_table,
+                         write_report)
+
     if args.from_matrix is not None:
         matrix = parse_confusion_table(_read_text(args.from_matrix, "matrix file"))
         table = format_metrics_table(matrix)

@@ -200,12 +200,12 @@ def roc_points(scores: Sequence[float], positive: Sequence[bool], label: str = "
     block_ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
     tp = np.cumsum(flags[order])[block_ends]
     fp = block_ends + 1 - tp
-    xs = [0.0] + (fp / n_neg).tolist()
-    ys = [0.0] + (tp / n_pos).tolist()
-    auc = 0.0
-    for i in range(1, len(xs)):
-        auc += (xs[i] - xs[i - 1]) * (ys[i] + ys[i - 1]) / 2.0
-    return CurveSeries(kind="roc", label=label, points=tuple(zip(xs, ys)), auc=auc)
+    xs = np.concatenate(([0.0], fp / n_neg))
+    ys = np.concatenate(([0.0], tp / n_pos))
+    # cumsum adds left to right, so the area is the per-threshold sum's bits
+    auc = float(np.cumsum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0)[-1])
+    return CurveSeries(kind="roc", label=label, points=tuple(zip(xs.tolist(), ys.tolist())),
+                       auc=auc)
 
 
 def lift_points(scores: Sequence[float], positive: Sequence[bool], label: str = "") -> CurveSeries:

@@ -7,6 +7,7 @@ produce identical bytes, which the determinism tests rely on.
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 
 from .errors import DataError
@@ -91,10 +92,10 @@ def parse_confusion_table(text: str) -> ConfusionMatrix:
 
 def format_curve_csv(series: CurveSeries, algorithm: str) -> str:
     """Curve points as CSV; every row names its kind, class, and algorithm."""
-    lines = ["kind,class,algorithm,x,y"]
-    for x, y in series.points:
-        lines.append(f"{series.kind},{series.label},{algorithm},{x:.6f},{y:.6f}")
-    return "\n".join(lines) + "\n"
+    fixed = ",".join(text.replace("%", "%%") for text in (series.kind, series.label, algorithm))
+    row = fixed + ",%.6f,%.6f\n"
+    return "kind,class,algorithm,x,y\n" + (row * len(series.points)) % tuple(
+        chain.from_iterable(series.points))
 
 
 # ------------------------------------------------------------- SVG

@@ -515,6 +515,24 @@ def test_predict_rejects_garbage_model_file(capsys, tmp_path):
     assert "unsupported model format" in err
 
 
+@pytest.mark.parametrize("raised", [(2**63,), (2**62, 2**62)], ids=["one-count", "total"])
+def test_predict_refuses_naive_bayes_counts_beyond_int64(capsys, tmp_path, raised):
+    # raise classes' counts and their value-0 rows alike, so every table
+    # still sums to the class counts
+    model = tmp_path / "nb.model"
+    assert run(capsys, "train", "--algo", "naive-bayes", "--out", str(model))[0] == 0
+    lines = model.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("class-counts: ") or re.match(r"table \d+ 0: ", line):
+            head, _, tail = line.partition(": ")
+            counts = [int(c) + extra for c, extra in zip(tail.split(), (*raised, 0, 0))]
+            lines[i] = f"{head}: " + " ".join(map(str, counts))
+    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "predict", str(model))
+    assert (code, out) == (2, "")
+    assert err == "data error: class counts must total less than 2**63\n"
+
+
 @pytest.mark.parametrize("what, argv", [
     ("data file", ("validate", "--data", "{bad}", "--schema", "{dir}/election.schema")),
     ("schema file", ("validate", "--data", "{dir}/election.csv", "--schema", "{bad}")),

@@ -1,6 +1,7 @@
 """The package's record types: construction, validation, immutability,
 value equality and ``repr``; and which modules ``import turnout`` loads."""
 
+import importlib
 import inspect
 import math
 import os
@@ -182,12 +183,18 @@ def test_model_classes_reject_assignment():
 
 def _new_modules(statement):
     """Modules that ``statement`` loads in a fresh interpreter, beyond those
-    loaded before it runs."""
+    loaded before it runs; what the statement prints is ignored."""
     code = f"import sys\nbefore = set(sys.modules)\n{statement}\nprint(*sorted(set(sys.modules) - before))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    return set(done.stdout.split())
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def _package_modules(statement):
+    """The ``turnout`` submodules and whether numpy ``statement`` loads."""
+    loaded = _new_modules(statement)
+    return {m for m in loaded if m.startswith("turnout.")}, "numpy" in loaded
 
 
 def test_import_loads_no_dataclasses_thread_pool_or_hashlib():
@@ -206,3 +213,44 @@ def test_all_lists_every_public_name_and_each_resolves():
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == set(turnout.__all__)
     assert len(turnout.__all__) == len(public)
+
+
+def test_import_turnout_loads_no_submodule_and_a_name_loads_only_its_own():
+    assert _package_modules("import turnout") == (set(), False)
+    assert _package_modules("import turnout; turnout.parse_schema") == (
+        {"turnout.data", "turnout.errors"}, True)
+
+
+def test_only_evaluate_loads_evaluation_and_report(tmp_path):
+    model = tmp_path / "knn.model"
+    run = "from turnout.cli import main; assert main({!r}) == 0"
+    train_argv = ["train", "--algo", "knn", "--out", str(model)]
+    for argv in (train_argv, ["predict", str(model)]):
+        loaded, _ = _package_modules(run.format(argv))
+        assert "turnout.classifiers" in loaded
+        assert not {"turnout.evaluation", "turnout.report"} & loaded
+    loaded, _ = _package_modules(run.format(["evaluate", "--algo", "knn", "--seed", "1"]))
+    assert {"turnout.evaluation", "turnout.report"} <= loaded
+
+
+def test_each_public_name_is_the_object_its_module_defines():
+    for name, module_name in turnout._EXPORTS.items():
+        module = importlib.import_module(f"turnout.{module_name}")
+        value = getattr(turnout, name)
+        assert value is getattr(module, name)
+        assert getattr(value, "__module__", module.__name__) == module.__name__
+    assert set(turnout.__all__) <= set(dir(turnout))
+
+
+def test_an_unknown_name_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="^module 'turnout' has no attribute 'no_such_name'$"):
+        turnout.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        from turnout import no_such_name  # noqa: F401
+
+
+def test_cli_binds_what_tracing_wraps_through_its_namespace():
+    import turnout.cli
+    assert turnout.cli.load_model is turnout.load_model
+    assert turnout.cli.save_model is turnout.save_model
+    assert turnout.cli.Dataset is turnout.Dataset

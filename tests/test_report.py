@@ -6,6 +6,7 @@ from turnout import (
     DataError,
     Protocol,
     evaluate,
+    lift_points,
     load_election_corpus,
     roc_points,
 )
@@ -92,6 +93,14 @@ def test_curve_csv_layout():
     assert len(lines) == len(curve.points) + 1
     assert lines[1] == "roc,a,knn,0.000000,0.000000"
     assert lines[-1] == "roc,a,knn,1.000000,1.000000"
+
+
+@pytest.mark.parametrize("label, algorithm", [("a", "knn"), ("50% {x}", "%s%%"), ("", "%.6f")])
+def test_curve_csv_equals_one_f_string_per_point(label, algorithm):
+    curve = lift_points([0.9, 0.8, 0.8, 1 / 3, 0.1, -0.0], [True, False, True, False, True, False],
+                        label=label)
+    rows = [f"{curve.kind},{label},{algorithm},{x:.6f},{y:.6f}\n" for x, y in curve.points]
+    assert format_curve_csv(curve, algorithm) == "kind,class,algorithm,x,y\n" + "".join(rows)
 
 
 def test_svg_is_deterministic_and_well_formed():
