@@ -7,7 +7,7 @@ pooled confusion matrix and metric table, next to the majority-class
 baseline every model has to beat.
 """
 
-from turnout import class_accuracy, cross_validate, load_election_corpus, majority_baseline
+from turnout import Protocol, class_accuracy, evaluate, load_election_corpus, majority_baseline
 from turnout.report import format_confusion_table, format_metrics_table
 
 data = load_election_corpus()
@@ -16,9 +16,10 @@ data = load_election_corpus()
 # bar any classifier must clear on this skewed corpus
 print(f"majority baseline: {majority_baseline(data):.4f}")
 
+# the seed fixes the fold shuffle, so these numbers are reproducible
+protocol = Protocol(kind="cv", folds=10, seed=42)
 for algo in ("knn", "naive-bayes", "tree"):
-    # the seed fixes the fold shuffle, so these numbers are reproducible
-    matrix, _ = cross_validate(data, algo, folds=10, seed=42)
+    matrix = evaluate(data, algo, protocol=protocol).matrix
     print(f"\n=== {algo}: CA {class_accuracy(matrix):.4f} ===")
     print(format_confusion_table(matrix), end="")
     print(format_metrics_table(matrix), end="")

@@ -26,9 +26,8 @@ _EXPORTS = {
                 " dataset_to_csv parse_csv parse_schema",
         "errors": "DataError InputError ModelFileError SchemaError SchemaMismatchError",
         "evaluation": "ConfusionMatrix CurveSeries EvaluationReport PerClassMetrics Protocol"
-                      " calibration_points class_accuracy cross_validate evaluate lift_points"
-                      " majority_baseline per_class_metrics roc_points stratified_folds"
-                      " test_on_train",
+                      " calibration_points class_accuracy evaluate held_out_scores lift_points"
+                      " majority_baseline per_class_metrics roc_points stratified_folds",
         "model_io": "load_model model_from_text model_to_text save_model",
     }.items()
     for name in names.split()

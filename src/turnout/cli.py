@@ -68,7 +68,8 @@ def _build_parser() -> _Parser:
     add_data_flags(p)
     add_hyper_flags(p)
     p.add_argument("--algo", default="all", choices=ALGORITHMS + ("all",))
-    p.add_argument("--folds", type=int, default=10, help="cross-validation folds (default 10)")
+    p.add_argument("--folds", type=int, default=None,
+                   help="cross-validation folds (default 10; not with --test-on-train)")
     p.add_argument("--seed", type=int, default=None, help="shuffle seed (required for CV)")
     p.add_argument("--test-on-train", action="store_true",
                    help="train and test on the full dataset instead of CV")
@@ -222,13 +223,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise UsageError("--jobs must be >= 1")
     if args.test_on_train:
-        if args.seed is not None:
-            raise UsageError("--test-on-train does not take --seed")
+        for flag in ("folds", "seed"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--test-on-train does not take --{flag}")
         protocol = Protocol(kind="test-on-train")
     else:
         if args.seed is None:
             raise UsageError("--seed is required for cross-validation")
-        protocol = Protocol(kind="cv", folds=args.folds, seed=args.seed)
+        folds = 10 if args.folds is None else args.folds
+        protocol = Protocol(kind="cv", folds=folds, seed=args.seed)
 
     data, source = _load_training_data(args)
     params = _hyperparams(args)

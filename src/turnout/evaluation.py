@@ -2,11 +2,10 @@
 
 All randomness flows from one seeded generator, so every result is a
 pure function of (data, algorithm, hyperparameters, protocol, seed).
-Each fold trains on an index selection of the validated dataset and
-scores its held-out records with one batch call to the model's kernel
-(see :mod:`turnout.classifiers`).  Folds run one after another; the
-``jobs`` argument of ``cross_validate`` and ``evaluate`` is accepted for
-compatibility and has no effect.
+A protocol's ``splits`` are (training, held-out) index pairs;
+``held_out_scores`` trains on each training selection of the validated
+dataset and scores its held-out records with one batch call to the
+model's kernel (see :mod:`turnout.classifiers`), one split after another.
 
 Curves sort the scores once: ROC takes cumulative sums at the ends of
 tie blocks (Fawcett 2006, Alg. 1-2), lift at every rank, and
@@ -257,7 +256,7 @@ def calibration_points(
 class Protocol(NamedTuple("Protocol", [("kind", str), ("folds", int | None),
                                        ("seed", int | None)])):
     """How predictions are obtained: k-fold CV (``kind="cv"``, with
-    ``folds`` and ``seed``) or ``kind="test-on-train"``."""
+    ``folds`` and ``seed``) or ``kind="test-on-train"`` (with neither)."""
 
     __slots__ = ()
 
@@ -266,6 +265,8 @@ class Protocol(NamedTuple("Protocol", [("kind", str), ("folds", int | None),
             raise ValueError(f"unknown protocol kind {kind!r}")
         if kind == "cv" and (folds is None or seed is None):
             raise ValueError("cv protocol needs folds and seed")
+        if kind == "test-on-train" and (folds is not None or seed is not None):
+            raise ValueError("test-on-train protocol takes no folds or seed")
         return super().__new__(cls, kind, folds, seed)
 
     def describe(self) -> str:
@@ -273,48 +274,34 @@ class Protocol(NamedTuple("Protocol", [("kind", str), ("folds", int | None),
             return f"stratified {self.folds}-fold cross-validation (seed {self.seed})"
         return "test on training data"
 
+    def splits(self, data: Dataset) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The (training indices, held-out indices) pairs: one per fold of
+        ``stratified_folds`` under CV, else the single pair (all, all)."""
+        if self.kind == "test-on-train":
+            every = np.arange(data.n)
+            return [(every, every)]
+        fold_of = stratified_folds(data, self.folds, self.seed)
+        return [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f))
+                for f in range(self.folds)]
 
-def cross_validate(
+
+def held_out_scores(
     data: Dataset,
     algorithm: str,
     params: Hyperparams | None = None,
-    folds: int = 10,
-    seed: int = 0,
-    jobs: int = 1,
-) -> tuple[ConfusionMatrix, np.ndarray]:
-    """Pooled held-out predictions over a stratified k-fold split.
-
-    Returns the confusion matrix of held-out label predictions plus the
-    (records x classes) score table, indexed by original record order.
-    Folds run one after another; ``jobs`` is accepted for compatibility
-    and has no effect.
-    """
-    params = params or Hyperparams()
-    fold_of = stratified_folds(data, folds, seed)
-    scores = np.zeros((data.n, data.schema.n_classes), dtype=np.float64)
-    for f in range(folds):
-        test_idx = np.flatnonzero(fold_of == f)
-        if test_idx.size == 0:
-            continue
-        model = train(data.subset(np.flatnonzero(fold_of != f)), algorithm, params)
-        scores[test_idx] = model.predict_proba(data.subset(test_idx))
-
-    predicted = predict_labels(scores)
-    matrix = ConfusionMatrix.from_predictions(data.label_array, predicted, data.schema.class_labels)
-    return matrix, scores
-
-
-def test_on_train(
-    data: Dataset, algorithm: str, params: Hyperparams | None = None
-) -> tuple[ConfusionMatrix, np.ndarray]:
-    """Train on everything, predict everything (resubstitution)."""
-    if data.label_array is None:
+    protocol: Protocol | None = None,
+) -> np.ndarray:
+    """The (records x classes) score table, in record order: each record
+    scored by the model trained on the split that holds it out (under
+    test-on-train, the one model trained on every record)."""
+    if not data.labeled:
         raise ValueError("evaluation needs a labeled dataset")
-    model = train(data, algorithm, params or Hyperparams())
-    scores = model.predict_proba(data)
-    predicted = predict_labels(scores)
-    matrix = ConfusionMatrix.from_predictions(data.label_array, predicted, data.schema.class_labels)
-    return matrix, scores
+    protocol = protocol or Protocol(kind="cv", folds=10, seed=0)
+    scores = np.zeros((data.n, data.schema.n_classes), dtype=np.float64)
+    for train_idx, test_idx in protocol.splits(data):
+        model = train(data.subset(train_idx), algorithm, params)
+        scores[test_idx] = model.predict_proba(data.subset(test_idx))
+    return scores
 
 
 # --------------------------------------------------------- full report
@@ -325,7 +312,6 @@ class EvaluationReport(NamedTuple):
     params: Hyperparams
     protocol: Protocol
     matrix: ConfusionMatrix
-    per_class: tuple[PerClassMetrics, ...]
     curves: tuple[CurveSeries, ...]
 
 
@@ -334,28 +320,19 @@ def evaluate(
     algorithm: str,
     params: Hyperparams | None = None,
     protocol: Protocol | None = None,
-    jobs: int = 1,
 ) -> EvaluationReport:
-    """Run a protocol and assemble matrix, per-class metrics, and curves.
+    """Run a protocol and assemble the confusion matrix and curves.
 
     Curves pool each record's single held-out score per class.  A curve
     whose preconditions fail (a class with no positives or no negatives)
-    is omitted rather than raising.  ``jobs`` is accepted for
-    compatibility and has no effect.
+    is omitted rather than raising.
     """
     params = params or Hyperparams()
     protocol = protocol or Protocol(kind="cv", folds=10, seed=0)
-    if protocol.kind == "cv":
-        assert protocol.folds is not None and protocol.seed is not None
-        matrix, scores = cross_validate(
-            data, algorithm, params, folds=protocol.folds, seed=protocol.seed
-        )
-    else:
-        matrix, scores = test_on_train(data, algorithm, params)
-    labels = data.label_array  # both protocols have refused unlabeled data
-    per_class = tuple(
-        per_class_metrics(matrix, c) for c in range(data.schema.n_classes)
-    )
+    scores = held_out_scores(data, algorithm, params, protocol)
+    labels = data.label_array
+    matrix = ConfusionMatrix.from_predictions(labels, predict_labels(scores),
+                                              data.schema.class_labels)
     curves: list[CurveSeries] = []
     for c, name in enumerate(data.schema.class_labels):
         flags = labels == c
@@ -370,6 +347,5 @@ def evaluate(
         params=params,
         protocol=protocol,
         matrix=matrix,
-        per_class=per_class,
         curves=tuple(curves),
     )

@@ -22,10 +22,11 @@ from turnout import (
     REFERENCE_TREE_ROOT,
     class_accuracy,
     class_counts,
-    cross_validate,
+    evaluate,
     lift_points,
     load_election_corpus,
     majority_baseline,
+    Protocol,
     roc_points,
     calibration_points,
     train_knn,
@@ -112,9 +113,9 @@ def test_criterion_4_end_to_end_proximity():
         data = load_election_corpus()
         reference = {"knn": 0.87, "naive-bayes": 0.86, "tree": 0.83}
         achieved = {}
+        protocol = Protocol(kind="cv", folds=10, seed=42)
         for algo in reference:
-            matrix, _ = cross_validate(data, algo, folds=10, seed=42)
-            achieved[algo] = class_accuracy(matrix)
+            achieved[algo] = class_accuracy(evaluate(data, algo, protocol=protocol).matrix)
         inside = sum(
             1 for algo, ref in reference.items() if abs(achieved[algo] - ref) <= 0.08
         )

@@ -130,6 +130,18 @@ def test_evaluate_test_on_train_rejects_seed(capsys):
     assert "does not take --seed" in err
 
 
+def test_evaluate_test_on_train_rejects_folds(capsys):
+    code, out, err = run(capsys, "evaluate", "--algo", "knn", "--test-on-train", "--folds", "3")
+    assert code == 1 and out == ""
+    assert "usage error: --test-on-train does not take --folds" in err
+
+
+def test_evaluate_folds_default_to_ten(capsys):
+    code, out, _ = run(capsys, "evaluate", "--algo", "knn", "--seed", "1")
+    assert code == 0
+    assert "protocol: stratified 10-fold cross-validation (seed 1)" in out
+
+
 def test_evaluate_rejects_a_negative_seed(capsys):
     code, _, err = run(capsys, "evaluate", "--algo", "knn", "--seed", "-1")
     assert code == 1

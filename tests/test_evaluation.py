@@ -10,14 +10,14 @@ from turnout import (
     Hyperparams,
     Protocol,
     class_accuracy,
-    cross_validate,
     evaluate,
+    held_out_scores,
     load_election_corpus,
     majority_baseline,
     per_class_metrics,
     stratified_folds,
 )
-from turnout import test_on_train as resubstitute  # plain name would be collected as a test
+from turnout import evaluation
 
 import oracles
 from oracles import tiny_dataset
@@ -26,6 +26,13 @@ from oracles import tiny_dataset
 @pytest.fixture(scope="module")
 def corpus():
     return load_election_corpus()
+
+
+TEST_ON_TRAIN = Protocol(kind="test-on-train")
+
+
+def cv(folds=10, seed=42):
+    return Protocol(kind="cv", folds=folds, seed=seed)
 
 
 # ------------------------------------------------------------- folding
@@ -224,18 +231,79 @@ def test_protocol_validation_and_description():
         Protocol(kind="cv", folds=10)  # seed missing
 
 
+@pytest.mark.parametrize("folds", [2, 10, 100])
+def test_cv_splits_partition_the_records(corpus, folds):
+    assert folds <= corpus.n
+    splits = cv(folds, seed=9).splits(corpus)
+    assert len(splits) == folds
+    held = np.concatenate([test for _, test in splits])
+    assert sorted(held.tolist()) == list(range(corpus.n))  # each record held out once
+    everything = np.arange(corpus.n)
+    for train_idx, test_idx in splits:
+        assert test_idx.size > 0
+        assert np.array_equal(train_idx, np.setdiff1d(everything, test_idx))
+    want = oracles.stratified_folds(corpus.label_array.tolist(), 3, folds, 9)
+    got = [0] * corpus.n
+    for f, (_, test_idx) in enumerate(splits):
+        for i in test_idx.tolist():
+            got[i] = f
+    assert tuple(got) == want
+
+
+def test_test_on_train_split_is_all_records_twice(corpus):
+    (train_idx, test_idx), = TEST_ON_TRAIN.splits(corpus)
+    assert np.array_equal(train_idx, np.arange(corpus.n))
+    assert np.array_equal(test_idx, np.arange(corpus.n))
+
+
+@pytest.mark.parametrize("protocol, calls", [(cv(folds=7), 7), (TEST_ON_TRAIN, 1)])
+def test_one_model_is_trained_per_split(corpus, monkeypatch, protocol, calls):
+    trained = []
+    real = evaluation.train
+
+    def spy(data, algorithm, params):
+        trained.append(data.n)
+        return real(data, algorithm, params)
+
+    monkeypatch.setattr(evaluation, "train", spy)
+    held_out_scores(corpus, "naive-bayes", protocol=protocol)
+    assert len(trained) == calls
+
+
+@pytest.mark.parametrize("protocol", [cv(folds=2), TEST_ON_TRAIN])
+def test_evaluation_refuses_unlabeled_data(protocol):
+    data = tiny_dataset([(0,), (1,)], None, [2], 2)
+    for run in (held_out_scores, evaluate):
+        with pytest.raises(ValueError, match="^evaluation needs a labeled dataset$"):
+            run(data, "knn", protocol=protocol)
+
+
+def test_folds_depend_only_on_labels_and_seed(corpus):
+    # every algorithm of one run is given the same folds, so its
+    # predictions pair record by record with the others'
+    columns = np.random.default_rng(0).permuted(corpus.matrix, axis=0)  # each on its own
+    scrambled = Dataset(corpus.schema, tuple(map(tuple, columns.tolist())),
+                        tuple(corpus.label_array.tolist()))
+    assert all(not np.array_equal(a, b) for a, b in zip(scrambled.matrix.T, corpus.matrix.T))
+    for a, b in zip(cv().splits(corpus), cv().splits(scrambled), strict=True):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 def test_resubstitution_knn_memorises_distinct_records():
     # all rows distinct, so with k=1 every record is its own nearest neighbor
     rows = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]
     data = tiny_dataset(rows, [0, 0, 0, 1, 1, 1], [2, 2, 2], 2)
-    matrix, scores = resubstitute(data, "knn", Hyperparams(knn_k=1))
+    params = Hyperparams(knn_k=1)
+    matrix = evaluate(data, "knn", params, TEST_ON_TRAIN).matrix
     assert class_accuracy(matrix) == 1.0
     assert matrix.n == data.n
-    assert np.allclose(scores.sum(axis=1), 1.0)
+    assert np.allclose(held_out_scores(data, "knn", params, TEST_ON_TRAIN).sum(axis=1), 1.0)
 
 
 def test_resubstitution_covers_the_corpus(corpus):
-    matrix, scores = resubstitute(corpus, "knn", Hyperparams(knn_k=1))
+    params = Hyperparams(knn_k=1)
+    matrix = evaluate(corpus, "knn", params, TEST_ON_TRAIN).matrix
+    scores = held_out_scores(corpus, "knn", params, TEST_ON_TRAIN)
     assert matrix.n == corpus.n
     assert np.allclose(scores.sum(axis=1), 1.0)
     # identical rows with conflicting labels keep even 1-nn resubstitution
@@ -244,25 +312,18 @@ def test_resubstitution_covers_the_corpus(corpus):
 
 
 def test_cross_validation_matrix_covers_every_record(corpus):
-    matrix, scores = cross_validate(corpus, "naive-bayes", folds=10, seed=7)
+    matrix = evaluate(corpus, "naive-bayes", protocol=cv(seed=7)).matrix
+    scores = held_out_scores(corpus, "naive-bayes", protocol=cv(seed=7))
     assert matrix.n == corpus.n
     assert scores.shape == (corpus.n, 3)
     assert np.allclose(scores.sum(axis=1), 1.0)
 
 
 def test_cross_validation_is_seed_deterministic(corpus):
-    m1, s1 = cross_validate(corpus, "knn", folds=10, seed=42)
-    m2, s2 = cross_validate(corpus, "knn", folds=10, seed=42)
-    assert m1.counts == m2.counts
+    assert evaluate(corpus, "knn", protocol=cv()) == evaluate(corpus, "knn", protocol=cv())
+    s1 = held_out_scores(corpus, "knn", protocol=cv())
+    s2 = held_out_scores(corpus, "knn", protocol=cv())
     assert np.array_equal(s1, s2)
-
-
-def test_thread_count_never_changes_results(corpus):
-    for algo in ("knn", "naive-bayes", "tree"):
-        m1, s1 = cross_validate(corpus, algo, folds=10, seed=42, jobs=1)
-        m4, s4 = cross_validate(corpus, algo, folds=10, seed=42, jobs=4)
-        assert m1.counts == m4.counts
-        assert np.array_equal(s1, s4)
 
 
 @pytest.mark.parametrize("algo", ["knn", "naive-bayes", "tree"])
@@ -275,7 +336,7 @@ def test_cross_validation_never_builds_fold_row_tuples(corpus, monkeypatch, algo
         return subsets[-1]
 
     monkeypatch.setattr(Dataset, "subset", spy)
-    cross_validate(corpus, algo, folds=10, seed=42)
+    held_out_scores(corpus, algo, protocol=cv())
     assert len(subsets) == 20  # a training and a held-out subset per fold
     for subset in subsets:
         assert vars(subset).keys() == {"schema", "matrix", "label_array"}
@@ -293,7 +354,7 @@ def test_duplicated_records_cross_validate_perfectly():
         copies = [i for i, r in enumerate(rows) if r == row]
         spread = {int(fold_of[i]) for i in copies}
         assert len(spread) >= 2, f"premise broken: group {g} sits in one fold"
-    matrix, _ = cross_validate(data, "knn", Hyperparams(knn_k=1), folds=3, seed=0)
+    matrix = evaluate(data, "knn", Hyperparams(knn_k=1), cv(folds=3, seed=0)).matrix
     assert class_accuracy(matrix) == 1.0
     assert matrix.counts == ((9, 0), (0, 9))
 
@@ -302,10 +363,9 @@ def test_duplicated_records_cross_validate_perfectly():
 
 
 def test_evaluate_assembles_full_report(corpus):
-    report = evaluate(corpus, "tree", protocol=Protocol(kind="test-on-train"))
+    report = evaluate(corpus, "tree", protocol=TEST_ON_TRAIN)
     assert report.algorithm == "tree"
     assert report.matrix.n == corpus.n
-    assert len(report.per_class) == 3
     # every class has positives and negatives: roc + lift + calibration each
     assert len(report.curves) == 9
     kinds = Counter(c.kind for c in report.curves)

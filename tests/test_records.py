@@ -39,7 +39,6 @@ T = Attribute("t", ("p", "q"))
 SCHEMA = AttributeSchema((A,), T)
 MATRIX = ConfusionMatrix(((3, 1), (0, 2)), ("p", "q"))
 CURVE = CurveSeries("roc", "p", ((0.0, 0.0), (1.0, 1.0)), 0.5)
-METRICS = PerClassMetrics("p", 0.75, 0.75, 1.0, 1.0, 0.75, 0.8, frozenset())
 TREE = TreeModel(np.array([-1]), np.array([[-1, -1]]), np.array([[3, 1]]), (2,), 2)
 
 # id: (type, positional arguments, the same as keywords, exact repr); the ids
@@ -82,14 +81,12 @@ CASES = {
     "CurveSeries-15": (CurveSeries, ("roc", "p", ((0.0, 0.0), (1.0, 1.0)), 0.5),
      {"kind": "roc", "label": "p", "points": ((0.0, 0.0), (1.0, 1.0)), "auc": 0.5},
      "CurveSeries(kind='roc', label='p', points=((0.0, 0.0), (1.0, 1.0)), auc=0.5)"),
-    "EvaluationReport-16": (EvaluationReport, ("knn", Hyperparams(), Protocol("test-on-train"), MATRIX, (METRICS,), (CURVE,)),
+    "EvaluationReport-16": (EvaluationReport, ("knn", Hyperparams(), Protocol("test-on-train"), MATRIX, (CURVE,)),
      {"algorithm": "knn", "params": Hyperparams(), "protocol": Protocol("test-on-train"),
-      "matrix": MATRIX, "per_class": (METRICS,), "curves": (CURVE,)},
+      "matrix": MATRIX, "curves": (CURVE,)},
      "EvaluationReport(algorithm='knn', params=Hyperparams(knn_k=5, nb_alpha=1.0, "
      "tree_min_samples=2, tree_max_depth=None), protocol=Protocol(kind='test-on-train', "
      "folds=None, seed=None), matrix=ConfusionMatrix(counts=((3, 1), (0, 2)), labels=('p', 'q')), "
-     "per_class=(PerClassMetrics(label='p', accuracy=0.75, sensitivity=0.75, specificity=1.0, "
-     "precision=1.0, recall=0.75, f1=0.8, undefined=frozenset()),), "
      "curves=(CurveSeries(kind='roc', label='p', points=((0.0, 0.0), (1.0, 1.0)), auc=0.5),))"),
 }
 
@@ -154,6 +151,10 @@ def test_record_defaults():
     (lambda: Protocol("holdout"), ValueError, "unknown protocol kind 'holdout'"),
     (lambda: Protocol("cv", folds=10), ValueError, "cv protocol needs folds and seed"),
     (lambda: Protocol("cv", seed=1), ValueError, "cv protocol needs folds and seed"),
+    # test-on-train would evaluate exactly as the bare protocol, yet compare unequal
+    (lambda: Protocol("test-on-train", 5, 3), ValueError, "test-on-train protocol takes no folds or seed"),
+    (lambda: Protocol("test-on-train", folds=5), ValueError, "test-on-train protocol takes no folds or seed"),
+    (lambda: Protocol("test-on-train", seed=3), ValueError, "test-on-train protocol takes no folds or seed"),
     (lambda: ConfusionMatrix(((1,),), ("p", "q")), ValueError,
      "confusion matrix must be square with one row per class"),
     (lambda: ConfusionMatrix(((1, 0), (0,)), ("p", "q")), ValueError,
