@@ -6,7 +6,25 @@ Loads the packaged 100-record survey, prints the class balance, and
 ranks the nine attributes by how much label information each carries.
 """
 
-from turnout import class_counts, crosstab, entropy, info_gain, load_election_corpus
+import math
+
+from turnout import class_counts, crosstab, load_election_corpus
+
+
+def entropy(counts):
+    """Shannon entropy of a class distribution, in bits."""
+    total = sum(counts)
+    return -sum(c / total * math.log2(c / total) for c in counts if c)
+
+
+def info_gain(data, name):
+    """Label entropy less the record-weighted entropy left after splitting
+    on one attribute.  The tree grows by this score, compared exactly."""
+    table = crosstab(data, name).tolist()
+    return entropy(class_counts(data)) - sum(
+        sum(row) / data.n * entropy(row) for row in table if sum(row)
+    )
+
 
 data = load_election_corpus()
 

@@ -18,8 +18,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "classifiers": "ALGORITHMS Hyperparams KnnModel NaiveBayesModel TrainedModel TreeModel"
-                       " entropy info_gain predict_label predict_labels train train_knn"
-                       " train_naive_bayes train_tree",
+                       " predict_label predict_labels train train_knn train_naive_bayes train_tree",
         "corpus": "REFERENCE_TREE_ROOT election_csv_text election_schema_text"
                   " load_election_corpus load_election_schema",
         "data": "Attribute AttributeSchema Dataset canonical_label class_counts crosstab"

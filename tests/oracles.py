@@ -2,10 +2,12 @@
 
 Everything here is deliberately written with plain dicts, sorting, and
 exact Fraction / big-integer arithmetic, sharing no code with the
-package under test.  The curve sweeps at the end are the exception:
-they are the straightforward per-threshold and per-record float loops,
-kept so that the vectorised curves can be required to equal them
-exactly, same floating-point operations in the same order.  The fold
+package under test.  Two groups are exceptions.  ``entropy`` and
+``info_gain`` give the textbook float information gain that the tree's
+exact split comparison ranks.  The curve sweeps at the end are the
+straightforward per-threshold and per-record float loops, kept so that
+the vectorised curves can be required to equal them exactly, same
+floating-point operations in the same order.  The fold
 deal draws from numpy's seeded generator, as the library must, and
 deals record by record.  ``table_as_tree`` only converts a trained
 ``TreeModel`` into ``tree``'s nested form, so the two can be compared.
@@ -153,6 +155,37 @@ def _partition_ratio(groups):
             if c:
                 q *= c**c
     return Fraction(p, q)
+
+
+def entropy(counts):
+    """Shannon entropy of a class distribution, in bits."""
+    total = sum(counts)
+    if total <= 0:
+        raise ValueError("entropy needs a nonempty distribution")
+    h = 0.0
+    for c in counts:
+        if c:
+            p = c / total
+            h -= p * math.log2(p)
+    return h
+
+
+def info_gain(data, attribute):
+    """Information gain, in bits, of splitting a labeled dataset on one
+    attribute: H(parent) - sum_v n_v / n * H(child_v), in floats."""
+    j = data.schema.feature_index(attribute)
+    table = [[0] * data.schema.n_classes for _ in range(data.schema.features[j].size)]
+    for row, y in zip(data.matrix.tolist(), data.label_array.tolist()):
+        table[row[j]][y] += 1
+    parent = [sum(column) for column in zip(*table)]
+    total = sum(parent)
+    if not total:
+        raise ValueError("info_gain needs at least one record")
+    weighted = 0.0
+    for row in table:
+        if sum(row):
+            weighted += sum(row) / total * entropy(row)
+    return entropy(parent) - weighted
 
 
 def best_split(rows, labels, domain_sizes, n_classes, available=None):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from turnout import (
     ALGORITHMS,
+    REFERENCE_TREE_ROOT,
     Hyperparams,
     TreeModel,
     class_counts,
-    entropy,
-    info_gain,
     load_election_corpus,
     model_from_text,
     model_to_text,
@@ -25,7 +25,7 @@ from turnout import classifiers
 from turnout.classifiers import KNN_BLOCK_CELLS
 
 import oracles
-from oracles import table_as_tree, tiny_dataset
+from oracles import entropy, info_gain, table_as_tree, tiny_dataset
 
 
 # --------------------------------------------------------- hamming
@@ -180,7 +180,7 @@ def test_nb_matches_exact_oracle(case, alpha):
     assert got.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-# ------------------------------------------------------------ entropy
+# ------------------------------------------- information gain (oracle)
 
 
 def test_entropy_examples():
@@ -224,6 +224,26 @@ def test_info_gain_bounds(case):
     for name in data.schema.feature_names:
         gain = info_gain(data, name)
         assert -1e-12 <= gain <= parent + 1e-12
+
+
+@given(binary_dataset(min_records=1))
+def test_tree_root_splits_on_an_attribute_of_greatest_information_gain(case):
+    rows, labels, sizes, n_classes, _ = case
+    data = tiny_dataset(rows, labels, sizes, n_classes)
+    gains = [info_gain(data, name) for name in data.schema.feature_names]
+    root = table_as_tree(train_tree(data, Hyperparams()))
+    if root[0] == "split":
+        assert gains[root[1]] >= max(gains) - 1e-9 > 0.0
+    elif len(set(labels)) > 1 and len(rows) >= 2:
+        assert max(gains) < 1e-9
+
+
+def test_corpus_tree_root_has_the_greatest_information_gain():
+    data = load_election_corpus()
+    gains = {name: info_gain(data, name) for name in data.schema.feature_names}
+    assert max(gains, key=gains.get) == REFERENCE_TREE_ROOT
+    root = train_tree(data, Hyperparams()).attribute[0]
+    assert data.schema.feature_names[root] == REFERENCE_TREE_ROOT
 
 
 # --------------------------------------------------------------- tree
@@ -450,7 +470,8 @@ def test_hyperparams_validation():
 @st.composite
 def tied_problem(draw, max_records=40, max_queries=12):
     """A random small schema with few values per attribute, so Hamming
-    distances tie heavily; a training set; and a batch of queries."""
+    distances tie heavily; a training set; and a batch of queries, which
+    may repeat training records and each other, in shuffled order."""
     sizes = draw(st.lists(st.integers(min_value=2, max_value=3), min_size=1, max_size=4))
     n_classes = draw(st.integers(min_value=2, max_value=4))
 
@@ -461,7 +482,9 @@ def tied_problem(draw, max_records=40, max_queries=12):
     rows = [record() for _ in range(n)]
     labels = [draw(st.integers(min_value=0, max_value=n_classes - 1)) for _ in range(n)]
     queries = [record() for _ in range(draw(st.integers(min_value=1, max_value=max_queries)))]
-    return rows, labels, sizes, n_classes, queries
+    queries += draw(st.lists(st.sampled_from(rows), max_size=4))
+    queries += draw(st.lists(st.sampled_from(queries), max_size=4))
+    return rows, labels, sizes, n_classes, draw(st.permutations(queries))
 
 
 @given(tied_problem(), st.one_of(st.integers(min_value=1, max_value=5),
@@ -472,6 +495,59 @@ def test_knn_batch_matches_oracle(case, k):
     got = model.predict_proba_batch(np.array(queries))
     want = [[float(p) for p in oracles.knn_proba(rows, labels, n_classes, k, q)] for q in queries]
     assert got.tolist() == want
+    alone = [model.predict_proba_batch(np.array([q]))[0] for q in queries]
+    assert np.array_equal(np.stack(alone), got)
+
+
+def test_knn_empty_batch():
+    model = train_knn(tiny_dataset([(0, 1), (1, 2)], [0, 2], [2, 3], 3), Hyperparams(knn_k=1))
+    for empty in (np.empty((0, 2), dtype=np.intp), np.empty((0, 2)), []):
+        got = model.predict_proba_batch(np.array(empty).reshape(0, 2))
+        assert got.shape == (0, 3) and got.dtype == np.float64
+
+
+@pytest.mark.parametrize("n", [4096, 4097])
+def test_knn_keys_at_and_past_the_16_bit_limit_match_oracle(n):
+    """15 binary attributes: (d + 1) * N is 65,536 at N = 4,096, the
+    largest that uint16 keys hold, and one past it at N = 4,097.  The
+    training set repeats a few patterns, so distances tie at the k-th
+    neighbor, and ends with each query's complement at distance 15: the
+    largest keys, which a too-narrow key type would wrap to look nearest."""
+    rng = np.random.default_rng(14)
+    d = 15
+    patterns = rng.integers(2, size=(12, d))
+    queries = [tuple(p) for p in patterns[:6].tolist()]
+    rows = [tuple(p) for p in patterns[rng.integers(12, size=n - 6)].tolist()]
+    rows += [tuple(1 - v for v in q) for q in queries]
+    labels = [int(c) for c in rng.integers(3, size=n)]
+    queries += queries[::-1]
+    data = tiny_dataset(rows, labels, [2] * d, 3)
+    for k in (1, 300, n):
+        got = train_knn(data, Hyperparams(knn_k=k)).predict_proba_batch(np.array(queries))
+        want = [[float(p) for p in oracles.knn_proba(rows, labels, 3, k, q)] for q in queries]
+        assert got.tolist() == want
+
+
+def test_knn_vote_memory_does_not_grow_with_k_times_the_batch():
+    """At k = N, one vote over every distinct query would hold N nearest
+    keys and labels per query: 3,000 x 1,000 of them, over 50 MB here."""
+    rng = np.random.default_rng(15)
+    sizes = [4] * 8
+    rows = rng.integers(4, size=(1000, 8))
+    data = tiny_dataset([tuple(r) for r in rows.tolist()], rng.integers(3, size=1000).tolist(),
+                        sizes, 3)
+    queries = rng.integers(4, size=(3000, 8))
+    assert len(np.unique(queries, axis=0)) > 2900
+    model = train_knn(data, Hyperparams(knn_k=1000))
+    tracemalloc.start()
+    try:
+        got = model.predict_proba_batch(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    prior = np.bincount(data.label_array, minlength=3) / 1000
+    assert np.array_equal(got, np.tile(prior, (3000, 1)))
 
 
 def test_knn_batch_spanning_several_blocks_matches_oracle():
@@ -481,7 +557,8 @@ def test_knn_batch_spanning_several_blocks_matches_oracle():
     rows = [tuple(int(rng.integers(size)) for size in sizes) for _ in range(n)]
     labels = [int(c) for c in rng.integers(3, size=n)]
     queries = [tuple(int(rng.integers(size)) for size in sizes) for _ in range(25)]
-    assert len(queries) > 2 * (KNN_BLOCK_CELLS // n)  # premise: three blocks or more
+    # premise: three blocks or more of distinct queries, each searched once
+    assert len(set(queries)) > 2 * (KNN_BLOCK_CELLS // n)
     data = tiny_dataset(rows, labels, sizes, 3)
     for k in (1, 7, n + 1):
         got = train_knn(data, Hyperparams(knn_k=k)).predict_proba_batch(np.array(queries))

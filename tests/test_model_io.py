@@ -123,6 +123,118 @@ def test_rejects_out_of_domain_knn_row(corpus):
         model_from_text(_tamper(text, first_row, broken))
 
 
+def _knn_payload(text):
+    """The model text cut at its payload: (lines before, payload lines)."""
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("payload-lines: "))
+    return lines[:at], lines[at + 1 : -1]
+
+
+def _with_knn_payload(head, payload):
+    return "\n".join([*head, f"payload-lines: {len(payload)}", *payload, "end"]) + "\n"
+
+
+def _knn_rows_line_by_line(payload, schema):
+    """Reference reader: each line in turn, each check in turn, so the first
+    faulty line is the one reported."""
+    sizes = [a.size for a in schema.features]
+    rows = []
+    for line in payload:
+        if not line.startswith("row: "):
+            raise ModelFileError(f"expected 'row:' line, got {line!r}")
+        try:
+            values = [int(tok) for tok in line[len("row: ") :].split()]
+        except ValueError:
+            raise ModelFileError(f"non-integer in knn row: {line[len('row: ') :]!r}") from None
+        if len(values) != len(sizes) + 1:
+            raise ModelFileError(f"knn row has {len(values)} fields, expected {len(sizes) + 1}")
+        if any(not 0 <= v < size for v, size in zip(values, sizes)):
+            raise ModelFileError(f"knn row value out of domain range: {line!r}")
+        if not 0 <= values[-1] < schema.n_classes:
+            raise ModelFileError(f"knn row label out of range: {line!r}")
+        rows.append(values)
+    if not rows:
+        raise ModelFileError("knn payload has no rows")
+    return rows
+
+
+def _load_error(text):
+    with pytest.raises(ModelFileError) as caught:
+        model_from_text(text)
+    return str(caught.value)
+
+
+def test_knn_payload_reports_the_earlier_of_two_faulty_lines(corpus):
+    head, payload = _knn_payload(model_to_text(train(corpus, "knn")))
+    faults = [
+        lambda line: "row: x" + line[len("row: 0") :],
+        lambda line: line + " 0",
+        lambda line: "row: 99" + line[len("row: 0") :],
+        lambda line: line.rsplit(" ", 1)[0] + " 7",
+        lambda line: line.replace("row: ", "row:", 1),
+    ]
+    for early in faults:
+        alone = list(payload)
+        alone[3] = early(payload[3])
+        want = _load_error(_with_knn_payload(head, alone))
+        for later in faults:
+            both = list(alone)
+            both[7] = later(payload[7])
+            assert _load_error(_with_knn_payload(head, both)) == want
+
+
+def test_knn_payload_reads_what_python_int_reads(corpus):
+    text = model_to_text(train(corpus, "knn"))
+    head, payload = _knn_payload(text)
+    variants = [
+        "row: +" + payload[0][len("row: ") :],
+        "row: " + " ".join(f"0_{v}" for v in payload[1][len("row: ") :].split()),
+        "row: " + " ".join(chr(0x660 + int(v)) for v in payload[2][len("row: ") :].split()),
+        payload[3].replace(" ", "  ").replace("row:  ", "row: ", 1) + " ",
+    ]
+    tampered = _with_knn_payload(head, variants + payload[len(variants) :])
+    assert model_to_text(model_from_text(tampered)) == text
+
+
+_TOKEN_EDITS = (
+    lambda v: v + 1, lambda v: v - 1, lambda v: -v, lambda v: v + 2**63, lambda v: v + 2**64,
+    lambda v: -v - 2**63 - 1, lambda v: "x", lambda v: "1.0", lambda v: "", lambda v: f"+{v}",
+    lambda v: f"0_{v}", lambda v: f"{v} {v}", lambda v: f"{v} x",
+)
+
+
+def test_knn_payload_matches_the_line_by_line_reader_on_mutated_files(corpus):
+    rng = np.random.default_rng(20261019)
+    model = train(corpus, "knn")
+    head, payload = _knn_payload(model_to_text(model))
+    outcomes = set()
+    for _ in range(300):
+        mutated = list(payload)
+        for _ in range(rng.integers(1, 4)):  # several faults, on one line or on several
+            i = int(rng.integers(len(mutated)))
+            tokens = mutated[i].split(" ")
+            j = int(rng.integers(1, len(tokens)))
+            try:
+                value = int(tokens[j])
+            except ValueError:
+                continue
+            tokens[j] = str(_TOKEN_EDITS[int(rng.integers(len(_TOKEN_EDITS)))](value))
+            mutated[i] = " ".join(tokens)
+        if rng.random() < 0.2:
+            del mutated[int(rng.integers(len(mutated)))]
+        text = _with_knn_payload(head, mutated)
+        try:
+            want = _knn_rows_line_by_line(mutated, model.schema)
+        except ModelFileError as exc:
+            assert _load_error(text) == str(exc)
+            outcomes.add("error")
+        else:
+            got = model_from_text(text).model
+            assert np.column_stack([got.rows, got.labels]).tolist() == want
+            outcomes.add("model")
+    assert outcomes == {"error", "model"}
+
+
 def test_rejects_count_table_that_contradicts_class_counts(corpus):
     text = model_to_text(train(corpus, "naive-bayes"))
     row = next(line for line in text.splitlines() if line.startswith("table 0 0: "))
