@@ -4,13 +4,16 @@ Each algorithm trains on a labeled :class:`~turnout.data.Dataset` and
 predicts with one batch kernel: an ``(m, d)`` array of encoded records
 in, an ``(m, k)`` matrix of class probabilities out, each value checked
 against its attribute's domain.  ``REGISTRY`` is the one table of
-algorithms: each record names a trainer and a model class, and the model
-class predicts, writes its model-file payload and reads it back.  The
-one per-record entry point, ``TrainedModel.predict_proba_row``, calls
-the kernel on a batch of one, so a record gets the same bits alone as in
-a batch.  Models are immutable once trained, so prediction is a pure
-function of (model, records); cross-validation runs its folds one after
-another (see :mod:`turnout.evaluation`).
+algorithms: each record names a trainer and a model class.  A trained
+model is one object, an instance of its algorithm's subclass of
+``TrainedModel``: it holds the schema and hyperparameters it was trained
+under and its tables, predicts, writes its model-file payload and reads
+it back.  The one per-record entry point,
+``TrainedModel.predict_proba_row``, calls the kernel on a batch of one,
+so a record gets the same bits alone as in a batch.  Models are
+immutable once trained, so prediction is a pure function of (model,
+records); cross-validation runs its folds one after another (see
+:mod:`turnout.evaluation`).
 
 KNN searches once per distinct query, in blocks of about
 ``KNN_BLOCK_CELLS`` query-by-training-record distances, a fixed budget
@@ -29,7 +32,7 @@ Tie rules are part of the contract:
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Protocol, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,7 +64,7 @@ class Hyperparams(NamedTuple("Hyperparams", [
             raise ValueError(f"tree_min_samples must be >= 2, got {tree_min_samples}")
         if tree_max_depth is not None and tree_max_depth < 0:
             raise ValueError(f"tree_max_depth must be >= 0, got {tree_max_depth}")
-        return super().__new__(cls, knn_k, nb_alpha, tree_min_samples, tree_max_depth)
+        return super().__new__(cls, knn_k, float(nb_alpha), tree_min_samples, tree_max_depth)
 
 
 def predict_labels(proba: np.ndarray) -> np.ndarray:
@@ -82,7 +85,7 @@ def predict_label(proba: Sequence[float]) -> int:
     return int(predict_labels(np.asarray(proba, dtype=np.float64).reshape(1, -1))[0])
 
 
-def _records(rows: np.ndarray, sizes: np.ndarray | Sequence[int]) -> np.ndarray:
+def _records(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """A batch of encoded records, shape (m, d) for d = len(sizes), with
     every value inside its attribute's domain ``0 .. sizes[j] - 1``."""
     batch = index_array(rows, "record values")
@@ -131,36 +134,85 @@ def _bit_codes(records: np.ndarray, offsets: np.ndarray, n_words: int) -> np.nda
     ])
 
 
+def _layout(schema: AttributeSchema) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature's domain size, and its first column in the one-hot
+    layout that KNN's bit codes, the naive Bayes table and the tree's
+    tally share: value v of attribute j is column ``offsets[j] + v``."""
+    sizes = np.array([a.size for a in schema.features], dtype=np.intp)
+    return sizes, np.cumsum(sizes) - sizes
+
+
+class TrainedModel:
+    """A trained model: the schema and hyperparameters it was trained
+    under, and its algorithm's tables, which one subclass per algorithm holds.
+
+    The subclass names its ``REGISTRY`` id in ``algorithm``, reads its
+    settings from ``params`` and ``schema`` and keeps no copy of them, and
+    provides ``predict_proba_batch`` ((m, k) class probabilities of (m, d)
+    encoded records; a value outside its attribute's domain is a
+    ValueError), ``payload`` (the model-file payload lines) and the
+    classmethod ``from_payload`` (the model ``payload`` wrote; anything
+    off is ModelFileError).  ``domain_sizes`` and ``_offsets`` are the
+    schema's ``_layout``.  A model is immutable and equal only to itself.
+    """
+
+    algorithm: str
+
+    def __init__(self, schema: AttributeSchema, params: Hyperparams) -> None:
+        sizes, offsets = _layout(schema)
+        vars(self).update(schema=schema, params=params, domain_sizes=sizes, _offsets=offsets)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    @property
+    def fingerprint(self) -> str:
+        return self.schema.fingerprint()
+
+    def predict_proba_row(self, values: Sequence[int]) -> np.ndarray:
+        """Probability vector for one already-encoded record: the batch
+        kernel on a batch of one."""
+        return self.predict_proba_batch(np.asarray(values)[np.newaxis])[0]
+
+    def predict_proba(self, data: Dataset) -> np.ndarray:
+        """Probability matrix (records x classes) for a whole dataset, in
+        one batch.
+
+        The dataset's schema must equal the one the model was trained
+        under (for schemas read from text, the same as their fingerprints
+        being equal); anything else is rejected outright.
+        """
+        if data.schema != self.schema:
+            raise SchemaMismatchError(
+                "dataset schema fingerprint does not match the model's "
+                f"({data.schema.fingerprint()[:12]} vs {self.fingerprint[:12]})"
+            )
+        return self.predict_proba_batch(data.matrix)
+
+
 # ---------------------------------------------------------------- KNN
 
 
-class KnnModel:
+class KnnModel(TrainedModel):
     """Stored training table; all work happens at prediction time.
 
     ``rows`` holds the encoded training records and ``labels`` their
-    class indices, as (N, d) and (N,) integer arrays; ``domain_sizes``
-    gives each attribute's domain size.  Each record is also kept as a
-    packed one-hot bit code (see ``_bit_codes``): two records that
-    disagree on an attribute differ in exactly two of its bits, so the
-    popcount of their codes' XOR is twice their Hamming distance.
-    ``rows`` itself is read only to write the model file.  The model is
-    immutable and equal only to itself.
+    class indices, as (N, d) and (N,) integer arrays.  Each record is
+    also kept as a packed one-hot bit code (see ``_bit_codes``): two
+    records that disagree on an attribute differ in exactly two of its
+    bits, so the popcount of their codes' XOR is twice their Hamming
+    distance.  ``rows`` itself is read only to write the model file.
     """
 
-    def __init__(self, rows: np.ndarray, labels: np.ndarray, k: int, n_classes: int,
-                 domain_sizes: tuple[int, ...]) -> None:
-        sizes = np.array(domain_sizes, dtype=np.intp)
-        offsets = np.cumsum(sizes) - sizes  # each attribute's first bit
-        rows = _records(rows, sizes)
-        n_words = -(-int(sizes.sum()) // 64)
-        vars(self).update(
-            rows=rows, labels=np.asarray(labels, dtype=np.intp), k=k, n_classes=n_classes,
-            domain_sizes=domain_sizes, _sizes=sizes, _offsets=offsets,
-            _codes=_bit_codes(rows, offsets, n_words),
-        )
+    algorithm = "knn"
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"KnnModel is immutable; cannot set {name!r}")
+    def __init__(self, schema: AttributeSchema, params: Hyperparams, rows: np.ndarray,
+                 labels: np.ndarray) -> None:
+        super().__init__(schema, params)
+        rows = _records(rows, self.domain_sizes)
+        n_words = -(-int(self.domain_sizes.sum()) // 64)
+        vars(self).update(rows=rows, labels=np.asarray(labels, dtype=np.intp),
+                          _codes=_bit_codes(rows, self._offsets, n_words))
 
     def predict_proba_batch(self, queries: np.ndarray) -> np.ndarray:
         """Vote of the min(k, N) nearest records under Hamming distance.
@@ -178,10 +230,10 @@ class KnnModel:
         record, so one ``np.partition`` picks the nearest set exactly,
         ties included.
         """
-        queries = _records(queries, self._sizes)
+        queries = _records(queries, self.domain_sizes)
         n_words, n = self._codes.shape
-        d = len(self._sizes)
-        used = min(self.k, n)
+        d, n_classes = len(self.domain_sizes), self.schema.n_classes
+        used = min(self.params.knn_k, n)
         # the narrowest types that hold twice the largest distance, and the
         # largest key; the key type is named explicitly because numpy keeps
         # ``twice * n`` in the accumulator's narrow type, which wraps, or
@@ -194,7 +246,7 @@ class KnnModel:
         packed = np.ascontiguousarray(codes.T).view(f"V{8 * n_words}")[:, 0]
         distinct, inverse = np.unique(packed, return_inverse=True)
         codes = distinct.view(np.uint64).reshape(-1, n_words).T
-        out = np.empty((codes.shape[1], self.n_classes), dtype=np.float64)
+        out = np.empty((codes.shape[1], n_classes), dtype=np.float64)
         block = max(1, KNN_BLOCK_CELLS // n)
         for start in range(0, codes.shape[1], block):
             q = codes[:, start : start + block, None]
@@ -205,9 +257,9 @@ class KnnModel:
             key += positions
             nearest = np.partition(key, used - 1, axis=1)[:, :used] % n
             m = len(nearest)
-            cells = self.labels[nearest] + self.n_classes * np.arange(m)[:, None]
-            votes = np.bincount(cells.ravel(), minlength=m * self.n_classes)
-            out[start : start + m] = votes.reshape(m, self.n_classes) / used
+            cells = self.labels[nearest] + n_classes * np.arange(m)[:, None]
+            votes = np.bincount(cells.ravel(), minlength=m * n_classes)
+            out[start : start + m] = votes.reshape(m, n_classes) / used
         return out[inverse]
 
     def payload(self) -> list[str]:
@@ -238,51 +290,39 @@ class KnnModel:
             labels.append(values[-1])
         if not rows:
             raise ModelFileError("knn payload has no rows")
-        return cls(rows=rows, labels=labels, k=params.knn_k, n_classes=schema.n_classes,
-                   domain_sizes=tuple(sizes))
+        return cls(schema, params, rows, labels)
 
 
 def train_knn(data: Dataset, params: Hyperparams) -> KnnModel:
-    return KnnModel(
-        rows=data.matrix,
-        labels=_training_labels(data),
-        k=params.knn_k,
-        n_classes=data.schema.n_classes,
-        domain_sizes=tuple(a.size for a in data.schema.features),
-    )
+    return KnnModel(data.schema, params, data.matrix, _training_labels(data))
 
 
 # ------------------------------------------------------- Naive Bayes
 
 
-class NaiveBayesModel:
+class NaiveBayesModel(TrainedModel):
     """Class counts and one value/class count table.
 
     ``class_counts[c]`` is the number of training records of class c and
     ``counts[offsets[j] + v, c]`` how many of them have value v for
-    attribute j, where ``offsets[j]`` sums the domain sizes before j: a
-    (W, k) int64 table over the summed domain sizes W, the layout of KNN's
-    bit codes and the tree's tally.  The model is immutable and equal only
-    to itself.
+    attribute j, in the schema's ``_layout``: a (W, k) int64 table over
+    the summed domain sizes W.
     """
 
-    def __init__(self, class_counts: np.ndarray, counts: np.ndarray,
-                 domain_sizes: tuple[int, ...], alpha: float) -> None:
-        sizes = np.array(domain_sizes, dtype=np.intp)
+    algorithm = "naive-bayes"
+
+    def __init__(self, schema: AttributeSchema, params: Hyperparams, class_counts: np.ndarray,
+                 counts: np.ndarray) -> None:
+        super().__init__(schema, params)
+        alpha, sizes = params.nb_alpha, self.domain_sizes
         # each table row's denominator, count(c) + alpha * domain size
         per_class = np.repeat(class_counts + alpha * sizes[:, None], sizes, axis=0)
         # a class with no records and alpha = 0 would divide 0 by 0; its
         # prior is 0, so its score is 0 whatever its ratio, as for alpha > 0
         ratios = np.zeros(counts.shape, dtype=np.float64)
         np.divide(counts + alpha, per_class, out=ratios, where=per_class != 0)
-        vars(self).update(
-            class_counts=class_counts, counts=counts, domain_sizes=domain_sizes, alpha=alpha,
-            _priors=class_counts / class_counts.sum(), _ratios=ratios, _sizes=sizes,
-            _offsets=(np.cumsum(sizes) - sizes).tolist(),
-        )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"NaiveBayesModel is immutable; cannot set {name!r}")
+        vars(self).update(class_counts=class_counts, counts=counts,
+                          _priors=class_counts / class_counts.sum(), _ratios=ratios)
 
     def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
         """Smoothed multinomial scores, normalised to sum to one.
@@ -295,9 +335,9 @@ class NaiveBayesModel:
         zeroes that class out; if that zeroes every class the priors are
         returned instead.
         """
-        rows = _records(rows, self._sizes)
+        rows = _records(rows, self.domain_sizes)
         scores = np.tile(self._priors, (len(rows), 1))
-        for j, offset in enumerate(self._offsets):
+        for j, offset in enumerate(self._offsets.tolist()):
             scores *= self._ratios[rows[:, j] + offset]
         mass = scores.sum(axis=1, keepdims=True)
         out = np.tile(self._priors, (len(rows), 1))
@@ -355,18 +395,17 @@ class NaiveBayesModel:
             if [sum(column) for column in zip(*table[start : start + size])] != counts:
                 raise ModelFileError(f"count table {j} does not sum to the class counts")
             start += size
-        return cls(np.array(counts, dtype=np.int64), np.array(table, dtype=np.int64), sizes,
-                   params.nb_alpha)
+        return cls(schema, params, np.array(counts, dtype=np.int64),
+                   np.array(table, dtype=np.int64))
 
 
 def train_naive_bayes(data: Dataset, params: Hyperparams) -> NaiveBayesModel:
     """Tally value/class co-occurrence over the full declared domains."""
     labels = _training_labels(data)
-    sizes = tuple(a.size for a in data.schema.features)
+    sizes, offsets = _layout(data.schema)
     k = data.schema.n_classes
-    cells = data.matrix + (np.cumsum(sizes) - sizes)
-    return NaiveBayesModel(np.bincount(labels, minlength=k),
-                           tally(cells, labels[:, None], sum(sizes), k), sizes, params.nb_alpha)
+    return NaiveBayesModel(data.schema, params, np.bincount(labels, minlength=k),
+                           tally(data.matrix + offsets, labels[:, None], int(sizes.sum()), k))
 
 
 # -------------------------------------------------------------- tree
@@ -411,7 +450,7 @@ def _exact_split(
     return best_j
 
 
-class TreeModel:
+class TreeModel(TrainedModel):
     """A grown tree as one flat node table, breadth first from the root,
     node 0: the same numbering as the model file's ``node <i>`` lines.
 
@@ -422,28 +461,19 @@ class TreeModel:
     split node read from a model file, which stores none, has zeros.  A
     leaf's label is the argmax of its counts, ties to the earlier class.
     A table read from a model file may share a child between parents.
-    The model is immutable and equal only to itself.
     """
 
-    def __init__(self, attribute: np.ndarray, children: np.ndarray, counts: np.ndarray,
-                 domain_sizes: tuple[int, ...], n_classes: int) -> None:
-        vars(self).update(
-            attribute=attribute, children=children, counts=counts, domain_sizes=domain_sizes,
-            n_classes=n_classes, _sizes=np.array(domain_sizes, dtype=np.intp),
-        )
+    algorithm = "tree"
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"TreeModel is immutable; cannot set {name!r}")
-
-    def __repr__(self) -> str:
-        return (f"TreeModel(attribute={self.attribute.tolist()}, "
-                f"children={self.children.tolist()}, counts={self.counts.tolist()}, "
-                f"domain_sizes={self.domain_sizes}, n_classes={self.n_classes})")
+    def __init__(self, schema: AttributeSchema, params: Hyperparams, attribute: np.ndarray,
+                 children: np.ndarray, counts: np.ndarray) -> None:
+        super().__init__(schema, params)
+        vars(self).update(attribute=attribute, children=children, counts=counts)
 
     def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
         """Move every record still at a split node one depth down per step,
         then normalise the class counts of the leaves reached."""
-        rows = _records(rows, self._sizes)
+        rows = _records(rows, self.domain_sizes)
         node = np.zeros(len(rows), dtype=np.intp)
         live = np.arange(len(rows))
         while live.size:
@@ -524,7 +554,7 @@ class TreeModel:
             kids = children[reached[attribute[reached] >= 0]]
             reached = np.unique(kids[kids >= 0])
             if not reached.size:
-                return cls(attribute, children, counts, sizes, n_classes)
+                return cls(schema, params, attribute, children, counts)
         raise ModelFileError(f"tree node {int(reached[0])} is missing or cyclic")
 
 
@@ -576,8 +606,7 @@ def train_tree(data: Dataset, params: Hyperparams) -> TreeModel:
     """
     labels = _training_labels(data)
     k = data.schema.n_classes
-    sizes = np.array([a.size for a in data.schema.features], dtype=np.intp)
-    offsets = np.cumsum(sizes) - sizes  # each attribute's first (value) column
+    sizes, offsets = _layout(data.schema)
     width, d = int(sizes.sum()), len(sizes)
     n = np.arange(1, data.n + 1, dtype=np.float64)
     f = np.concatenate(([0.0], n * np.log2(n)))  # f[n] = n * log2(n)
@@ -657,83 +686,28 @@ def train_tree(data: Dataset, params: Hyperparams) -> TreeModel:
     children[parents, values] = np.arange(1, len(counts))
     empty = (counts[1:].sum(axis=1) == 0).nonzero()[0]
     counts[empty + 1] = counts[parents[empty]]
-    return TreeModel(np.concatenate(attribute_at), children, counts,
-                     tuple(sizes.tolist()), k)
+    return TreeModel(data.schema, params, np.concatenate(attribute_at), children, counts)
 
 
 # ------------------------------------------------------ common front
-
-
-class Model(Protocol):
-    """What each algorithm's model class provides."""
-
-    def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
-        """(m, k) class probabilities of (m, d) encoded records; a value
-        outside its attribute's domain is a ValueError."""
-
-    def payload(self) -> list[str]:
-        """The model-file payload lines."""
-
-    @classmethod
-    def from_payload(cls, lines: list[str], schema: AttributeSchema,
-                     params: Hyperparams) -> Model:
-        """The model ``payload`` wrote; anything off is ModelFileError."""
 
 
 class Algorithm(NamedTuple):
     """One learner: its id, its trainer, and its model class."""
 
     name: str
-    train: Callable[[Dataset, Hyperparams], Model]
-    model: type[Model]
+    train: Callable[[Dataset, Hyperparams], TrainedModel]
+    model: type[TrainedModel]
 
 
 # the one table of algorithms, in report order
-REGISTRY = {a.name: a for a in (
-    Algorithm("knn", train_knn, KnnModel),
-    Algorithm("naive-bayes", train_naive_bayes, NaiveBayesModel),
-    Algorithm("tree", train_tree, TreeModel),
-)}
+REGISTRY = {m.algorithm: Algorithm(m.algorithm, t, m) for t, m in (
+    (train_knn, KnnModel), (train_naive_bayes, NaiveBayesModel), (train_tree, TreeModel))}
 ALGORITHMS = tuple(REGISTRY)
-
-
-class TrainedModel(NamedTuple):
-    """An algorithm id, its fitted model, and the schema it was fit under."""
-
-    algorithm: str
-    schema: AttributeSchema
-    params: Hyperparams
-    model: Model
-
-    @property
-    def fingerprint(self) -> str:
-        return self.schema.fingerprint()
-
-    def predict_proba_row(self, values: Sequence[int]) -> np.ndarray:
-        """Probability vector for one already-encoded record: the batch
-        kernel on a batch of one."""
-        return self.model.predict_proba_batch(np.asarray(values)[np.newaxis])[0]
-
-    def predict_proba(self, data: Dataset) -> np.ndarray:
-        """Probability matrix (records x classes) for a whole dataset, in
-        one batch.
-
-        The dataset's schema must equal the one the model was trained
-        under (for schemas read from text, the same as their fingerprints
-        being equal); anything else is rejected outright.
-        """
-        if data.schema != self.schema:
-            raise SchemaMismatchError(
-                "dataset schema fingerprint does not match the model's "
-                f"({data.schema.fingerprint()[:12]} vs {self.fingerprint[:12]})"
-            )
-        return self.model.predict_proba_batch(data.matrix)
 
 
 def train(data: Dataset, algorithm: str, params: Hyperparams | None = None) -> TrainedModel:
     """Train one of the algorithms in ``REGISTRY`` by id."""
     if algorithm not in REGISTRY:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    params = params or Hyperparams()
-    model = REGISTRY[algorithm].train(data, params)
-    return TrainedModel(algorithm=algorithm, schema=data.schema, params=params, model=model)
+    return REGISTRY[algorithm].train(data, params or Hyperparams())

@@ -198,7 +198,7 @@ def _tree_root_note(data: Dataset, params: Hyperparams) -> str:
     depth = 1 if params.tree_max_depth is None else min(params.tree_max_depth, 1)
     model = train(data, "tree", Hyperparams(tree_min_samples=params.tree_min_samples,
                                             tree_max_depth=depth))
-    attribute = int(model.model.attribute[0])
+    attribute = int(model.attribute[0])
     root = data.schema.features[attribute].name if attribute >= 0 else "(single leaf)"
     verdict = "agrees" if root == corpus.REFERENCE_TREE_ROOT else "differs"
     return (f"tree root attribute: {root} "

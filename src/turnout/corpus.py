@@ -17,8 +17,6 @@ from .data import AttributeSchema, Dataset, parse_csv, parse_schema
 # report states whether the induced tree agrees (a note, never a failure).
 REFERENCE_TREE_ROOT = "Attitude to election officials"
 
-CORPUS_NAME = "election"
-
 
 def _resource_text(filename: str) -> str:
     return (resources.files(__package__) / "corpus_data" / filename).read_text(encoding="utf-8")

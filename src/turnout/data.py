@@ -23,7 +23,9 @@ The package's record types, here and in :mod:`turnout.classifiers` and
 fields, equality, hash and ``repr`` by value.  As tuples they also equal
 a plain tuple of the same values, which no code here relies on.  A
 record with invariants checks them in ``__new__``; the tuple-level
-``_make`` and ``_replace`` skip those checks.
+``_make`` and ``_replace`` skip those checks.  A trained model
+(``classifiers.TrainedModel``) is no record: immutable, but equal only to
+itself, with no ``_replace`` and no tuple behaviour.
 """
 
 from __future__ import annotations

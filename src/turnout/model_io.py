@@ -12,10 +12,11 @@ Layout (line oriented, utf-8):
     <n payload lines, algorithm specific>
     end
 
-This module reads and writes that envelope only.  The payload grammar
-lives with each model class in :mod:`turnout.classifiers`: its
-``payload`` method writes the lines, and its ``from_payload`` reads them
-back, rejecting anything malformed with ``ModelFileError``.
+This module reads and writes that envelope only, with each params key
+exactly once.  The payload grammar lives with each model class in
+:mod:`turnout.classifiers`: ``payload`` writes the lines, and the class
+method ``from_payload`` reads them back into a model, rejecting anything
+malformed with ``ModelFileError``.
 
 The stored fingerprint must match the embedded schema, and a loaded
 model refuses to predict data carrying any other schema fingerprint.
@@ -41,7 +42,7 @@ def _params_line(p: Hyperparams) -> str:
 def model_to_text(model: TrainedModel) -> str:
     """Serialise a trained model to the documented text format."""
     schema_lines = model.schema.to_text().splitlines()
-    payload = model.model.payload()
+    payload = model.payload()
     lines = [
         FORMAT_LINE,
         f"algorithm: {model.algorithm}",
@@ -92,6 +93,8 @@ def _parse_params(text: str) -> Hyperparams:
         key, sep, value = token.partition("=")
         if not sep:
             raise ModelFileError(f"malformed params token {token!r}")
+        if key in fields or key not in ("k", "alpha", "min-samples", "max-depth"):
+            raise ModelFileError(f"unknown or repeated params key in {token!r}")
         fields[key] = value
     try:
         depth = fields["max-depth"]
@@ -129,8 +132,7 @@ def model_from_text(text: str) -> TrainedModel:
     if reader.next("end marker") != "end":
         raise ModelFileError("model file truncated: missing 'end'")
 
-    model = REGISTRY[algorithm].model.from_payload(payload, schema, params)
-    return TrainedModel(algorithm=algorithm, schema=schema, params=params, model=model)
+    return REGISTRY[algorithm].model.from_payload(payload, schema, params)
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:

@@ -257,7 +257,7 @@ def test_tree_two_level_example():
     # a0 separates the classes perfectly, a1 is constant
     data = tiny_dataset([(0, 0), (0, 0), (1, 0), (1, 0)], [0, 0, 1, 1], [2, 2], 2)
     model = train(data, "tree")
-    assert table_as_tree(model.model) == ("split", 0, (("leaf", (2, 0), 0), ("leaf", (0, 2), 1)))
+    assert table_as_tree(model) == ("split", 0, (("leaf", (2, 0), 0), ("leaf", (0, 2), 1)))
     assert model.predict_proba_row((0, 0)).tolist() == [1.0, 0.0]
     assert model.predict_proba_row((1, 0)).tolist() == [0.0, 1.0]
 
@@ -266,7 +266,7 @@ def test_tree_empty_branch_carries_parent_distribution():
     # domain value v2 never occurs in training
     data = tiny_dataset([(0,), (1,)], [0, 1], [3], 2)
     model = train(data, "tree")
-    kind, _, children = table_as_tree(model.model)
+    kind, _, children = table_as_tree(model)
     assert kind == "split"
     assert children[2] == ("leaf", (1, 1), 0)
     assert model.predict_proba_row((2,)).tolist() == [0.5, 0.5]
@@ -422,7 +422,7 @@ def test_out_of_domain_value_is_rejected_naming_the_attribute(algo, value):
     with pytest.raises(ValueError, match=f"value {value} is outside the domain of attribute 1"):
         model.predict_proba_row((0, value))
     with pytest.raises(ValueError, match="record 1: .* attribute 1"):
-        model.model.predict_proba_batch(np.array([(0, 0), (1, value)]))
+        model.predict_proba_batch(np.array([(0, 0), (1, value)]))
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -433,9 +433,9 @@ def test_non_integer_values_are_rejected_not_truncated(algo):
     with pytest.raises(ValueError, match=message):
         model.predict_proba_row(data.matrix[0] + 0.9)
     with pytest.raises(ValueError, match=message):
-        model.model.predict_proba_batch(data.matrix[:2] + 0.9)
+        model.predict_proba_batch(data.matrix[:2] + 0.9)
     # an empty batch carries no value to truncate
-    assert model.model.predict_proba_batch(np.zeros((0, 9))).shape == (0, 3)
+    assert model.predict_proba_batch(np.zeros((0, 9))).shape == (0, 3)
 
 
 def test_training_is_deterministic():
@@ -580,8 +580,8 @@ def test_predict_proba_row_is_the_batch_kernel_on_a_batch_of_one(algo, case, k, 
     model = train(tiny_dataset(rows, labels, sizes, n_classes), algo,
                   Hyperparams(knn_k=k, nb_alpha=alpha))
     clone = model_from_text(model_to_text(model))
-    got = model.model.predict_proba_batch(np.array(queries))
-    assert np.array_equal(clone.model.predict_proba_batch(np.array(queries)), got)
+    got = model.predict_proba_batch(np.array(queries))
+    assert np.array_equal(clone.predict_proba_batch(np.array(queries)), got)
     for trained in (model, clone):
         assert np.array_equal(np.stack([trained.predict_proba_row(q) for q in queries]), got)
 

@@ -54,6 +54,13 @@ def test_round_trip_preserves_hyperparams(corpus):
         assert clone.params == params
 
 
+@pytest.mark.parametrize("alpha", [np.float64(0.5), 1])
+def test_alpha_of_any_numeric_type_saves_loads_and_saves_the_same_bytes(corpus, alpha):
+    text = model_to_text(train(corpus, "naive-bayes", Hyperparams(nb_alpha=alpha)))
+    assert f" alpha={float(alpha)!r} " in text
+    assert model_to_text(model_from_text(text)) == text
+
+
 def test_save_and_load_files(tmp_path, corpus):
     model = train(corpus, "tree")
     path = tmp_path / "tree.model"
@@ -105,6 +112,23 @@ def test_rejects_malformed_params(corpus):
     text = _tamper(model_to_text(train(corpus, "knn")), "k=5", "k=five")
     with pytest.raises(ModelFileError, match="bad params line"):
         model_from_text(text)
+
+
+@pytest.mark.parametrize("params, token", [
+    ("k=5 alpha=1.0 min-samples=2 max-depth=none max-depth=7", "max-depth=7"),
+    ("k=5 alpha=1.0 min-samples=2 max-depth=none bogus=1", "bogus=1"),
+    ("k=5 k=5 alpha=1.0 min-samples=2 max-depth=none", "k=5"),
+])
+def test_rejects_unknown_or_repeated_params_keys(corpus, tmp_path, capsys, params, token):
+    text = _tamper(model_to_text(train(corpus, "knn")),
+                   "params: k=5 alpha=1.0 min-samples=2 max-depth=none", f"params: {params}")
+    message = f"unknown or repeated params key in {token!r}"
+    with pytest.raises(ModelFileError, match=re.escape(message)):
+        model_from_text(text)
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    assert main(["predict", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_rejects_non_integer_payload(corpus):
@@ -233,8 +257,8 @@ def test_tree_file_with_a_shared_child_predicts_like_the_tree():
     queries = np.array([(v, w) for v in range(3) for w in range(2)])
     got = model_from_text(shared)
     want = model_from_text(text)
-    assert np.array_equal(got.model.predict_proba_batch(queries),
-                          want.model.predict_proba_batch(queries))
+    assert np.array_equal(got.predict_proba_batch(queries),
+                          want.predict_proba_batch(queries))
     assert model_to_text(got) == shared
 
 

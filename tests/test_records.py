@@ -9,7 +9,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import turnout
@@ -23,8 +22,6 @@ from turnout import (
     PerClassMetrics,
     Protocol,
     SchemaError,
-    TrainedModel,
-    TreeModel,
     load_election_corpus,
     model_from_text,
     model_to_text,
@@ -39,7 +36,6 @@ T = Attribute("t", ("p", "q"))
 SCHEMA = AttributeSchema((A,), T)
 MATRIX = ConfusionMatrix(((3, 1), (0, 2)), ("p", "q"))
 CURVE = CurveSeries("roc", "p", ((0.0, 0.0), (1.0, 1.0)), 0.5)
-TREE = TreeModel(np.array([-1]), np.array([[-1, -1]]), np.array([[3, 1]]), (2,), 2)
 
 # id: (type, positional arguments, the same as keywords, exact repr); the ids
 # are fixed, so removing a case leaves the others' ids as they were
@@ -63,13 +59,6 @@ CASES = {
      "ConfusionMatrix(counts=((3, 1), (0, 2)), labels=('p', 'q'))"),
     "Algorithm-10": (Algorithm, ("x", len, int), {"name": "x", "train": len, "model": int},
      "Algorithm(name='x', train=<built-in function len>, model=<class 'int'>)"),
-    "TrainedModel-11": (TrainedModel, ("tree", SCHEMA, Hyperparams(), TREE),
-     {"algorithm": "tree", "schema": SCHEMA, "params": Hyperparams(), "model": TREE},
-     "TrainedModel(algorithm='tree', schema=AttributeSchema(features=(Attribute(name='a', "
-     "values=('x', 'y')),), target=Attribute(name='t', values=('p', 'q'))), "
-     "params=Hyperparams(knn_k=5, nb_alpha=1.0, tree_min_samples=2, tree_max_depth=None), "
-     "model=TreeModel(attribute=[-1], children=[[-1, -1]], counts=[[3, 1]], domain_sizes=(2,), "
-     "n_classes=2))"),
     "PerClassMetrics-13": (PerClassMetrics, ("p", 0.75, 0.75, 1.0, 1.0, 0.75, 0.8, frozenset()),
      {"label": "p", "accuracy": 0.75, "sensitivity": 0.75, "specificity": 1.0,
       "precision": 1.0, "recall": 0.75, "f1": 0.8, "undefined": frozenset()},
@@ -170,16 +159,20 @@ def test_validated_records_reject_bad_fields(build, error, message):
 
 def test_model_classes_reject_assignment():
     data = load_election_corpus()
-    knn, nb = train(data, "knn").model, train(data, "naive-bayes").model
-    tree = train(data, "tree").model
-    for model, name in ((knn, "k"), (knn, "rows"), (nb, "alpha"), (nb, "counts"),
-                        (tree, "attribute"), (tree, "counts")):
-        with pytest.raises(AttributeError):
-            setattr(model, name, getattr(model, name))
-    # every model is equal only to itself; a round trip keeps its payload
-    for algo, model in (("knn", knn), ("naive-bayes", nb), ("tree", tree)):
-        clone = model_from_text(model_to_text(train(data, algo))).model
-        assert clone != model and clone.payload() == model.payload()
+    tables = {"knn": ("rows", "labels"), "naive-bayes": ("class_counts", "counts"),
+              "tree": ("attribute", "children", "counts")}
+    for algo, names in tables.items():
+        model = train(data, algo)
+        for name in ("schema", "params", "domain_sizes", *names):
+            value = getattr(model, name)
+            with pytest.raises(AttributeError, match=f"is immutable; cannot set {name!r}"):
+                setattr(model, name, value)
+        with pytest.raises(AttributeError, match="is immutable"):
+            model.extra = 1
+        # every model is equal only to itself; a round trip keeps its payload
+        clone = model_from_text(model_to_text(model))
+        assert type(clone) is type(model) and clone != model
+        assert clone.payload() == model.payload()
 
 
 def _new_modules(statement):
