@@ -47,6 +47,13 @@ PROBA_TOLERANCE = 1e-9
 KNN_BLOCK_CELLS = 32_768
 
 
+def _integer(name: str, value: object) -> int:
+    """``value`` as an int; a float or bool is refused, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class Hyperparams(NamedTuple("Hyperparams", [
         ("knn_k", int), ("nb_alpha", float), ("tree_min_samples", int),
         ("tree_max_depth", int | None)])):
@@ -56,6 +63,9 @@ class Hyperparams(NamedTuple("Hyperparams", [
 
     def __new__(cls, knn_k: int = 5, nb_alpha: float = 1.0, tree_min_samples: int = 2,
                 tree_max_depth: int | None = None) -> Hyperparams:
+        knn_k, tree_min_samples = _integer("knn_k", knn_k), _integer("tree_min_samples", tree_min_samples)
+        if tree_max_depth is not None:
+            tree_max_depth = _integer("tree_max_depth", tree_max_depth)
         if knn_k < 1:
             raise ValueError(f"knn_k must be >= 1, got {knn_k}")
         if not (math.isfinite(nb_alpha) and nb_alpha >= 0.0):
@@ -111,8 +121,11 @@ def _training_labels(data: Dataset) -> np.ndarray:
     return data.label_array
 
 
-def _ints(text: str, what: str) -> list[int]:
-    """The integers of one model-file payload line."""
+def _ints(line: str, prefix: str, what: str) -> list[int]:
+    """The integers after ``prefix`` on one model-file payload line."""
+    if not line.startswith(prefix):
+        raise ModelFileError(f"expected {prefix!r} line, got {line!r}")
+    text = line[len(prefix) :]
     try:
         return [int(tok) for tok in text.split()]
     except ValueError:
@@ -209,10 +222,12 @@ class KnnModel(TrainedModel):
     def __init__(self, schema: AttributeSchema, params: Hyperparams, rows: np.ndarray,
                  labels: np.ndarray) -> None:
         super().__init__(schema, params)
-        rows = _records(rows, self.domain_sizes)
+        rows, labels = _records(rows, self.domain_sizes), index_array(labels, "labels")
+        # the vote adds each label into its query's row of classes
+        if labels.shape != (len(rows),) or ((labels < 0) | (labels >= schema.n_classes)).any():
+            raise ValueError(f"knn needs one label in 0..{schema.n_classes - 1} per row")
         n_words = -(-int(self.domain_sizes.sum()) // 64)
-        vars(self).update(rows=rows, labels=np.asarray(labels, dtype=np.intp),
-                          _codes=_bit_codes(rows, self._offsets, n_words))
+        vars(self).update(rows=rows, labels=labels, _codes=_bit_codes(rows, self._offsets, n_words))
 
     def predict_proba_batch(self, queries: np.ndarray) -> np.ndarray:
         """Vote of the min(k, N) nearest records under Hamming distance.
@@ -277,9 +292,7 @@ class KnnModel(TrainedModel):
         sizes = [a.size for a in schema.features]
         rows, labels = [], []
         for line in lines:
-            if not line.startswith("row: "):
-                raise ModelFileError(f"expected 'row:' line, got {line!r}")
-            values = _ints(line[len("row: ") :], "knn row")
+            values = _ints(line, "row: ", "knn row")
             if len(values) != len(sizes) + 1:
                 raise ModelFileError(f"knn row has {len(values)} fields, expected {len(sizes) + 1}")
             if any(not 0 <= v < size for v, size in zip(values, sizes)):
@@ -344,54 +357,42 @@ class NaiveBayesModel(TrainedModel):
         np.divide(scores, mass, out=out, where=mass != 0.0)
         return out
 
+    @staticmethod
+    def _keys(schema: AttributeSchema) -> list[str]:
+        """The key of each payload line: ``class-counts``, then
+        ``table <attr> <value>`` per table row."""
+        return ["class-counts"] + [f"table {j} {v}" for j, attr in enumerate(schema.features)
+                                   for v in range(attr.size)]
+
     def payload(self) -> list[str]:
-        """Model-file lines: ``class-counts: <count per class>``, then
-        ``table <attr> <value>: <count per class>`` per table row."""
-        keys = [(j, v) for j, size in enumerate(self.domain_sizes) for v in range(size)]
-        return ["class-counts: " + " ".join(map(str, self.class_counts.tolist()))] + [
-            f"table {j} {v}: " + " ".join(map(str, row))
-            for (j, v), row in zip(keys, self.counts.tolist())
-        ]
+        """Model-file lines ``<key>: <count per class>``: the class counts,
+        then the table rows."""
+        rows = [self.class_counts.tolist(), *self.counts.tolist()]
+        return [f"{key}: " + " ".join(map(str, row))
+                for key, row in zip(self._keys(self.schema), rows)]
 
     @classmethod
     def from_payload(cls, lines: list[str], schema: AttributeSchema,
                      params: Hyperparams) -> NaiveBayesModel:
         """The model ``payload`` wrote; anything off is ModelFileError."""
-        n_classes = schema.n_classes
-        reader = iter(lines)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise ModelFileError("naive-bayes payload is empty") from None
-        if not first.startswith("class-counts: "):
-            raise ModelFileError(f"expected 'class-counts:' line, got {first!r}")
-        counts = _ints(first[len("class-counts: ") :], "class counts")
+        n_classes, keys = schema.n_classes, cls._keys(schema)
+        if len(lines) != len(keys):
+            raise ModelFileError(f"naive-bayes payload has {len(lines)} lines, expected {len(keys)}")
+        counts = _ints(lines[0], "class-counts: ", "class counts")
         if len(counts) != n_classes:
             raise ModelFileError(f"{len(counts)} class counts for {n_classes} classes")
         if any(c < 0 for c in counts) or sum(counts) == 0:
             raise ModelFileError("class counts must be non-negative with a positive total")
         if sum(counts) >= 2**63:  # the tables sum to the class counts, so they fit too
             raise ModelFileError("class counts must total less than 2**63")
-        sizes = tuple(a.size for a in schema.features)
         table: list[list[int]] = []
-        for j, size in enumerate(sizes):
-            for v in range(size):
-                try:
-                    line = next(reader)
-                except StopIteration:
-                    raise ModelFileError("naive-bayes payload truncated") from None
-                prefix = f"table {j} {v}: "
-                if not line.startswith(prefix):
-                    raise ModelFileError(f"expected {prefix!r} line, got {line!r}")
-                row = _ints(line[len(prefix) :], "count table row")
-                if len(row) != n_classes or any(c < 0 for c in row):
-                    raise ModelFileError(f"count row {line!r} needs {n_classes} non-negative counts")
-                table.append(row)
-        leftovers = list(reader)
-        if leftovers:
-            raise ModelFileError(f"unexpected trailing payload line {leftovers[0]!r}")
+        for key, line in zip(keys[1:], lines[1:]):
+            row = _ints(line, f"{key}: ", "count table row")
+            if len(row) != n_classes or any(c < 0 for c in row):
+                raise ModelFileError(f"count row {line!r} needs {n_classes} non-negative counts")
+            table.append(row)
         start = 0
-        for j, size in enumerate(sizes):
+        for j, size in enumerate(a.size for a in schema.features):
             if [sum(column) for column in zip(*table[start : start + size])] != counts:
                 raise ModelFileError(f"count table {j} does not sum to the class counts")
             start += size
@@ -460,7 +461,9 @@ class TreeModel(TrainedModel):
     its class counts; an empty child slot carries its parent's, and a
     split node read from a model file, which stores none, has zeros.  A
     leaf's label is the argmax of its counts, ties to the earlier class.
-    A table read from a model file may share a child between parents.
+    A table read from a model file may share a child between parents, but
+    every path from the root must end at a leaf: a child that is no node,
+    or a loop, is a ValueError naming the node.
     """
 
     algorithm = "tree"
@@ -468,6 +471,20 @@ class TreeModel(TrainedModel):
     def __init__(self, schema: AttributeSchema, params: Hyperparams, attribute: np.ndarray,
                  children: np.ndarray, counts: np.ndarray) -> None:
         super().__init__(schema, params)
+        # the nodes a path of t steps from the root reaches; after n steps
+        # some node repeats on the path, so a nonempty set means a loop.
+        # (np.bincount, not np.unique, whose first call imports numpy.ma.)
+        n, reached = len(attribute), np.zeros(1, dtype=np.intp)
+        for t in range(n + 1):
+            at = reached[attribute[reached] >= 0]
+            # each split's children on the values of its attribute
+            kids = children[at][np.arange(children.shape[1]) < self.domain_sizes[attribute[at], None]]
+            bad = reached if t == n else kids[(kids < 0) | (kids >= n)]
+            if bad.size:
+                raise ValueError(f"tree node {int(bad[0])} is missing or cyclic")
+            reached = np.bincount(kids, minlength=n).nonzero()[0]
+            if not reached.size:
+                break
         vars(self).update(attribute=attribute, children=children, counts=counts)
 
     def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
@@ -504,7 +521,7 @@ class TreeModel(TrainedModel):
     def from_payload(cls, lines: list[str], schema: AttributeSchema,
                      params: Hyperparams) -> TreeModel:
         """The model ``payload`` wrote; anything off is ModelFileError.
-        Every node line is checked, and no path from the root may loop."""
+        Every node line is checked; the constructor checks the paths."""
         sizes = tuple(a.size for a in schema.features)
         n_classes, n = schema.n_classes, len(lines)
         if not lines:
@@ -513,20 +530,12 @@ class TreeModel(TrainedModel):
         children = np.full((n, max(sizes)), -1, dtype=np.intp)
         counts = np.zeros((n, n_classes), dtype=np.int64)
         for i, line in enumerate(lines):
-            prefix = f"node {i}: "
-            if not line.startswith(prefix):
-                raise ModelFileError(f"expected {prefix!r} line, got {line!r}")
-            body = line[len(prefix) :]
-            leaf = body.startswith("leaf ")
-            if leaf:
-                head, sep, tail = body[len("leaf ") :].partition(" counts ")
-            elif body.startswith("split "):
-                head, sep, tail = body[len("split ") :].partition(" children ")
-            else:
-                raise ModelFileError(f"unknown tree node kind in {line!r}")
+            leaf = line.startswith(f"node {i}: leaf ")
+            head, sep, tail = line.partition(" counts " if leaf else " children ")
+            head = _ints(head, f"node {i}: {'leaf' if leaf else 'split'} ", "tree node")
             if not sep:
                 raise ModelFileError(f"malformed tree node line {line!r}")
-            head, tail = _ints(head, "tree node"), _ints(tail, "tree node")
+            tail = _ints(tail, "", "tree node")
             if leaf:
                 if len(head) != 1 or len(tail) != n_classes or not 0 <= head[0] < n_classes:
                     raise ModelFileError(f"leaf node {i} is malformed")
@@ -547,15 +556,7 @@ class TreeModel(TrainedModel):
                     raise ModelFileError(f"tree node {c} is missing or cyclic")
             attribute[i] = head[0]
             children[i, : len(tail)] = tail
-        # the nodes a path of t steps from the root reaches; after n steps
-        # some node repeats on the path, so a nonempty set means a loop
-        reached = np.zeros(1, dtype=np.intp)
-        for _ in range(n):
-            kids = children[reached[attribute[reached] >= 0]]
-            reached = np.unique(kids[kids >= 0])
-            if not reached.size:
-                return cls(schema, params, attribute, children, counts)
-        raise ModelFileError(f"tree node {int(reached[0])} is missing or cyclic")
+        return cls(schema, params, attribute, children, counts)
 
 
 def train_tree(data: Dataset, params: Hyperparams) -> TreeModel:

@@ -18,12 +18,10 @@ from .classifiers import ALGORITHMS, Hyperparams, predict_labels, train
 from .data import (
     AttributeSchema,
     Dataset,
-    canonical_label,
     class_counts,
     crosstab,
     parse_csv,
     parse_schema,
-    strip_bom,
 )
 from .errors import DataError, InputError, not_utf8
 # bound here, like Dataset, because tracing wraps them through cli's namespace
@@ -51,12 +49,14 @@ def _build_parser() -> _Parser:
         p.add_argument("--schema", default=None, help="schema file path (required for file data)")
 
     def add_hyper_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--k", type=int, default=5, help="KNN neighbor count (default 5)")
-        p.add_argument("--alpha", type=float, default=1.0,
-                       help="naive Bayes smoothing (default 1.0)")
-        p.add_argument("--min-samples", type=int, default=2,
-                       help="minimum records to split a tree node (default 2)")
-        p.add_argument("--max-depth", type=int, default=None,
+        d = Hyperparams()
+        p.add_argument("--k", type=int, default=d.knn_k,
+                       help="KNN neighbor count (default %(default)s)")
+        p.add_argument("--alpha", type=float, default=d.nb_alpha,
+                       help="naive Bayes smoothing (default %(default)s)")
+        p.add_argument("--min-samples", type=int, default=d.tree_min_samples,
+                       help="minimum records to split a tree node (default %(default)s)")
+        p.add_argument("--max-depth", type=int, default=d.tree_max_depth,
                        help="tree depth cap (default: unlimited)")
 
     p = sub.add_parser("validate", help="parse and describe a data file")
@@ -106,18 +106,9 @@ def _read_text(path: str, what: str) -> str:
         raise DataError(not_utf8(what, path, exc)) from None
 
 
-def _detect_labeled(text: str, schema: AttributeSchema) -> bool:
-    # line breaks are whitespace: the first non-blank line starts at the first non-space
-    head = strip_bom(text).lstrip().partition("\n")[0].splitlines()
-    if not head:
-        raise DataError("data file has no header line")
-    labeled = [*schema.feature_names, schema.target.name]
-    return [canonical_label(c) for c in head[0].split(",")] == labeled
-
-
 def _load_data(args: argparse.Namespace, labeled: bool | None,
                fallback_schema: AttributeSchema | None = None) -> tuple[Dataset, str]:
-    """Load --data/--schema; ``labeled=None`` auto-detects from the header."""
+    """Load --data/--schema; with ``labeled=None`` the header decides."""
     if args.data == EMBEDDED:
         schema = corpus.load_election_schema()
         text = corpus.election_csv_text()
@@ -133,9 +124,7 @@ def _load_data(args: argparse.Namespace, labeled: bool | None,
             raise UsageError("--schema is required when --data is a file path")
         text = _read_text(args.data, "data file")
         source = args.data
-    if labeled is None:
-        labeled = _detect_labeled(text, schema)
-    return parse_csv(text, schema, labeled=labeled), source
+    return parse_csv(text, schema, labeled), source
 
 
 def _load_training_data(args: argparse.Namespace) -> tuple[Dataset, str]:

@@ -275,26 +275,30 @@ def _valid_dataset(schema: AttributeSchema, matrix: np.ndarray,
     return data
 
 
-def parse_csv(text: str, schema: AttributeSchema, labeled: bool) -> Dataset:
+def parse_csv(text: str, schema: AttributeSchema, labeled: bool | None) -> Dataset:
     """Parse a comma-separated data file against ``schema``.
 
     The header must name every feature attribute in schema order, plus the
-    target when ``labeled``.  Cells are matched against domain labels after
-    whitespace canonicalisation; anything else is rejected with the line
-    number and column name.  Blank lines are skipped; cell order is
-    preserved exactly.
+    target when ``labeled``.  With ``labeled=None`` the file is labeled
+    exactly when its header names the features and then the target, and
+    is read as unlabeled otherwise.  Cells are matched against domain
+    labels after whitespace canonicalisation; anything else is rejected
+    with the line number and column name.  Blank lines are skipped; cell
+    order is preserved exactly.
     """
     lines = enumerate(strip_bom(text).splitlines(), start=1)
     # the first nonblank line; the record loop goes on from the line after it
     header_line = next((line for _, line in lines if line.strip()), None)
     if header_line is None:
         raise DataError("data file has no header line")
+    header = [canonical_label(cell) for cell in header_line.split(",")]
     expected = list(schema.feature_names)
     columns: list[Attribute] = list(schema.features)
+    if labeled is None:
+        labeled = header == [*expected, schema.target.name]
     if labeled:
         expected.append(schema.target.name)
         columns.append(schema.target)
-    header = [canonical_label(cell) for cell in header_line.split(",")]
     if header != expected:
         raise DataError(f"header mismatch: expected {expected}, got {header}")
 

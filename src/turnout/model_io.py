@@ -16,7 +16,8 @@ This module reads and writes that envelope only, with each params key
 exactly once.  The payload grammar lives with each model class in
 :mod:`turnout.classifiers`: ``payload`` writes the lines, and the class
 method ``from_payload`` reads them back into a model, rejecting anything
-malformed with ``ModelFileError``.
+malformed with ``ModelFileError``; a ``ValueError`` from the model's own
+constructor is reported as one too.
 
 The stored fingerprint must match the embedded schema, and a loaded
 model refuses to predict data carrying any other schema fingerprint.
@@ -131,8 +132,10 @@ def model_from_text(text: str) -> TrainedModel:
     payload = [reader.next("payload line") for _ in range(n_payload)]
     if reader.next("end marker") != "end":
         raise ModelFileError("model file truncated: missing 'end'")
-
-    return REGISTRY[algorithm].model.from_payload(payload, schema, params)
+    try:
+        return REGISTRY[algorithm].model.from_payload(payload, schema, params)
+    except ValueError as exc:  # the model constructor's own checks, such as the tree's loops
+        raise ModelFileError(str(exc)) from None
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:

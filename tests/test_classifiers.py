@@ -8,6 +8,7 @@ from turnout import (
     ALGORITHMS,
     REFERENCE_TREE_ROOT,
     Hyperparams,
+    KnnModel,
     TreeModel,
     class_counts,
     load_election_corpus,
@@ -102,6 +103,15 @@ def test_knn_on_corpus_first_record_matches_exhaustive_scan():
     got = model.predict_proba_batch(data.matrix[:1])[0]
     want = oracles.knn_proba(rows, labels, 3, 5, rows[0])
     assert got.tolist() == [float(w) for w in want]
+
+
+def test_knn_model_refuses_labels_its_vote_cannot_count():
+    # a label equal to the class count would land in the next query's row
+    data = load_election_corpus()
+    rows, k = data.matrix[:3], data.schema.n_classes
+    for labels in ([0, k, 0], [0, -1, 0], [0, 0], [[0], [0], [0]]):
+        with pytest.raises(ValueError, match=r"knn needs one label in 0\.\.2 per row"):
+            KnnModel(data.schema, Hyperparams(), rows, labels)
 
 
 small = st.integers(min_value=0, max_value=1)
@@ -246,6 +256,20 @@ def test_corpus_tree_root_has_the_greatest_information_gain():
 
 
 # --------------------------------------------------------------- tree
+
+
+def test_tree_model_refuses_a_loop_or_a_child_that_is_no_node():
+    # prediction walks children until it reaches a leaf: a loop never ends
+    tree = train(load_election_corpus(), "tree")
+    n = len(tree.attribute)
+    looped = np.where(tree.children >= 0, 0, -1)
+    dangling = tree.children.copy()
+    dangling[0, 0] = n
+    missing = tree.children.copy()
+    missing[0, 0] = -1
+    for children, node in ((looped, 0), (dangling, n), (missing, -1)):
+        with pytest.raises(ValueError, match=f"^tree node {node} is missing or cyclic$"):
+            TreeModel(tree.schema, tree.params, tree.attribute, children, tree.counts)
 
 
 def test_tree_pure_node_is_a_leaf():

@@ -20,10 +20,11 @@ from turnout import (
     election_schema_text,
     load_election_corpus,
     load_election_schema,
+    parse_csv,
     predict_labels,
     train_tree,
 )
-from turnout.cli import _detect_labeled, main
+from turnout.cli import main
 
 from oracles import table_as_tree
 
@@ -445,11 +446,12 @@ def _detect_labeled_per_line(text, schema):
     ("\n \n\t\r\n A \np\n", False),
     ("\r\n\r\nA,Vote\r\n", True),
     ("\ufeff\n\nA\rp\r", False),
+    (" A ,\tVote \np,50%\n", True),
 ])
 def test_detect_labeled_reads_the_first_non_blank_line(text, labeled):
     schema = AttributeSchema(features=(Attribute("A", ("p", "q")),),
                              target=Attribute("Vote", ("50%", "%s")))
-    assert _detect_labeled(text, schema) is labeled
+    assert parse_csv(text, schema, None).labeled is labeled
     assert _detect_labeled_per_line(text, schema) is labeled
 
 
@@ -460,13 +462,19 @@ def test_detect_labeled_matches_splitting_every_line(pieces):
                              target=Attribute("Vote", ("50%", "%s")))
     text = "".join(pieces)
 
-    def outcome(detect):
+    def outcome(labeled):
         try:
-            return detect(text, schema)
+            return parse_csv(text, schema, labeled)
         except DataError as exc:
             return str(exc)
 
-    assert outcome(_detect_labeled) == outcome(_detect_labeled_per_line)
+    # parse_csv left to detect reads the file as the reference's decision does
+    try:
+        labeled = _detect_labeled_per_line(text, schema)
+    except DataError as exc:
+        assert outcome(None) == str(exc)
+    else:
+        assert outcome(None) == outcome(labeled)
 
 
 @pytest.mark.parametrize("argv", [

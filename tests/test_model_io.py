@@ -91,6 +91,15 @@ def test_rejects_unknown_algorithm(corpus):
         model_from_text(text)
 
 
+def test_integer_params_of_numpy_type_are_stored_and_saved_as_int(corpus):
+    params = Hyperparams(knn_k=np.int64(3), tree_min_samples=np.int32(4),
+                         tree_max_depth=np.int64(2))
+    assert [type(v) for v in params] == [int, float, int, int]
+    text = model_to_text(train(corpus, "knn", params))
+    assert "\nparams: k=3 alpha=1.0 min-samples=4 max-depth=2\n" in text
+    assert model_from_text(text).params == params
+
+
 def test_rejects_truncated_file(corpus):
     text = model_to_text(train(corpus, "naive-bayes"))
     lines = text.splitlines()
@@ -181,6 +190,18 @@ def test_knn_payload_reports_the_earlier_of_two_faulty_lines(corpus):
             both = list(alone)
             both[7] = later(payload[7])
             assert _load_error(_with_knn_payload(head, both)) == want
+
+
+@pytest.mark.parametrize("change", ["delete", "append"])
+def test_naive_bayes_payload_with_a_line_missing_or_extra_names_the_count(
+        corpus, tmp_path, capsys, change):
+    head, payload = _knn_payload(model_to_text(train(corpus, "naive-bayes")))
+    want = len(payload)
+    payload = payload[:5] + payload[6:] if change == "delete" else payload + [payload[-1]]
+    path = tmp_path / "bad.model"
+    path.write_text(_with_knn_payload(head, payload))
+    assert main(["predict", str(path)]) == 2
+    assert f"naive-bayes payload has {len(payload)} lines, expected {want}" in capsys.readouterr().err
 
 
 def test_knn_payload_reads_what_python_int_reads(corpus):

@@ -137,6 +137,12 @@ def test_record_defaults():
     (lambda: Hyperparams(nb_alpha=math.inf), ValueError, "nb_alpha (alpha) must be finite and >= 0, got inf"),
     (lambda: Hyperparams(tree_min_samples=1), ValueError, "tree_min_samples must be >= 2, got 1"),
     (lambda: Hyperparams(tree_max_depth=-1), ValueError, "tree_max_depth must be >= 0, got -1"),
+    # a float or bool would train, then fail to predict or to load as saved
+    (lambda: Hyperparams(knn_k=2.5), ValueError, "knn_k must be an integer, got 2.5"),
+    (lambda: Hyperparams(knn_k=True), ValueError, "knn_k must be an integer, got True"),
+    (lambda: Hyperparams(tree_min_samples=2.0), ValueError,
+     "tree_min_samples must be an integer, got 2.0"),
+    (lambda: Hyperparams(tree_max_depth=1.5), ValueError, "tree_max_depth must be an integer, got 1.5"),
     (lambda: Protocol("holdout"), ValueError, "unknown protocol kind 'holdout'"),
     (lambda: Protocol("cv", folds=10), ValueError, "cv protocol needs folds and seed"),
     (lambda: Protocol("cv", seed=1), ValueError, "cv protocol needs folds and seed"),
