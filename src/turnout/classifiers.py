@@ -32,6 +32,7 @@ Tie rules are part of the contract:
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -66,6 +67,8 @@ class Hyperparams(NamedTuple("Hyperparams", [
         knn_k, tree_min_samples = _integer("knn_k", knn_k), _integer("tree_min_samples", tree_min_samples)
         if tree_max_depth is not None:
             tree_max_depth = _integer("tree_max_depth", tree_max_depth)
+        if isinstance(nb_alpha, bool) or not isinstance(nb_alpha, numbers.Real):
+            raise ValueError(f"nb_alpha must be a real number, got {nb_alpha!r}")
         if knn_k < 1:
             raise ValueError(f"knn_k must be >= 1, got {knn_k}")
         if not (math.isfinite(nb_alpha) and nb_alpha >= 0.0):
@@ -113,11 +116,9 @@ def _records(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _training_labels(data: Dataset) -> np.ndarray:
-    """The class of each record of a labeled, nonempty training set."""
+    """The class of each record of a labeled training set; the model refuses an empty one."""
     if data.label_array is None:
         raise ValueError("training needs a labeled dataset")
-    if data.n == 0:
-        raise ValueError("training needs at least one record")
     return data.label_array
 
 
@@ -164,9 +165,11 @@ class TrainedModel:
     provides ``predict_proba_batch`` ((m, k) class probabilities of (m, d)
     encoded records; a value outside its attribute's domain is a
     ValueError), ``payload`` (the model-file payload lines) and the
-    classmethod ``from_payload`` (the model ``payload`` wrote; anything
-    off is ModelFileError).  ``domain_sizes`` and ``_offsets`` are the
-    schema's ``_layout``.  A model is immutable and equal only to itself.
+    classmethod ``from_payload`` (parses what ``payload`` wrote: prefixes,
+    integers, field and line counts).  The constructor holds every check
+    prediction relies on, however the model is built (a ValueError).
+    ``domain_sizes`` and ``_offsets`` are the schema's ``_layout``.  A
+    model is immutable and equal only to itself.
     """
 
     algorithm: str
@@ -222,10 +225,18 @@ class KnnModel(TrainedModel):
     def __init__(self, schema: AttributeSchema, params: Hyperparams, rows: np.ndarray,
                  labels: np.ndarray) -> None:
         super().__init__(schema, params)
-        rows, labels = _records(rows, self.domain_sizes), index_array(labels, "labels")
+        sizes, k = self.domain_sizes, schema.n_classes
+        rows, labels = np.asarray(rows), np.asarray(labels)
+        if rows.dtype.kind not in "fO":  # a file's integers past int64 are float or object
+            rows, labels = index_array(rows, "knn rows"), index_array(labels, "labels")
+        need = f"knn needs one label in 0..{k - 1} per row, and rows of {len(sizes)} in-domain values"
+        if labels.ndim != 1 or rows.shape != (len(labels), len(sizes)) or not labels.size:
+            raise ValueError(need)
         # the vote adds each label into its query's row of classes
-        if labels.shape != (len(rows),) or ((labels < 0) | (labels >= schema.n_classes)).any():
-            raise ValueError(f"knn needs one label in 0..{schema.n_classes - 1} per row")
+        bad = ((rows < 0) | (rows >= sizes)).any(axis=1) | (labels < 0) | (labels >= k)
+        if bad.any():
+            raise ValueError(f"{need}; row {int(bad.argmax())} is out of range")
+        rows, labels = index_array(rows, "knn rows"), index_array(labels, "labels")
         n_words = -(-int(self.domain_sizes.sum()) // 64)
         vars(self).update(rows=rows, labels=labels, _codes=_bit_codes(rows, self._offsets, n_words))
 
@@ -288,22 +299,20 @@ class KnnModel(TrainedModel):
     @classmethod
     def from_payload(cls, lines: list[str], schema: AttributeSchema,
                      params: Hyperparams) -> KnnModel:
-        """The model ``payload`` wrote; anything off is ModelFileError."""
-        sizes = [a.size for a in schema.features]
-        rows, labels = [], []
+        """The model ``payload`` wrote."""
+        width, rows = len(schema.features) + 1, []
         for line in lines:
-            values = _ints(line, "row: ", "knn row")
-            if len(values) != len(sizes) + 1:
-                raise ModelFileError(f"knn row has {len(values)} fields, expected {len(sizes) + 1}")
-            if any(not 0 <= v < size for v, size in zip(values, sizes)):
-                raise ModelFileError(f"knn row value out of domain range: {line!r}")
-            if not 0 <= values[-1] < schema.n_classes:
-                raise ModelFileError(f"knn row label out of range: {line!r}")
-            rows.append(values[:-1])
-            labels.append(values[-1])
-        if not rows:
-            raise ModelFileError("knn payload has no rows")
-        return cls(schema, params, rows, labels)
+            try:
+                values = _ints(line, "row: ", "knn row")
+                if len(values) != width:
+                    raise ModelFileError(f"knn row has {len(values)} fields, expected {width}")
+            except ModelFileError:
+                if rows:  # a fault the constructor finds in an earlier line comes first
+                    cls.from_payload(lines[: len(rows)], schema, params)
+                raise
+            rows.append(values)
+        table = np.reshape(rows, (len(rows), width))
+        return cls(schema, params, table[:, :-1], table[:, -1])
 
 
 def train_knn(data: Dataset, params: Hyperparams) -> KnnModel:
@@ -327,7 +336,19 @@ class NaiveBayesModel(TrainedModel):
     def __init__(self, schema: AttributeSchema, params: Hyperparams, class_counts: np.ndarray,
                  counts: np.ndarray) -> None:
         super().__init__(schema, params)
-        alpha, sizes = params.nb_alpha, self.domain_sizes
+        alpha, sizes, k = params.nb_alpha, self.domain_sizes, schema.n_classes
+        # exact Python ints until checked: a file's counts have any size
+        totals, table = np.asarray(class_counts, dtype=object), np.asarray(counts, dtype=object)
+        if totals.shape != (k,) or (totals < 0).any() or (totals % 1 != 0).any() or totals.sum() == 0:
+            raise ValueError(f"class counts must be {k} non-negative integers with a positive total")
+        if totals.sum() >= 2**63:  # the tables sum to the class counts, so they fit too
+            raise ValueError("class counts must total less than 2**63")
+        if table.shape != (int(sizes.sum()), k) or (table < 0).any() or (table % 1 != 0).any():
+            raise ValueError(f"count table needs {int(sizes.sum())} rows of {k} non-negative integers")
+        wrong = (np.add.reduceat(table, self._offsets, axis=0) != totals).any(axis=1)
+        if wrong.any():
+            raise ValueError(f"count table {int(wrong.argmax())} does not sum to the class counts")
+        class_counts, counts = totals.astype(np.int64), table.astype(np.int64)
         # each table row's denominator, count(c) + alpha * domain size
         per_class = np.repeat(class_counts + alpha * sizes[:, None], sizes, axis=0)
         # a class with no records and alpha = 0 would divide 0 by 0; its
@@ -374,30 +395,13 @@ class NaiveBayesModel(TrainedModel):
     @classmethod
     def from_payload(cls, lines: list[str], schema: AttributeSchema,
                      params: Hyperparams) -> NaiveBayesModel:
-        """The model ``payload`` wrote; anything off is ModelFileError."""
-        n_classes, keys = schema.n_classes, cls._keys(schema)
+        """The model ``payload`` wrote."""
+        keys = cls._keys(schema)
         if len(lines) != len(keys):
             raise ModelFileError(f"naive-bayes payload has {len(lines)} lines, expected {len(keys)}")
-        counts = _ints(lines[0], "class-counts: ", "class counts")
-        if len(counts) != n_classes:
-            raise ModelFileError(f"{len(counts)} class counts for {n_classes} classes")
-        if any(c < 0 for c in counts) or sum(counts) == 0:
-            raise ModelFileError("class counts must be non-negative with a positive total")
-        if sum(counts) >= 2**63:  # the tables sum to the class counts, so they fit too
-            raise ModelFileError("class counts must total less than 2**63")
-        table: list[list[int]] = []
-        for key, line in zip(keys[1:], lines[1:]):
-            row = _ints(line, f"{key}: ", "count table row")
-            if len(row) != n_classes or any(c < 0 for c in row):
-                raise ModelFileError(f"count row {line!r} needs {n_classes} non-negative counts")
-            table.append(row)
-        start = 0
-        for j, size in enumerate(a.size for a in schema.features):
-            if [sum(column) for column in zip(*table[start : start + size])] != counts:
-                raise ModelFileError(f"count table {j} does not sum to the class counts")
-            start += size
-        return cls(schema, params, np.array(counts, dtype=np.int64),
-                   np.array(table, dtype=np.int64))
+        class_counts = _ints(lines[0], "class-counts: ", "class counts")
+        table = [_ints(line, f"{key}: ", "count table row") for key, line in zip(keys[1:], lines[1:])]
+        return cls(schema, params, class_counts, table)
 
 
 def train_naive_bayes(data: Dataset, params: Hyperparams) -> NaiveBayesModel:
@@ -461,9 +465,9 @@ class TreeModel(TrainedModel):
     its class counts; an empty child slot carries its parent's, and a
     split node read from a model file, which stores none, has zeros.  A
     leaf's label is the argmax of its counts, ties to the earlier class.
-    A table read from a model file may share a child between parents, but
-    every path from the root must end at a leaf: a child that is no node,
-    or a loop, is a ValueError naming the node.
+    A table may share a child between parents, but every path from the
+    root must end at a leaf, and each leaf needs whole counts in
+    0..2**63-1, not all 0: anything else is a ValueError naming the node.
     """
 
     algorithm = "tree"
@@ -471,21 +475,33 @@ class TreeModel(TrainedModel):
     def __init__(self, schema: AttributeSchema, params: Hyperparams, attribute: np.ndarray,
                  children: np.ndarray, counts: np.ndarray) -> None:
         super().__init__(schema, params)
+        # compared before the casts: a file's integers are objects of any size
+        n, counts, leaves = len(attribute), np.asarray(counts), (attribute < 0).nonzero()[0]
+        dist = counts[leaves]
+        bad = ((dist < 0) | (dist >= 2**63) | (dist % 1 != 0)).any(axis=1) | ~(dist > 0).any(axis=1)
+        if bad.any():
+            raise ValueError(f"leaf node {leaves[bad.argmax()]} has an invalid class distribution")
+        # each node's child slots, one per value of its split attribute; a
+        # table with no node has no root, which the walk below reports
+        width = np.where(attribute < 0, 0, self.domain_sizes[attribute])
+        slots = np.arange(children.shape[1]) < width[:, None]
+        kids = children[slots]
+        bad = kids[(kids < 0) | (kids >= n)]
+        if bad.size:
+            raise ValueError(f"tree node {bad[0]} is missing or cyclic")
+        children = np.asarray(children, dtype=np.intp)
         # the nodes a path of t steps from the root reaches; after n steps
         # some node repeats on the path, so a nonempty set means a loop.
         # (np.bincount, not np.unique, whose first call imports numpy.ma.)
-        n, reached = len(attribute), np.zeros(1, dtype=np.intp)
-        for t in range(n + 1):
-            at = reached[attribute[reached] >= 0]
-            # each split's children on the values of its attribute
-            kids = children[at][np.arange(children.shape[1]) < self.domain_sizes[attribute[at], None]]
-            bad = reached if t == n else kids[(kids < 0) | (kids >= n)]
-            if bad.size:
-                raise ValueError(f"tree node {int(bad[0])} is missing or cyclic")
-            reached = np.bincount(kids, minlength=n).nonzero()[0]
+        reached = np.zeros(1, dtype=np.intp)
+        for _ in range(n):
+            reached = np.bincount(children[reached][slots[reached]], minlength=n).nonzero()[0]
             if not reached.size:
                 break
-        vars(self).update(attribute=attribute, children=children, counts=counts)
+        else:
+            raise ValueError(f"tree node {reached[0]} is missing or cyclic")
+        vars(self).update(attribute=attribute, children=children,
+                          counts=np.asarray(counts, dtype=np.int64))
 
     def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
         """Move every record still at a split node one depth down per step,
@@ -520,15 +536,11 @@ class TreeModel(TrainedModel):
     @classmethod
     def from_payload(cls, lines: list[str], schema: AttributeSchema,
                      params: Hyperparams) -> TreeModel:
-        """The model ``payload`` wrote; anything off is ModelFileError.
-        Every node line is checked; the constructor checks the paths."""
-        sizes = tuple(a.size for a in schema.features)
-        n_classes, n = schema.n_classes, len(lines)
-        if not lines:
-            raise ModelFileError("tree payload has no nodes")
+        """The model ``payload`` wrote, each leaf labeled with its argmax."""
+        n, sizes = len(lines), tuple(a.size for a in schema.features)
         attribute = np.full(n, -1, dtype=np.intp)
-        children = np.full((n, max(sizes)), -1, dtype=np.intp)
-        counts = np.zeros((n, n_classes), dtype=np.int64)
+        children = np.full((n, max(sizes)), -1, dtype=object)
+        counts = np.zeros((n, schema.n_classes), dtype=object)
         for i, line in enumerate(lines):
             leaf = line.startswith(f"node {i}: leaf ")
             head, sep, tail = line.partition(" counts " if leaf else " children ")
@@ -537,10 +549,8 @@ class TreeModel(TrainedModel):
                 raise ModelFileError(f"malformed tree node line {line!r}")
             tail = _ints(tail, "", "tree node")
             if leaf:
-                if len(head) != 1 or len(tail) != n_classes or not 0 <= head[0] < n_classes:
+                if len(head) != 1 or len(tail) != schema.n_classes:
                     raise ModelFileError(f"leaf node {i} is malformed")
-                if any(not 0 <= c < 2**63 for c in tail) or sum(tail) == 0:
-                    raise ModelFileError(f"leaf node {i} has an invalid class distribution")
                 if head[0] != tail.index(max(tail)):
                     raise ModelFileError(f"leaf node {i} label is not the argmax of its counts")
                 counts[i] = tail
@@ -551,9 +561,6 @@ class TreeModel(TrainedModel):
                 raise ModelFileError(
                     f"split node {i} has {len(tail)} children, expected {sizes[head[0]]}"
                 )
-            for c in tail:
-                if not 0 <= c < n:
-                    raise ModelFileError(f"tree node {c} is missing or cyclic")
             attribute[i] = head[0]
             children[i, : len(tail)] = tail
         return cls(schema, params, attribute, children, counts)

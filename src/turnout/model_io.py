@@ -14,10 +14,10 @@ Layout (line oriented, utf-8):
 
 This module reads and writes that envelope only, with each params key
 exactly once.  The payload grammar lives with each model class in
-:mod:`turnout.classifiers`: ``payload`` writes the lines, and the class
-method ``from_payload`` reads them back into a model, rejecting anything
-malformed with ``ModelFileError``; a ``ValueError`` from the model's own
-constructor is reported as one too.
+:mod:`turnout.classifiers`: ``payload`` writes the lines, ``from_payload``
+parses them (prefixes, integers, field and line counts) and the model's
+constructor checks the rest; a ``ValueError`` from the constructor is
+reported as a ``ModelFileError`` with the same message.
 
 The stored fingerprint must match the embedded schema, and a loaded
 model refuses to predict data carrying any other schema fingerprint.
@@ -58,26 +58,6 @@ def model_to_text(model: TrainedModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Reader:
-    def __init__(self, text: str) -> None:
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def next(self, what: str) -> str:
-        if self.pos >= len(self.lines):
-            raise ModelFileError(f"model file truncated: missing {what}")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def keyed(self, key: str) -> str:
-        line = self.next(key)
-        prefix = key + ": "
-        if not line.startswith(prefix):
-            raise ModelFileError(f"expected {key!r} line, got {line!r}")
-        return line[len(prefix) :]
-
-
 def _count(text: str, what: str) -> int:
     try:
         n = int(text)
@@ -111,30 +91,43 @@ def _parse_params(text: str) -> Hyperparams:
 
 def model_from_text(text: str) -> TrainedModel:
     """Parse the documented model format; anything off is ModelFileError."""
-    reader = _Reader(text)
-    header = reader.next("format line")
+    lines = iter(text.splitlines())
+
+    def take(what: str) -> str:
+        line = next(lines, None)
+        if line is None:
+            raise ModelFileError(f"model file truncated: missing {what}")
+        return line
+
+    def keyed(key: str) -> str:
+        line = take(key)
+        if not line.startswith(key + ": "):
+            raise ModelFileError(f"expected {key!r} line, got {line!r}")
+        return line[len(key) + 2 :]
+
+    header = take("format line")
     if header != FORMAT_LINE:
         raise ModelFileError(f"unsupported model format: {header!r}")
-    algorithm = reader.keyed("algorithm")
+    algorithm = keyed("algorithm")
     if algorithm not in REGISTRY:
         raise ModelFileError(f"unknown algorithm {algorithm!r}")
-    fingerprint = reader.keyed("fingerprint")
-    params = _parse_params(reader.keyed("params"))
-    n_schema = _count(reader.keyed("schema-lines"), "schema-lines")
-    schema_text = "\n".join(reader.next("schema line") for _ in range(n_schema)) + "\n"
+    fingerprint = keyed("fingerprint")
+    params = _parse_params(keyed("params"))
+    n_schema = _count(keyed("schema-lines"), "schema-lines")
+    schema_text = "\n".join(take("schema line") for _ in range(n_schema)) + "\n"
     try:
         schema = parse_schema(schema_text)
     except SchemaError as exc:
         raise ModelFileError(f"embedded schema is invalid: {exc}") from None
     if schema.fingerprint() != fingerprint:
         raise ModelFileError("stored fingerprint does not match the embedded schema")
-    n_payload = _count(reader.keyed("payload-lines"), "payload-lines")
-    payload = [reader.next("payload line") for _ in range(n_payload)]
-    if reader.next("end marker") != "end":
+    n_payload = _count(keyed("payload-lines"), "payload-lines")
+    payload = [take("payload line") for _ in range(n_payload)]
+    if take("end marker") != "end":
         raise ModelFileError("model file truncated: missing 'end'")
     try:
         return REGISTRY[algorithm].model.from_payload(payload, schema, params)
-    except ValueError as exc:  # the model constructor's own checks, such as the tree's loops
+    except ValueError as exc:  # the constructor's checks: domains, counts, child nodes
         raise ModelFileError(str(exc)) from None
 
 

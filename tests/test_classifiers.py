@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,57 @@ def test_knn_model_refuses_labels_its_vote_cannot_count():
     for labels in ([0, k, 0], [0, -1, 0], [0, 0], [[0], [0], [0]]):
         with pytest.raises(ValueError, match=r"knn needs one label in 0\.\.2 per row"):
             KnnModel(data.schema, Hyperparams(), rows, labels)
+
+
+def _changed(array, index, value):
+    """A copy of ``array`` with ``array[index] = value``."""
+    out = np.array(array)
+    out[index] = value
+    return out
+
+
+def _negative_cell(counts):
+    """``counts`` with cell (0, 0) at -1 and row 1 making up the difference,
+    so every attribute's rows still sum to the class counts."""
+    return _changed(_changed(counts, (0, 0), -1), (1, 0), counts[1, 0] + counts[0, 0] + 1)
+
+
+def _leaf_counts(tree, counts):
+    """The tree's count table with ``counts`` at the leaf that the first
+    corpus record reaches."""
+    node, record = 0, load_election_corpus().matrix[0]
+    while tree.attribute[node] >= 0:
+        node = tree.children[node, record[tree.attribute[node]]]
+    return _changed(tree.counts.astype(np.asarray(counts).dtype), node, counts)
+
+
+@pytest.mark.parametrize("algo, arrays, message", [
+    ("naive-bayes", lambda m: (0 * m.class_counts, 0 * m.counts),
+     "class counts must be 3 non-negative integers with a positive total"),
+    ("naive-bayes", lambda m: (m.class_counts, m.counts[:-1]),
+     "count table needs 29 rows of 3 non-negative integers"),
+    ("naive-bayes", lambda m: (m.class_counts, 2 * m.counts),
+     "count table 0 does not sum to the class counts"),
+    ("naive-bayes", lambda m: (m.class_counts, _negative_cell(m.counts)),
+     "count table needs 29 rows of 3 non-negative integers"),
+    ("naive-bayes", lambda m: (m.class_counts, _changed(m.counts / 1, (0, 0), m.counts[0, 0] + 0.5)),
+     "count table needs 29 rows of 3 non-negative integers"),
+    ("tree", lambda m: (m.attribute, m.children, _leaf_counts(m, [0, 0, 0])),
+     r"leaf node \d+ has an invalid class distribution"),
+    ("tree", lambda m: (m.attribute, m.children, _leaf_counts(m, [-1, 5, 0])),
+     r"leaf node \d+ has an invalid class distribution"),
+    ("tree", lambda m: (m.attribute, m.children, _leaf_counts(m, [2.5, 0, 0])),
+     r"leaf node \d+ has an invalid class distribution"),
+], ids=["nb-all-zero", "nb-short-table", "nb-doubled-table", "nb-negative-cell",
+        "nb-fractional-cell", "tree-all-zero-leaf", "tree-negative-leaf-count",
+        "tree-fractional-leaf-count"])
+def test_directly_built_model_refuses_tables_it_cannot_predict_from(algo, arrays, message):
+    # each table would predict NaN or a wrong distribution, or fail inside
+    # numpy, so the constructor refuses it, naming the fault
+    data = load_election_corpus()
+    model = train(data, algo)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        type(model)(data.schema, model.params, *arrays(model))
 
 
 small = st.integers(min_value=0, max_value=1)
@@ -485,6 +537,15 @@ def test_hyperparams_validation():
         Hyperparams(tree_min_samples=1)
     with pytest.raises(ValueError):
         Hyperparams(tree_max_depth=-1)
+    # a bool, or anything that is not a real number, is refused by name
+    for alpha in (True, np.bool_(False), "1", None, 1j, [1.0]):
+        message = f"^nb_alpha must be a real number, got {re.escape(repr(alpha))}$"
+        with pytest.raises(ValueError, match=message):
+            Hyperparams(nb_alpha=alpha)
+    # ints, floats and numpy reals are stored as float
+    for alpha in (0, 2, 0.5, np.float32(0.25), np.float64(1.5), np.int64(3)):
+        stored = Hyperparams(nb_alpha=alpha).nb_alpha
+        assert type(stored) is float and stored == float(alpha)
 
 
 # ------------------------------------------------------ batch kernels

@@ -1,14 +1,17 @@
+import contextlib
 import gc
+import io
 import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import turnout.cli
 from turnout import (
+    ALGORITHMS,
     Attribute,
     AttributeSchema,
     DataError,
@@ -20,8 +23,11 @@ from turnout import (
     election_schema_text,
     load_election_corpus,
     load_election_schema,
+    load_model,
+    model_to_text,
     parse_csv,
     predict_labels,
+    train,
     train_tree,
 )
 from turnout.cli import main
@@ -551,6 +557,57 @@ def test_predict_refuses_naive_bayes_counts_beyond_int64(capsys, tmp_path, raise
     code, out, err = run(capsys, "predict", str(model))
     assert (code, out) == (2, "")
     assert err == "data error: class counts must total less than 2**63\n"
+
+
+@pytest.fixture(scope="module")
+def corpus_model_lines():
+    data = load_election_corpus()
+    return {algo: model_to_text(train(data, algo)).splitlines() for algo in ALGORITHMS}
+
+
+def _mutate(draw, lines):
+    """One drawn change to a model file's payload: a number moved by one,
+    negated or raised by 2**62, 2**63 or 2**64, or a line deleted,
+    duplicated or swapped with another (``payload-lines`` kept in step
+    with a deletion or duplication, or not)."""
+    at = next(i for i, line in enumerate(lines) if line.startswith("payload-lines: "))
+    lines = list(lines)
+    i = draw(st.integers(at + 1, len(lines) - 2))
+    kind = draw(st.sampled_from(["number", "number", "delete", "duplicate", "swap"]))
+    if kind == "number":
+        m = draw(st.sampled_from(list(re.finditer(r"-?\d+", lines[i]))))
+        v = int(m.group())
+        v = draw(st.sampled_from([v + 1, v - 1, -v, v + 2**62, v + 2**63, v + 2**64]))
+        lines[i] = lines[i][: m.start()] + str(v) + lines[i][m.end() :]
+    elif kind == "swap":
+        j = draw(st.integers(at + 1, len(lines) - 2))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines[i : i + 1] = [] if kind == "delete" else [lines[i]] * 2
+        if draw(st.booleans()):
+            lines[at] = f"payload-lines: {len(lines) - at - 2}"
+    return lines
+
+
+@settings(max_examples=250, deadline=None)
+@given(draws=st.data())
+def test_predict_on_a_mutated_model_file_is_a_prediction_or_a_data_error(
+        corpus_model_lines, tmp_path_factory, draws):
+    lines = corpus_model_lines[draws.draw(st.sampled_from(ALGORITHMS))]
+    for _ in range(draws.draw(st.integers(1, 2))):
+        lines = _mutate(draws.draw, lines)
+    path = tmp_path_factory.mktemp("mutated") / "model"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["predict", str(path)])
+    # never a usage (1) or internal (3) error
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        assert not re.search(r"(?i)\b(nan|inf)\b", out.getvalue())
+        assert model_to_text(load_model(path)) == path.read_text(encoding="utf-8")
+    else:
+        assert err.getvalue().startswith("data error: ") and not out.getvalue()
 
 
 @pytest.mark.parametrize("what, argv", [

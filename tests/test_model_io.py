@@ -293,6 +293,15 @@ def test_rejects_malformed_node_that_no_path_reaches():
         model_from_text(extra)
 
 
+def test_rejects_split_that_no_path_reaches_with_a_child_that_is_no_node():
+    data = tiny_dataset([(0,), (1,)], [0, 1], [2], 2)
+    text = model_to_text(train(data, "tree"))
+    extra = _tamper(text, "end\n", "node 3: split 0 children 1 99\nend\n")
+    extra = _tamper(extra, "payload-lines: 3", "payload-lines: 4")
+    with pytest.raises(ModelFileError, match="^tree node 99 is missing or cyclic$"):
+        model_from_text(extra)
+
+
 def test_rejects_empty_leaf_distribution():
     data = tiny_dataset([(0,), (1,)], [0, 1], [2], 2)
     text = model_to_text(train(data, "tree"))

@@ -233,6 +233,20 @@ def test_only_evaluate_loads_evaluation_and_report(tmp_path):
     assert {"turnout.evaluation", "turnout.report"} <= loaded
 
 
+def test_no_command_loads_numpy_ma(tmp_path):
+    # the first np.unique on integers imports numpy.ma, which costs the
+    # corpus run about a tenth of its wall time; all seven commands run in
+    # one interpreter, so none of them may load it
+    argvs = [argv for algo in ("knn", "naive-bayes", "tree")
+             for argv in (["train", "--algo", algo, "--out", str(tmp_path / algo)],
+                          ["predict", str(tmp_path / algo)])]
+    argvs.append(["evaluate", "--algo", "all", "--seed", "1"])
+    run = "from turnout.cli import main\n" + "\n".join(f"assert main({argv!r}) == 0" for argv in argvs)
+    loaded = _new_modules(run)
+    assert "turnout.evaluation" in loaded and "numpy" in loaded
+    assert "numpy.ma" not in loaded
+
+
 def test_each_public_name_is_the_object_its_module_defines():
     for name, module_name in turnout._EXPORTS.items():
         module = importlib.import_module(f"turnout.{module_name}")
