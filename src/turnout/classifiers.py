@@ -1,13 +1,12 @@
 """Three categorical classifiers behind one batch contract.
 
-Each algorithm trains on a labeled :class:`~turnout.data.Dataset` and
-predicts with one batch kernel: an ``(m, d)`` array of encoded records
-in, an ``(m, k)`` matrix of class probabilities out, each value checked
-against its attribute's domain.  ``REGISTRY`` is the one table of
-algorithms: each record names a trainer and a model class.  A trained
-model is one object, an instance of its algorithm's subclass of
-``TrainedModel``: it holds the schema and hyperparameters it was trained
-under and its tables, predicts, writes its model-file payload and reads
+Each algorithm is one subclass of ``TrainedModel``, and ``REGISTRY``
+maps each id to its class.  ``train`` fits one on a labeled
+:class:`~turnout.data.Dataset`.  A trained model holds the schema and
+hyperparameters it was trained under and its tables, and predicts with
+one batch kernel: an ``(m, d)`` array of encoded records in, an
+``(m, k)`` matrix of class probabilities out, each value checked against
+its attribute's domain.  It also writes its model-file payload and reads
 it back.  The one per-record entry point,
 ``TrainedModel.predict_proba_row``, calls the kernel on a batch of one,
 so a record gets the same bits alone as in a batch.  Models are
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,13 +114,6 @@ def _records(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return batch
 
 
-def _training_labels(data: Dataset) -> np.ndarray:
-    """The class of each record of a labeled training set; the model refuses an empty one."""
-    if data.label_array is None:
-        raise ValueError("training needs a labeled dataset")
-    return data.label_array
-
-
 def _ints(line: str, prefix: str, what: str) -> list[int]:
     """The integers after ``prefix`` on one model-file payload line."""
     if not line.startswith(prefix):
@@ -160,13 +152,15 @@ class TrainedModel:
     """A trained model: the schema and hyperparameters it was trained
     under, and its algorithm's tables, which one subclass per algorithm holds.
 
-    The subclass names its ``REGISTRY`` id in ``algorithm``, reads its
-    settings from ``params`` and ``schema`` and keeps no copy of them, and
-    provides ``predict_proba_batch`` ((m, k) class probabilities of (m, d)
-    encoded records; a value outside its attribute's domain is a
-    ValueError), ``payload`` (the model-file payload lines) and the
-    classmethod ``from_payload`` (parses what ``payload`` wrote: prefixes,
-    integers, field and line counts).  The constructor holds every check
+    The subclass is the whole algorithm.  It names its ``REGISTRY`` id in
+    ``algorithm``, reads its settings from ``params`` and ``schema`` and
+    keeps no copy of them, and provides the classmethod ``_fit`` (trains
+    on a labeled dataset, which ``train`` has checked),
+    ``predict_proba_batch`` ((m, k) class probabilities of (m, d) encoded
+    records; a value outside its attribute's domain is a ValueError),
+    ``payload`` (the model-file payload lines) and the classmethod
+    ``from_payload`` (parses what ``payload`` wrote: prefixes, integers,
+    field and line counts).  The constructor holds every check
     prediction relies on, however the model is built (a ValueError).
     ``domain_sizes`` and ``_offsets`` are the schema's ``_layout``.  A
     model is immutable and equal only to itself.
@@ -180,10 +174,6 @@ class TrainedModel:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
-
-    @property
-    def fingerprint(self) -> str:
-        return self.schema.fingerprint()
 
     def predict_proba_row(self, values: Sequence[int]) -> np.ndarray:
         """Probability vector for one already-encoded record: the batch
@@ -201,7 +191,7 @@ class TrainedModel:
         if data.schema != self.schema:
             raise SchemaMismatchError(
                 "dataset schema fingerprint does not match the model's "
-                f"({data.schema.fingerprint()[:12]} vs {self.fingerprint[:12]})"
+                f"({data.schema.fingerprint()[:12]} vs {self.schema.fingerprint()[:12]})"
             )
         return self.predict_proba_batch(data.matrix)
 
@@ -239,6 +229,11 @@ class KnnModel(TrainedModel):
         rows, labels = index_array(rows, "knn rows"), index_array(labels, "labels")
         n_words = -(-int(self.domain_sizes.sum()) // 64)
         vars(self).update(rows=rows, labels=labels, _codes=_bit_codes(rows, self._offsets, n_words))
+
+    @classmethod
+    def _fit(cls, data: Dataset, params: Hyperparams) -> KnnModel:
+        """Keep the training table as it is."""
+        return cls(data.schema, params, data.matrix, data.label_array)
 
     def predict_proba_batch(self, queries: np.ndarray) -> np.ndarray:
         """Vote of the min(k, N) nearest records under Hamming distance.
@@ -315,10 +310,6 @@ class KnnModel(TrainedModel):
         return cls(schema, params, table[:, :-1], table[:, -1])
 
 
-def train_knn(data: Dataset, params: Hyperparams) -> KnnModel:
-    return KnnModel(data.schema, params, data.matrix, _training_labels(data))
-
-
 # ------------------------------------------------------- Naive Bayes
 
 
@@ -357,6 +348,14 @@ class NaiveBayesModel(TrainedModel):
         np.divide(counts + alpha, per_class, out=ratios, where=per_class != 0)
         vars(self).update(class_counts=class_counts, counts=counts,
                           _priors=class_counts / class_counts.sum(), _ratios=ratios)
+
+    @classmethod
+    def _fit(cls, data: Dataset, params: Hyperparams) -> NaiveBayesModel:
+        """Tally value/class co-occurrence over the full declared domains."""
+        labels, k = data.label_array, data.schema.n_classes
+        sizes, offsets = _layout(data.schema)
+        return cls(data.schema, params, np.bincount(labels, minlength=k),
+                   tally(data.matrix + offsets, labels[:, None], int(sizes.sum()), k))
 
     def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
         """Smoothed multinomial scores, normalised to sum to one.
@@ -402,15 +401,6 @@ class NaiveBayesModel(TrainedModel):
         class_counts = _ints(lines[0], "class-counts: ", "class counts")
         table = [_ints(line, f"{key}: ", "count table row") for key, line in zip(keys[1:], lines[1:])]
         return cls(schema, params, class_counts, table)
-
-
-def train_naive_bayes(data: Dataset, params: Hyperparams) -> NaiveBayesModel:
-    """Tally value/class co-occurrence over the full declared domains."""
-    labels = _training_labels(data)
-    sizes, offsets = _layout(data.schema)
-    k = data.schema.n_classes
-    return NaiveBayesModel(data.schema, params, np.bincount(labels, minlength=k),
-                           tally(data.matrix + offsets, labels[:, None], int(sizes.sum()), k))
 
 
 # -------------------------------------------------------------- tree
@@ -503,6 +493,137 @@ class TreeModel(TrainedModel):
         vars(self).update(attribute=attribute, children=children,
                           counts=np.asarray(counts, dtype=np.int64))
 
+    @classmethod
+    def _fit(cls, data: Dataset, params: Hyperparams) -> TreeModel:
+        """Grow an unpruned multiway tree by maximum information gain.
+
+        A node becomes a leaf when it is pure, has fewer than
+        ``tree_min_samples`` records, has no unused attributes left, sits at
+        ``tree_max_depth``, or when no attribute has positive gain.  Empty
+        branches get a leaf carrying the parent distribution.  No attribute
+        is reused along a path.
+
+        The tree grows one depth at a time, each depth's nodes following the
+        previous depth's in the :class:`TreeModel` table.  Each record of a
+        node that may still split carries that node's number, and one
+        ``np.bincount`` over (node, attribute, value, class) tallies every
+        such node against every attribute at once, so the numpy calls per
+        tree grow with its depth, not its node count.  A node with n records scores attribute j by
+
+            s_j = sum_v f(n_v) - sum_{v,c} f(n_vc),   f(n) = n * log2(n),
+
+        which is n times its weighted child entropy; the parent's score is
+        f(n) - sum_c f(n_c).  Each f comes from one float table per tree.
+        Assuming ``np.log2`` within a conservative 4 ulp, a table entry is
+        within 10u of f(n) (u = 2**-53).  A score sums at most
+        T = (k + 1) * (largest domain size) signed entries whose magnitudes
+        add up to at most 2 f(n), since f is superadditive, and summing them
+        in any order adds at most 1.01 (T - 1) u times that.  A float score
+        is thus within (2.03 T + 18) u f(n) of the exact one, and
+
+            eps = (T + 10) * 2**-50 * n * log2(n)
+
+        is about four times that, which also covers the rounding of eps and
+        of the comparisons.  A node whose best float score is more than
+        2 eps below the parent's and below every other attribute's splits on
+        that attribute.  Any other node is decided exactly on its integer
+        tallies with ``_split_score``/``_score_less``, over the attributes
+        within 2 eps of the best that take more than one value in the node;
+        so ties, and zero gain, are never settled by float order.  An
+        attribute constant in a node, such as one split on above it, scores
+        exactly the parent's score, so it never shows positive gain: that
+        alone keeps attributes from repeating along a path, and a node whose
+        near attributes are all constant is a leaf with no exact step.
+
+        A node whose best float score is exactly 0.0 splits on it with no exact
+        step: pure children score 0.0 bit for bit, each f(n_v) less f(n_v) plus
+        zeros; any other split, and an open node's parent, scores at least 2 (n H
+        at (1, 1)), far beyond 2 eps; and ``argmin`` takes the earliest at 0.0.
+        """
+        labels = data.label_array
+        k = data.schema.n_classes
+        sizes, offsets = _layout(data.schema)
+        width, d = int(sizes.sum()), len(sizes)
+        n = np.arange(1, data.n + 1, dtype=np.float64)
+        f = np.concatenate(([0.0], n * np.log2(n)))  # f[n] = n * log2(n)
+        eps_per_f = ((k + 1) * int(sizes.max()) + 10) * 2.0**-50
+
+        # the node table, one depth at a time: every node's class counts and
+        # split attribute, and below the root its parent's node number and the
+        # value that leads there from the parent
+        counts_at: list[np.ndarray] = []
+        attribute_at: list[np.ndarray] = []
+        parent_at = [np.zeros(0, dtype=np.intp)]
+        value_at = [np.zeros(0, dtype=np.intp)]
+        base = 0  # node number of this depth's first node
+        # the records still in play and their node at this depth; ``labels`` is
+        # narrowed along with ``rows``
+        rows = np.arange(data.n)
+        slot = np.zeros(data.n, dtype=np.intp)
+        counts = tally(slot, labels, 1, k)
+        for depth in range(d + 1):
+            n_node = counts.sum(axis=1)
+            open_ = (counts.max(axis=1) < n_node) & (n_node >= params.tree_min_samples)
+            if depth == d or (params.tree_max_depth is not None and depth >= params.tree_max_depth):
+                open_[:] = False
+            attribute = np.full(len(counts), -1, dtype=np.intp)
+            counts_at.append(counts)
+            attribute_at.append(attribute)
+            nodes = open_.nonzero()[0]
+            if nodes.size == 0:
+                break
+
+            # tally the records of open nodes only, renumbering those nodes 0..m-1
+            keep = open_[slot]
+            rows, labels = rows[keep], labels[keep]
+            node_of = (np.cumsum(open_) - 1)[slot[keep]]
+            m = len(nodes)
+            cells = data.matrix[rows]
+            cells += offsets
+            cells += (node_of * width)[:, None]
+            table = tally(cells, labels[:, None], m * width, k).reshape(m, width, k)
+            n_open = n_node[nodes]
+            score = np.add.reduceat(f[table.sum(axis=2)] - f[table].sum(axis=2), offsets, axis=1)
+            parent = f[n_open] - f[counts[nodes]].sum(axis=1)
+            best = score.argmin(axis=1)
+            best_score = score[np.arange(m), best]
+            margin = 2.0 * eps_per_f * f[n_open]
+            near = score - best_score[:, None] <= margin[:, None]
+            clear = (near.sum(axis=1) == 1) & (parent - best_score > margin)
+            choice = np.where(clear | (best_score == 0.0), best, -1)
+            # an attribute with one value present in the node scores exactly the
+            # parent's score and never wins, so only the others go to the exact step
+            undecided = (choice < 0).nonzero()[0]
+            varied = np.add.reduceat(table[undecided].any(axis=2), offsets, axis=1) > 1
+            for i, candidates in zip(undecided.tolist(), near[undecided] & varied):
+                if candidates.any():
+                    choice[i] = _exact_split(table[i], counts[nodes[i]], candidates.nonzero()[0],
+                                             offsets, sizes)
+
+            # one child slot per value of the chosen attribute, empty ones included
+            split = choice >= 0
+            n_children = np.where(split, sizes[choice], 0)
+            first = np.cumsum(n_children) - n_children
+            attribute[nodes] = choice
+            parent_of = np.repeat(np.arange(m), n_children)
+            value = np.arange(len(parent_of)) - first[parent_of]
+            parent_at.append(base + nodes[parent_of])
+            value_at.append(value)
+            base += len(attribute)
+            counts = table[parent_of, offsets[choice[parent_of]] + value]
+            moved = split[node_of]
+            rows, labels, node_of = rows[moved], labels[moved], node_of[moved]
+            slot = first[node_of] + data.matrix[rows, choice[node_of]]
+
+        # breadth first, node i > 0 is the child of parents[i - 1] on values[i - 1]
+        counts = np.concatenate(counts_at)
+        parents, values = np.concatenate(parent_at), np.concatenate(value_at)
+        children = np.full((len(counts), int(sizes.max())), -1, dtype=np.intp)
+        children[parents, values] = np.arange(1, len(counts))
+        empty = (counts[1:].sum(axis=1) == 0).nonzero()[0]
+        counts[empty + 1] = counts[parents[empty]]
+        return cls(data.schema, params, np.concatenate(attribute_at), children, counts)
+
     def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
         """Move every record still at a split node one depth down per step,
         then normalise the class counts of the leaves reached."""
@@ -566,156 +687,19 @@ class TreeModel(TrainedModel):
         return cls(schema, params, attribute, children, counts)
 
 
-def train_tree(data: Dataset, params: Hyperparams) -> TreeModel:
-    """Grow an unpruned multiway tree by maximum information gain.
-
-    A node becomes a leaf when it is pure, has fewer than
-    ``tree_min_samples`` records, has no unused attributes left, sits at
-    ``tree_max_depth``, or when no attribute has positive gain.  Empty
-    branches get a leaf carrying the parent distribution.  No attribute
-    is reused along a path.
-
-    The tree grows one depth at a time, each depth's nodes following the
-    previous depth's in the :class:`TreeModel` table.  Each record of a
-    node that may still split carries that node's number, and one
-    ``np.bincount`` over (node, attribute, value, class) tallies every
-    such node against every attribute at once, so the numpy calls per
-    tree grow with its depth, not its node count.  A node with n records scores attribute j by
-
-        s_j = sum_v f(n_v) - sum_{v,c} f(n_vc),   f(n) = n * log2(n),
-
-    which is n times its weighted child entropy; the parent's score is
-    f(n) - sum_c f(n_c).  Each f comes from one float table per tree.
-    Assuming ``np.log2`` within a conservative 4 ulp, a table entry is
-    within 10u of f(n) (u = 2**-53).  A score sums at most
-    T = (k + 1) * (largest domain size) signed entries whose magnitudes
-    add up to at most 2 f(n), since f is superadditive, and summing them
-    in any order adds at most 1.01 (T - 1) u times that.  A float score
-    is thus within (2.03 T + 18) u f(n) of the exact one, and
-
-        eps = (T + 10) * 2**-50 * n * log2(n)
-
-    is about four times that, which also covers the rounding of eps and
-    of the comparisons.  A node whose best float score is more than
-    2 eps below the parent's and below every other attribute's splits on
-    that attribute.  Any other node is decided exactly on its integer
-    tallies with ``_split_score``/``_score_less``, over the attributes
-    within 2 eps of the best that take more than one value in the node;
-    so ties, and zero gain, are never settled by float order.  An
-    attribute constant in a node, such as one split on above it, scores
-    exactly the parent's score, so it never shows positive gain: that
-    alone keeps attributes from repeating along a path, and a node whose
-    near attributes are all constant is a leaf with no exact step.
-
-    A node whose best float score is exactly 0.0 splits on it with no exact
-    step: pure children score 0.0 bit for bit, each f(n_v) less f(n_v) plus
-    zeros; any other split, and an open node's parent, scores at least 2 (n H
-    at (1, 1)), far beyond 2 eps; and ``argmin`` takes the earliest at 0.0.
-    """
-    labels = _training_labels(data)
-    k = data.schema.n_classes
-    sizes, offsets = _layout(data.schema)
-    width, d = int(sizes.sum()), len(sizes)
-    n = np.arange(1, data.n + 1, dtype=np.float64)
-    f = np.concatenate(([0.0], n * np.log2(n)))  # f[n] = n * log2(n)
-    eps_per_f = ((k + 1) * int(sizes.max()) + 10) * 2.0**-50
-
-    # the node table, one depth at a time: every node's class counts and
-    # split attribute, and below the root its parent's node number and the
-    # value that leads there from the parent
-    counts_at: list[np.ndarray] = []
-    attribute_at: list[np.ndarray] = []
-    parent_at = [np.zeros(0, dtype=np.intp)]
-    value_at = [np.zeros(0, dtype=np.intp)]
-    base = 0  # node number of this depth's first node
-    # the records still in play and their node at this depth; ``labels`` is
-    # narrowed along with ``rows``
-    rows = np.arange(data.n)
-    slot = np.zeros(data.n, dtype=np.intp)
-    counts = tally(slot, labels, 1, k)
-    for depth in range(d + 1):
-        n_node = counts.sum(axis=1)
-        open_ = (counts.max(axis=1) < n_node) & (n_node >= params.tree_min_samples)
-        if depth == d or (params.tree_max_depth is not None and depth >= params.tree_max_depth):
-            open_[:] = False
-        attribute = np.full(len(counts), -1, dtype=np.intp)
-        counts_at.append(counts)
-        attribute_at.append(attribute)
-        nodes = open_.nonzero()[0]
-        if nodes.size == 0:
-            break
-
-        # tally the records of open nodes only, renumbering those nodes 0..m-1
-        keep = open_[slot]
-        rows, labels = rows[keep], labels[keep]
-        node_of = (np.cumsum(open_) - 1)[slot[keep]]
-        m = len(nodes)
-        cells = data.matrix[rows]
-        cells += offsets
-        cells += (node_of * width)[:, None]
-        table = tally(cells, labels[:, None], m * width, k).reshape(m, width, k)
-        n_open = n_node[nodes]
-        score = np.add.reduceat(f[table.sum(axis=2)] - f[table].sum(axis=2), offsets, axis=1)
-        parent = f[n_open] - f[counts[nodes]].sum(axis=1)
-        best = score.argmin(axis=1)
-        best_score = score[np.arange(m), best]
-        margin = 2.0 * eps_per_f * f[n_open]
-        near = score - best_score[:, None] <= margin[:, None]
-        clear = (near.sum(axis=1) == 1) & (parent - best_score > margin)
-        choice = np.where(clear | (best_score == 0.0), best, -1)
-        # an attribute with one value present in the node scores exactly the
-        # parent's score and never wins, so only the others go to the exact step
-        undecided = (choice < 0).nonzero()[0]
-        varied = np.add.reduceat(table[undecided].any(axis=2), offsets, axis=1) > 1
-        for i, candidates in zip(undecided.tolist(), near[undecided] & varied):
-            if candidates.any():
-                choice[i] = _exact_split(table[i], counts[nodes[i]], candidates.nonzero()[0],
-                                         offsets, sizes)
-
-        # one child slot per value of the chosen attribute, empty ones included
-        split = choice >= 0
-        n_children = np.where(split, sizes[choice], 0)
-        first = np.cumsum(n_children) - n_children
-        attribute[nodes] = choice
-        parent_of = np.repeat(np.arange(m), n_children)
-        value = np.arange(len(parent_of)) - first[parent_of]
-        parent_at.append(base + nodes[parent_of])
-        value_at.append(value)
-        base += len(attribute)
-        counts = table[parent_of, offsets[choice[parent_of]] + value]
-        moved = split[node_of]
-        rows, labels, node_of = rows[moved], labels[moved], node_of[moved]
-        slot = first[node_of] + data.matrix[rows, choice[node_of]]
-
-    # breadth first, node i > 0 is the child of parents[i - 1] on values[i - 1]
-    counts = np.concatenate(counts_at)
-    parents, values = np.concatenate(parent_at), np.concatenate(value_at)
-    children = np.full((len(counts), int(sizes.max())), -1, dtype=np.intp)
-    children[parents, values] = np.arange(1, len(counts))
-    empty = (counts[1:].sum(axis=1) == 0).nonzero()[0]
-    counts[empty + 1] = counts[parents[empty]]
-    return TreeModel(data.schema, params, np.concatenate(attribute_at), children, counts)
-
-
 # ------------------------------------------------------ common front
 
 
-class Algorithm(NamedTuple):
-    """One learner: its id, its trainer, and its model class."""
-
-    name: str
-    train: Callable[[Dataset, Hyperparams], TrainedModel]
-    model: type[TrainedModel]
-
-
 # the one table of algorithms, in report order
-REGISTRY = {m.algorithm: Algorithm(m.algorithm, t, m) for t, m in (
-    (train_knn, KnnModel), (train_naive_bayes, NaiveBayesModel), (train_tree, TreeModel))}
+REGISTRY = {m.algorithm: m for m in (KnnModel, NaiveBayesModel, TreeModel)}
 ALGORITHMS = tuple(REGISTRY)
 
 
 def train(data: Dataset, algorithm: str, params: Hyperparams | None = None) -> TrainedModel:
-    """Train one of the algorithms in ``REGISTRY`` by id."""
+    """Train one of the algorithms in ``REGISTRY`` by id on a labeled dataset,
+    under ``Hyperparams()`` unless ``params`` is given."""
     if algorithm not in REGISTRY:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    return REGISTRY[algorithm].train(data, params or Hyperparams())
+    if data.label_array is None:
+        raise ValueError("training needs a labeled dataset")
+    return REGISTRY[algorithm]._fit(data, params or Hyperparams())

@@ -47,7 +47,7 @@ def model_to_text(model: TrainedModel) -> str:
     lines = [
         FORMAT_LINE,
         f"algorithm: {model.algorithm}",
-        f"fingerprint: {model.fingerprint}",
+        f"fingerprint: {model.schema.fingerprint()}",
         _params_line(model.params),
         f"schema-lines: {len(schema_lines)}",
         *schema_lines,
@@ -126,7 +126,7 @@ def model_from_text(text: str) -> TrainedModel:
     if take("end marker") != "end":
         raise ModelFileError("model file truncated: missing 'end'")
     try:
-        return REGISTRY[algorithm].model.from_payload(payload, schema, params)
+        return REGISTRY[algorithm].from_payload(payload, schema, params)
     except ValueError as exc:  # the constructor's checks: domains, counts, child nodes
         raise ModelFileError(str(exc)) from None
 

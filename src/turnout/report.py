@@ -51,7 +51,8 @@ def format_confusion_table(matrix: ConfusionMatrix) -> str:
 
 
 def parse_confusion_table(text: str) -> ConfusionMatrix:
-    """Read the table ``format_confusion_table`` writes (margins checked)."""
+    """Read the table ``format_confusion_table`` writes (margins checked);
+    a negative count or a grand total of 0 is a DataError too."""
     lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) < 3:
         raise DataError("confusion table needs a header, class rows, and a total row")
@@ -84,9 +85,14 @@ def parse_confusion_table(text: str) -> ConfusionMatrix:
     for j in range(k):
         if totals[j] != sum(row[j] for row in counts):
             raise DataError(f"column margin mismatch for class {labels[j]!r}")
-    matrix = ConfusionMatrix(counts=tuple(counts), labels=labels)
+    try:
+        matrix = ConfusionMatrix(counts=tuple(counts), labels=labels)
+    except ValueError as exc:  # the constructor's checks: a negative count
+        raise DataError(str(exc)) from None
     if totals[-1] != matrix.n:
         raise DataError("grand total mismatch")
+    if matrix.n == 0:
+        raise DataError("empty confusion matrix")
     return matrix
 
 

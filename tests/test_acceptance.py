@@ -29,9 +29,7 @@ from turnout import (
     Protocol,
     roc_points,
     calibration_points,
-    train_knn,
-    train_naive_bayes,
-    train_tree,
+    train,
 )
 from turnout.report import format_metrics_table
 
@@ -151,20 +149,20 @@ def test_criterion_5_oracle_equivalence():
             data = tiny_dataset(rows, labels, sizes, n_classes)
 
             alpha = rng.choice([0.5, 1.0, 2.0])
-            model = train_naive_bayes(data, Hyperparams(nb_alpha=alpha))
+            model = train(data, "naive-bayes", Hyperparams(nb_alpha=alpha))
             got = model.predict_proba_batch([query])[0]
             want = oracles.nb_proba(rows, labels, sizes, n_classes, alpha, query)
             assert np.allclose(got, [float(w) for w in want], atol=1e-12, rtol=0.0)
             checked["nb"] += 1
 
             k = rng.randint(1, 18)
-            got = train_knn(data, Hyperparams(knn_k=k)).predict_proba_batch([query])[0]
+            got = train(data, "knn", Hyperparams(knn_k=k)).predict_proba_batch([query])[0]
             want = oracles.knn_proba(rows, labels, n_classes, k, query)
             assert got.tolist() == [float(w) for w in want]
             checked["knn"] += 1
 
             if len(rows) >= 2 and len(set(labels)) > 1:
-                root = oracles.table_as_tree(train_tree(data, Hyperparams()))
+                root = oracles.table_as_tree(train(data, "tree", Hyperparams()))
                 best = oracles.best_split(rows, labels, sizes, n_classes)
                 if best is None:
                     assert root[0] == "leaf"
@@ -237,7 +235,7 @@ def test_criterion_7_byte_identical_runs(tmp_path):
 def test_criterion_8_tree_root_narrative(capsys):
     with criterion(8, "tree root narrative (reported, not asserted)"):
         data = load_election_corpus()
-        root = oracles.table_as_tree(train_tree(data, Hyperparams()))
+        root = oracles.table_as_tree(train(data, "tree", Hyperparams()))
         if root[0] == "split":
             name = data.schema.features[root[1]].name
         else:

@@ -10,6 +10,7 @@ from turnout import (
     REFERENCE_TREE_ROOT,
     Hyperparams,
     KnnModel,
+    TrainedModel,
     TreeModel,
     class_counts,
     load_election_corpus,
@@ -18,9 +19,6 @@ from turnout import (
     predict_label,
     predict_labels,
     train,
-    train_knn,
-    train_naive_bayes,
-    train_tree,
 )
 from turnout import classifiers
 from turnout.classifiers import KNN_BLOCK_CELLS
@@ -77,29 +75,29 @@ def test_predict_labels_is_row_wise_predict_label():
 
 def test_knn_single_training_record():
     data = tiny_dataset([(0, 0)], [1], [2, 2], 2)
-    model = train_knn(data, Hyperparams(knn_k=5))
+    model = train(data, "knn", Hyperparams(knn_k=5))
     assert model.predict_proba_batch([(1, 1)])[0].tolist() == [0.0, 1.0]
 
 
 def test_knn_distance_tie_prefers_earlier_record():
     # both records are at distance 1 from the query; k=1 must take row 0
     data = tiny_dataset([(0, 0), (1, 1)], [0, 1], [2, 2], 2)
-    model = train_knn(data, Hyperparams(knn_k=1))
+    model = train(data, "knn", Hyperparams(knn_k=1))
     assert model.predict_proba_batch([(0, 1)])[0].tolist() == [1.0, 0.0]
 
 
 def test_knn_k_of_n_returns_training_prior():
     data = tiny_dataset([(0,), (0,), (1,), (1,)], [0, 0, 0, 1], [2], 2)
-    model = train_knn(data, Hyperparams(knn_k=4))
+    model = train(data, "knn", Hyperparams(knn_k=4))
     assert model.predict_proba_batch([(0,)])[0].tolist() == [0.75, 0.25]
     # k beyond n clamps to n
-    model = train_knn(data, Hyperparams(knn_k=100))
+    model = train(data, "knn", Hyperparams(knn_k=100))
     assert model.predict_proba_batch([(1,)])[0].tolist() == [0.75, 0.25]
 
 
 def test_knn_on_corpus_first_record_matches_exhaustive_scan():
     data = load_election_corpus()
-    model = train_knn(data, Hyperparams(knn_k=5))
+    model = train(data, "knn", Hyperparams(knn_k=5))
     rows, labels = data.matrix.tolist(), data.label_array.tolist()
     got = model.predict_proba_batch(data.matrix[:1])[0]
     want = oracles.knn_proba(rows, labels, 3, 5, rows[0])
@@ -184,7 +182,7 @@ def binary_dataset(draw, min_records=1, max_records=16, max_attrs=4, classes=(2,
 def test_knn_matches_oracle_on_small_datasets(case, k):
     rows, labels, sizes, n_classes, query = case
     data = tiny_dataset(rows, labels, sizes, n_classes)
-    got = train_knn(data, Hyperparams(knn_k=k)).predict_proba_batch([query])[0]
+    got = train(data, "knn", Hyperparams(knn_k=k)).predict_proba_batch([query])[0]
     want = [float(w) for w in oracles.knn_proba(rows, labels, n_classes, k, query)]
     assert got.tolist() == want
     assert got.sum() == pytest.approx(1.0, abs=1e-9)
@@ -196,7 +194,7 @@ def test_knn_matches_oracle_on_small_datasets(case, k):
 def test_nb_hand_worked_example():
     # single binary attribute; three of four records positive
     data = tiny_dataset([(0,), (0,), (1,), (1,)], [0, 0, 1, 0], [2], 2)
-    model = train_naive_bayes(data, Hyperparams(nb_alpha=1.0))
+    model = train(data, "naive-bayes", Hyperparams(nb_alpha=1.0))
     proba = model.predict_proba_batch([(0,)])[0]
     assert proba[0] == pytest.approx(0.84375, abs=1e-12)
     assert proba.sum() == pytest.approx(1.0, abs=1e-12)
@@ -204,21 +202,21 @@ def test_nb_hand_worked_example():
 
 def test_nb_alpha_zero_zeroes_unseen_combination():
     data = tiny_dataset([(0,), (1,)], [0, 1], [2], 2)
-    model = train_naive_bayes(data, Hyperparams(nb_alpha=0.0))
+    model = train(data, "naive-bayes", Hyperparams(nb_alpha=0.0))
     proba = model.predict_proba_batch([(0,)])[0]
     assert proba.tolist() == [1.0, 0.0]
 
 
 def test_nb_positive_for_all_present_classes_when_smoothed():
     data = tiny_dataset([(0, 0), (1, 1)], [0, 1], [2, 2], 2)
-    model = train_naive_bayes(data, Hyperparams(nb_alpha=0.5))
+    model = train(data, "naive-bayes", Hyperparams(nb_alpha=0.5))
     proba = model.predict_proba_batch([(0, 1)])[0]
     assert (proba > 0).all()
 
 
 def test_nb_count_tables_sum_to_class_counts():
     data = load_election_corpus()
-    model = train_naive_bayes(data, Hyperparams())
+    model = train(data, "naive-bayes", Hyperparams())
     assert model.class_counts.tolist() == list(class_counts(data))
     sizes = [a.size for a in data.schema.features]
     assert model.counts.shape == (sum(sizes), 3) and model.counts.dtype == np.int64
@@ -235,7 +233,7 @@ def test_nb_count_tables_sum_to_class_counts():
 def test_nb_matches_exact_oracle(case, alpha):
     rows, labels, sizes, n_classes, query = case
     data = tiny_dataset(rows, labels, sizes, n_classes)
-    got = train_naive_bayes(data, Hyperparams(nb_alpha=alpha)).predict_proba_batch([query])[0]
+    got = train(data, "naive-bayes", Hyperparams(nb_alpha=alpha)).predict_proba_batch([query])[0]
     want = oracles.nb_proba(rows, labels, sizes, n_classes, alpha, query)
     assert np.allclose(got, [float(w) for w in want], atol=1e-12, rtol=0.0)
     assert got.sum() == pytest.approx(1.0, abs=1e-9)
@@ -292,7 +290,7 @@ def test_tree_root_splits_on_an_attribute_of_greatest_information_gain(case):
     rows, labels, sizes, n_classes, _ = case
     data = tiny_dataset(rows, labels, sizes, n_classes)
     gains = [info_gain(data, name) for name in data.schema.feature_names]
-    root = table_as_tree(train_tree(data, Hyperparams()))
+    root = table_as_tree(train(data, "tree", Hyperparams()))
     if root[0] == "split":
         assert gains[root[1]] >= max(gains) - 1e-9 > 0.0
     elif len(set(labels)) > 1 and len(rows) >= 2:
@@ -303,7 +301,7 @@ def test_corpus_tree_root_has_the_greatest_information_gain():
     data = load_election_corpus()
     gains = {name: info_gain(data, name) for name in data.schema.feature_names}
     assert max(gains, key=gains.get) == REFERENCE_TREE_ROOT
-    root = train_tree(data, Hyperparams()).attribute[0]
+    root = train(data, "tree", Hyperparams()).attribute[0]
     assert data.schema.feature_names[root] == REFERENCE_TREE_ROOT
 
 
@@ -326,7 +324,7 @@ def test_tree_model_refuses_a_loop_or_a_child_that_is_no_node():
 
 def test_tree_pure_node_is_a_leaf():
     data = tiny_dataset([(0, 1), (1, 0)], [1, 1], [2, 2], 2)
-    assert table_as_tree(train_tree(data, Hyperparams())) == ("leaf", (0, 2), 1)
+    assert table_as_tree(train(data, "tree", Hyperparams())) == ("leaf", (0, 2), 1)
 
 
 def test_tree_two_level_example():
@@ -350,19 +348,19 @@ def test_tree_empty_branch_carries_parent_distribution():
 
 def test_tree_min_samples_stops_growth():
     data = tiny_dataset([(0,), (1,)], [0, 1], [2], 2)
-    assert table_as_tree(train_tree(data, Hyperparams(tree_min_samples=3)))[0] == "leaf"
+    assert table_as_tree(train(data, "tree", Hyperparams(tree_min_samples=3)))[0] == "leaf"
 
 
 def test_tree_max_depth_zero_is_a_stump():
     data = tiny_dataset([(0,), (0,), (1,), (1,)], [0, 0, 1, 1], [2], 2)
-    root = table_as_tree(train_tree(data, Hyperparams(tree_max_depth=0)))
+    root = table_as_tree(train(data, "tree", Hyperparams(tree_max_depth=0)))
     assert root == ("leaf", (2, 2), 0)  # tie resolves to the earlier class
 
 
 def test_tree_zero_gain_makes_a_leaf():
     # both attributes are pure noise: every split leaves a (1,1) child mix
     data = tiny_dataset([(0, 0), (0, 1), (1, 0), (1, 1)], [0, 1, 1, 0], [2, 2], 2)
-    assert table_as_tree(train_tree(data, Hyperparams()))[0] == "leaf"
+    assert table_as_tree(train(data, "tree", Hyperparams()))[0] == "leaf"
 
 
 def test_tree_zero_gain_with_proportional_children_makes_a_leaf():
@@ -370,7 +368,7 @@ def test_tree_zero_gain_with_proportional_children_makes_a_leaf():
     # the float scores put the children 1.8e-15 below the parent
     rows = [(0,)] * 3 + [(1,)] * 6
     labels = [0, 1, 1] + [0, 0, 1, 1, 1, 1]
-    root = train_tree(tiny_dataset(rows, labels, [2], 2), Hyperparams())
+    root = train(tiny_dataset(rows, labels, [2], 2), "tree", Hyperparams())
     assert table_as_tree(root) == ("leaf", (3, 6), 1)
 
 
@@ -383,7 +381,7 @@ def test_tree_exact_gain_tie_goes_to_the_earlier_attribute():
         rows += [values] * (n0 + n1)
         labels += [0] * n0 + [1] * n1
     kind, attribute, children = table_as_tree(
-        train_tree(tiny_dataset(rows, labels, [3, 3], 2), Hyperparams()))
+        train(tiny_dataset(rows, labels, [3, 3], 2), "tree", Hyperparams()))
     assert kind == "split" and attribute == 0
     assert [child[1] for child in children] == [(1, 2), (2, 5), (5, 5)]
 
@@ -395,7 +393,7 @@ def test_tree_perfect_splits_need_no_exact_step(monkeypatch):
 
     monkeypatch.setattr(classifiers, "_exact_split", refuse)
     rows = [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (2, 0, 1)]
-    root = train_tree(tiny_dataset(rows, [0, 0, 1, 1, 1], [3, 2, 2], 2), Hyperparams())
+    root = train(tiny_dataset(rows, [0, 0, 1, 1, 1], [3, 2, 2], 2), "tree", Hyperparams())
     assert table_as_tree(root) == ("split", 0, (("leaf", (2, 0), 0), ("leaf", (0, 2), 1),
                                                 ("leaf", (0, 1), 1)))
 
@@ -409,7 +407,7 @@ def test_tree_node_with_only_constant_near_attributes_needs_no_exact_step(monkey
     monkeypatch.setattr(classifiers, "_exact_split", refuse)
     rows = [(0, 0)] * 4 + [(1, 0)] * 4
     labels = [0, 0, 0, 1, 1, 1, 1, 0]
-    root = train_tree(tiny_dataset(rows, labels, [2, 2], 2), Hyperparams())
+    root = train(tiny_dataset(rows, labels, [2, 2], 2), "tree", Hyperparams())
     assert table_as_tree(root) == oracles.tree(rows, labels, [2, 2], 2)
     assert table_as_tree(root) == ("split", 0, (("leaf", (3, 1), 0), ("leaf", (1, 3), 1)))
 
@@ -424,14 +422,14 @@ def _paths(node, used=()):
 
 def test_tree_never_reuses_an_attribute_on_a_path():
     data = load_election_corpus()
-    root = table_as_tree(train_tree(data, Hyperparams()))
+    root = table_as_tree(train(data, "tree", Hyperparams()))
     for path in _paths(root):
         assert len(path) == len(set(path))
 
 
 def test_tree_corpus_root_matches_oracle_argmax():
     data = load_election_corpus()
-    kind, attribute, _ = table_as_tree(train_tree(data, Hyperparams()))
+    kind, attribute, _ = table_as_tree(train(data, "tree", Hyperparams()))
     assert kind == "split"
     sizes = [a.size for a in data.schema.features]
     want = oracles.best_split(data.matrix.tolist(), data.label_array.tolist(), sizes, 3)
@@ -451,7 +449,7 @@ def test_tree_training_accuracy_beats_majority_vote():
 def test_tree_root_matches_oracle_on_small_datasets(case):
     rows, labels, sizes, n_classes, _ = case
     data = tiny_dataset(rows, labels, sizes, n_classes)
-    root = table_as_tree(train_tree(data, Hyperparams()))
+    root = table_as_tree(train(data, "tree", Hyperparams()))
     if len(set(labels)) == 1:
         assert root[0] == "leaf"
         return
@@ -475,6 +473,12 @@ def test_tree_probabilities_are_normalised(case):
 # ------------------------------------------------------------- common
 
 
+def test_registry_lists_the_model_classes_by_id():
+    assert ALGORITHMS == ("knn", "naive-bayes", "tree")
+    for algorithm, model_class in classifiers.REGISTRY.items():
+        assert issubclass(model_class, TrainedModel) and model_class.algorithm == algorithm
+
+
 def test_train_rejects_unknown_algorithm():
     data = tiny_dataset([(0,)], [0], [2], 2)
     with pytest.raises(ValueError, match="unknown algorithm"):
@@ -483,11 +487,12 @@ def test_train_rejects_unknown_algorithm():
 
 def test_train_rejects_empty_and_unlabeled_data():
     empty = tiny_dataset([], [], [2], 2)
-    with pytest.raises(ValueError):
-        train(empty, "knn")
     unlabeled = tiny_dataset([(0,)], None, [2], 2)
-    with pytest.raises(ValueError):
-        train(unlabeled, "tree")
+    for algo in ALGORITHMS:
+        with pytest.raises(ValueError):
+            train(empty, algo)
+        with pytest.raises(ValueError, match="^training needs a labeled dataset$"):
+            train(unlabeled, algo)
 
 
 @pytest.mark.parametrize("algo", ["knn", "naive-bayes", "tree"])
@@ -575,7 +580,7 @@ def tied_problem(draw, max_records=40, max_queries=12):
                                  st.integers(min_value=40, max_value=60)))
 def test_knn_batch_matches_oracle(case, k):
     rows, labels, sizes, n_classes, queries = case
-    model = train_knn(tiny_dataset(rows, labels, sizes, n_classes), Hyperparams(knn_k=k))
+    model = train(tiny_dataset(rows, labels, sizes, n_classes), "knn", Hyperparams(knn_k=k))
     got = model.predict_proba_batch(np.array(queries))
     want = [[float(p) for p in oracles.knn_proba(rows, labels, n_classes, k, q)] for q in queries]
     assert got.tolist() == want
@@ -584,7 +589,7 @@ def test_knn_batch_matches_oracle(case, k):
 
 
 def test_knn_empty_batch():
-    model = train_knn(tiny_dataset([(0, 1), (1, 2)], [0, 2], [2, 3], 3), Hyperparams(knn_k=1))
+    model = train(tiny_dataset([(0, 1), (1, 2)], [0, 2], [2, 3], 3), "knn", Hyperparams(knn_k=1))
     for empty in (np.empty((0, 2), dtype=np.intp), np.empty((0, 2)), []):
         got = model.predict_proba_batch(np.array(empty).reshape(0, 2))
         assert got.shape == (0, 3) and got.dtype == np.float64
@@ -601,7 +606,7 @@ def test_knn_batch_spanning_several_blocks_matches_oracle():
     assert len(set(queries)) > 2 * (KNN_BLOCK_CELLS // n)
     data = tiny_dataset(rows, labels, sizes, 3)
     for k in (1, 7, n + 1):
-        got = train_knn(data, Hyperparams(knn_k=k)).predict_proba_batch(np.array(queries))
+        got = train(data, "knn", Hyperparams(knn_k=k)).predict_proba_batch(np.array(queries))
         want = [[float(p) for p in oracles.knn_proba(rows, labels, 3, k, q)] for q in queries]
         assert got.tolist() == want
 
@@ -640,7 +645,7 @@ def test_knn_wide_codes_match_oracle(case):
     labels = [int(c) for c in rng.integers(3, size=len(rows))]
     data = tiny_dataset(rows, labels, sizes, 3)
     for k in (1, 5, len(rows) + 1):
-        got = train_knn(data, Hyperparams(knn_k=k)).predict_proba_batch(np.array(queries))
+        got = train(data, "knn", Hyperparams(knn_k=k)).predict_proba_batch(np.array(queries))
         want = [[float(p) for p in oracles.knn_proba(rows, labels, 3, k, q)] for q in queries]
         assert got.tolist() == want
 
@@ -648,7 +653,7 @@ def test_knn_wide_codes_match_oracle(case):
 @given(tied_problem(), st.sampled_from([0.0, 1e-3, 1.0, 50.0]))
 def test_nb_batch_matches_oracle(case, alpha):
     rows, labels, sizes, n_classes, queries = case
-    model = train_naive_bayes(tiny_dataset(rows, labels, sizes, n_classes),
+    model = train(tiny_dataset(rows, labels, sizes, n_classes), "naive-bayes",
                               Hyperparams(nb_alpha=alpha))
     got = model.predict_proba_batch(np.array(queries))
     assert np.isfinite(got).all()
@@ -674,7 +679,7 @@ def test_predict_proba_row_is_the_batch_kernel_on_a_batch_of_one(algo, case, k, 
 def test_nb_alpha_zero_scores_an_absent_class_zero():
     # class 2 is declared but has no training records
     data = tiny_dataset([(0, 1), (1, 1), (1, 0)], [0, 1, 1], [2, 2], 3)
-    model = train_naive_bayes(data, Hyperparams(nb_alpha=0.0))
+    model = train(data, "naive-bayes", Hyperparams(nb_alpha=0.0))
     proba = model.predict_proba_batch(np.array([(0, 1), (1, 0), (0, 0)]))
     assert proba.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1 / 3, 2 / 3, 0.0]]
 
@@ -682,7 +687,7 @@ def test_nb_alpha_zero_scores_an_absent_class_zero():
 @given(tied_problem())
 def test_tree_batch_matches_a_plain_walk(case):
     rows, labels, sizes, n_classes, queries = case
-    model = train_tree(tiny_dataset(rows, labels, sizes, n_classes), Hyperparams())
+    model = train(tiny_dataset(rows, labels, sizes, n_classes), "tree", Hyperparams())
     assert isinstance(model, TreeModel)
     got = model.predict_proba_batch(np.array(queries))
     assert got.shape == (len(queries), n_classes)
@@ -701,7 +706,7 @@ def test_tree_batch_matches_a_plain_walk(case):
 def test_tree_matches_the_oracle_tree(case, min_samples, max_depth):
     rows, labels, sizes, n_classes, _ = case
     params = Hyperparams(tree_min_samples=min_samples, tree_max_depth=max_depth)
-    root = train_tree(tiny_dataset(rows, labels, sizes, n_classes), params)
+    root = train(tiny_dataset(rows, labels, sizes, n_classes), "tree", params)
     want = oracles.tree(rows, labels, sizes, n_classes, min_samples, max_depth)
     assert table_as_tree(root) == want
 
@@ -712,4 +717,4 @@ def test_tree_matches_the_oracle_tree_on_the_corpus():
     for params in (Hyperparams(), Hyperparams(tree_min_samples=5, tree_max_depth=3)):
         want = oracles.tree(data.matrix.tolist(), data.label_array.tolist(), sizes, 3,
                             params.tree_min_samples, params.tree_max_depth)
-        assert table_as_tree(train_tree(data, params)) == want
+        assert table_as_tree(train(data, "tree", params)) == want

@@ -28,7 +28,6 @@ from turnout import (
     parse_csv,
     predict_labels,
     train,
-    train_tree,
 )
 from turnout.cli import main
 
@@ -228,6 +227,88 @@ def test_evaluate_from_matrix_rejects_broken_margins(capsys, tmp_path):
     assert "margin" in err
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("a\t4\t-1\t3\nb\t2\t4\t6\ntotal\t6\t3\t9\n", "confusion matrix counts must be non-negative"),
+    ("a\t0\t0\t0\nb\t0\t0\t0\ntotal\t0\t0\t0\n", "empty confusion matrix"),
+], ids=["negative", "empty"])
+def test_evaluate_from_matrix_refuses_a_negative_or_empty_table_as_data(
+        capsys, tmp_path, rows, message):
+    # the margins add up, so only the counts themselves are at fault
+    path = tmp_path / "confusion.tsv"
+    path.write_text("actual\\predicted\ta\tb\ttotal\n" + rows)
+    assert run(capsys, "evaluate", "--from-matrix", str(path)) == (
+        2, "", f"data error: {message}\n")
+
+
+@pytest.fixture(scope="module")
+def corpus_confusion_lines(tmp_path_factory):
+    out = tmp_path_factory.mktemp("report")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["evaluate", "--algo", "knn", "--seed", "42", "--out", str(out)]) == 0
+    return (out / "knn" / "confusion.tsv").read_text(encoding="utf-8").splitlines()
+
+
+def _mutate_table(draw, lines):
+    """One drawn change to a confusion table: a count moved by one, negated
+    or set to 0, or a line deleted, duplicated or swapped with another."""
+    lines = list(lines)
+    kind = draw(st.sampled_from(["count", "count", "delete", "duplicate", "swap"]))
+    if kind == "count":
+        i = draw(st.sampled_from([i for i, line in enumerate(lines) if re.search(r"\d", line)]))
+        m = draw(st.sampled_from(list(re.finditer(r"-?\d+", lines[i]))))
+        v = int(m.group())
+        v = draw(st.sampled_from([v + 1, v - 1, -v, 0]))
+        lines[i] = lines[i][: m.start()] + str(v) + lines[i][m.end() :]
+    else:
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i : i + 1] = [] if kind == "delete" else [lines[i]] * 2
+    return lines
+
+
+def _with_margins(lines):
+    """The table with each class row's total and the total row summed
+    again from the class cells, so that the margin checks pass; a table
+    whose cells below the header are not all integers is returned as is."""
+    try:
+        grid = [[int(c) for c in line.split("\t")[1:]] for line in lines[1:]]
+    except ValueError:
+        return lines
+    if len(grid) < 2 or len({len(row) for row in grid}) != 1:
+        return lines
+    body = [row[:-1] + [sum(row[:-1])] for row in grid[:-1]]
+    totals = [sum(column) for column in zip(*body)]
+    return [lines[0]] + [
+        "\t".join([line.split("\t")[0], *map(str, row)])
+        for line, row in zip(lines[1:], body + [totals])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(draws=st.data())
+def test_evaluate_from_matrix_on_a_mutated_table_is_metrics_or_a_data_error(
+        corpus_confusion_lines, tmp_path_factory, draws):
+    lines = corpus_confusion_lines
+    for _ in range(draws.draw(st.integers(1, 2))):
+        lines = _mutate_table(draws.draw, lines)
+    if draws.draw(st.booleans()):
+        lines = _with_margins(lines)
+    path = tmp_path_factory.mktemp("mutated") / "confusion.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--from-matrix", str(path)])
+    # never a usage (1) or internal (3) error
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        assert not re.search(r"(?i)\b(nan|inf)\b", out.getvalue())
+        assert not re.search(r"-\d", path.read_text(encoding="utf-8"))
+    else:
+        assert err.getvalue().startswith("data error: ") and not out.getvalue()
+
+
 def test_evaluate_hyperparams_are_validated(capsys):
     code, _, err = run(capsys, "evaluate", "--algo", "knn", "--seed", "1", "--k", "0")
     assert code == 1
@@ -294,7 +375,7 @@ def test_svg_of_a_one_point_curve_is_a_marker(capsys, tmp_path):
 @pytest.mark.parametrize("cap", [None, 0, 1, 3])
 def test_tree_root_note_matches_the_full_tree_at_any_depth_cap(capsys, cap):
     data = load_election_corpus()
-    root = table_as_tree(train_tree(data, Hyperparams(tree_max_depth=cap)))
+    root = table_as_tree(train(data, "tree", Hyperparams(tree_max_depth=cap)))
     name = data.schema.features[root[1]].name if root[0] == "split" else "(single leaf)"
     verdict = "agrees" if name == REFERENCE_TREE_ROOT else "differs"
     depth = () if cap is None else ("--max-depth", str(cap))

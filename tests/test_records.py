@@ -27,7 +27,6 @@ from turnout import (
     model_to_text,
     train,
 )
-from turnout.classifiers import Algorithm
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,8 +56,6 @@ CASES = {
     "ConfusionMatrix-6": (ConfusionMatrix, (((3, 1), (0, 2)), ("p", "q")),
      {"counts": ((3, 1), (0, 2)), "labels": ("p", "q")},
      "ConfusionMatrix(counts=((3, 1), (0, 2)), labels=('p', 'q'))"),
-    "Algorithm-10": (Algorithm, ("x", len, int), {"name": "x", "train": len, "model": int},
-     "Algorithm(name='x', train=<built-in function len>, model=<class 'int'>)"),
     "PerClassMetrics-13": (PerClassMetrics, ("p", 0.75, 0.75, 1.0, 1.0, 0.75, 0.8, frozenset()),
      {"label": "p", "accuracy": 0.75, "sensitivity": 0.75, "specificity": 1.0,
       "precision": 1.0, "recall": 0.75, "f1": 0.8, "undefined": frozenset()},
