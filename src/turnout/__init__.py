@@ -23,7 +23,8 @@ _EXPORTS = {
                   " load_election_corpus load_election_schema",
         "data": "Attribute AttributeSchema Dataset canonical_label class_counts crosstab"
                 " dataset_to_csv parse_csv parse_schema",
-        "errors": "DataError InputError ModelFileError SchemaError SchemaMismatchError",
+        "errors": "DataError InputError ModelFileError SchemaError SchemaMismatchError"
+                  " UsageError",
         "evaluation": "ConfusionMatrix CurveSeries EvaluationReport PerClassMetrics Protocol"
                       " calibration_points class_accuracy evaluate held_out_scores lift_points"
                       " majority_baseline per_class_metrics roc_points stratified_folds",

@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .data import AttributeSchema, Dataset, index_array, tally
-from .errors import ModelFileError, SchemaMismatchError
+from .errors import ModelFileError, SchemaMismatchError, UsageError
 
 PROBA_TOLERANCE = 1e-9
 
@@ -50,7 +50,7 @@ KNN_BLOCK_CELLS = 32_768
 def _integer(name: str, value: object) -> int:
     """``value`` as an int; a float or bool is refused, naming the field."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise UsageError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -67,15 +67,15 @@ class Hyperparams(NamedTuple("Hyperparams", [
         if tree_max_depth is not None:
             tree_max_depth = _integer("tree_max_depth", tree_max_depth)
         if isinstance(nb_alpha, bool) or not isinstance(nb_alpha, numbers.Real):
-            raise ValueError(f"nb_alpha must be a real number, got {nb_alpha!r}")
+            raise UsageError(f"nb_alpha must be a real number, got {nb_alpha!r}")
         if knn_k < 1:
-            raise ValueError(f"knn_k must be >= 1, got {knn_k}")
+            raise UsageError(f"knn_k must be >= 1, got {knn_k}")
         if not (math.isfinite(nb_alpha) and nb_alpha >= 0.0):
-            raise ValueError(f"nb_alpha (alpha) must be finite and >= 0, got {nb_alpha}")
+            raise UsageError(f"nb_alpha (alpha) must be finite and >= 0, got {nb_alpha}")
         if tree_min_samples < 2:
-            raise ValueError(f"tree_min_samples must be >= 2, got {tree_min_samples}")
+            raise UsageError(f"tree_min_samples must be >= 2, got {tree_min_samples}")
         if tree_max_depth is not None and tree_max_depth < 0:
-            raise ValueError(f"tree_max_depth must be >= 0, got {tree_max_depth}")
+            raise UsageError(f"tree_max_depth must be >= 0, got {tree_max_depth}")
         return super().__new__(cls, knn_k, float(nb_alpha), tree_min_samples, tree_max_depth)
 
 
@@ -340,8 +340,10 @@ class NaiveBayesModel(TrainedModel):
         if wrong.any():
             raise ValueError(f"count table {int(wrong.argmax())} does not sum to the class counts")
         class_counts, counts = totals.astype(np.int64), table.astype(np.int64)
-        # each table row's denominator, count(c) + alpha * domain size
-        per_class = np.repeat(class_counts + alpha * sizes[:, None], sizes, axis=0)
+        # each table row's denominator, count(c) + alpha * domain size; inf for an alpha near the
+        # float limit, so every ratio is 0 and prediction returns the priors, alpha's limit
+        with np.errstate(over="ignore"):
+            per_class = np.repeat(class_counts + alpha * sizes[:, None], sizes, axis=0)
         # a class with no records and alpha = 0 would divide 0 by 0; its
         # prior is 0, so its score is 0 whatever its ratio, as for alpha > 0
         ratios = np.zeros(counts.shape, dtype=np.float64)
@@ -699,7 +701,7 @@ def train(data: Dataset, algorithm: str, params: Hyperparams | None = None) -> T
     """Train one of the algorithms in ``REGISTRY`` by id on a labeled dataset,
     under ``Hyperparams()`` unless ``params`` is given."""
     if algorithm not in REGISTRY:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+        raise UsageError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if data.label_array is None:
-        raise ValueError("training needs a labeled dataset")
+        raise UsageError("training needs a labeled dataset")
     return REGISTRY[algorithm]._fit(data, params or Hyperparams())

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: validate, evaluate, train, predict, export-corpus.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+Exit codes: 0 success, 1 usage error (UsageError), 2 data error (InputError
+or OSError), 3 internal error (any other exception: a bug).
 """
 
 from __future__ import annotations
@@ -23,15 +24,11 @@ from .data import (
     parse_csv,
     parse_schema,
 )
-from .errors import DataError, InputError, not_utf8
+from .errors import DataError, InputError, UsageError, not_utf8
 # bound here, like Dataset, because tracing wraps them through cli's namespace
 from .model_io import load_model, save_model
 
 EMBEDDED = "embedded:election"
-
-
-class UsageError(Exception):
-    """Bad flag combination or flag value."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,6 +197,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                          write_report)
 
     if args.from_matrix is not None:
+        defaults = vars(_build_parser().parse_args(["evaluate"]))
+        for flag, value in vars(args).items():
+            if flag not in ("from_matrix", "out") and value != defaults[flag]:
+                raise UsageError(f"--from-matrix does not take --{flag.replace('_', '-')}")
         matrix = parse_confusion_table(_read_text(args.from_matrix, "matrix file"))
         table = format_metrics_table(matrix)
         print(table, end="")
@@ -307,13 +308,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (InputError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - nothing should land here
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

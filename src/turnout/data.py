@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, UsageError
 
 
 def strip_bom(text: str) -> str:
@@ -108,7 +108,7 @@ class AttributeSchema(NamedTuple("AttributeSchema", [("features", tuple[Attribut
         for i, f in enumerate(self.features):
             if f.name == name:
                 return i
-        raise ValueError(f"unknown attribute {name!r}")
+        raise UsageError(f"unknown attribute {name!r}")
 
     def to_text(self) -> str:
         """Canonical schema document; ``parse_schema`` round-trips it."""
@@ -354,7 +354,7 @@ def dataset_to_csv(data: Dataset) -> str:
 def class_counts(data: Dataset) -> tuple[int, ...]:
     """Records per target class, in class order; zero counts included."""
     if data.label_array is None:
-        raise ValueError("class counts need a labeled dataset")
+        raise UsageError("class counts need a labeled dataset")
     counts = np.bincount(data.label_array, minlength=data.schema.n_classes)
     return tuple(int(c) for c in counts)
 
@@ -374,9 +374,9 @@ def crosstab(data: Dataset, attribute: str) -> np.ndarray:
     The target itself is rejected: it already forms the column axis.
     """
     if data.label_array is None:
-        raise ValueError("crosstab needs a labeled dataset")
+        raise UsageError("crosstab needs a labeled dataset")
     if attribute == data.schema.target.name:
-        raise ValueError("crosstab is taken against the target; pass a feature attribute")
+        raise UsageError("crosstab is taken against the target; pass a feature attribute")
     j = data.schema.feature_index(attribute)
     return tally(data.matrix[:, j], data.label_array,
                  data.schema.features[j].size, data.schema.n_classes)

@@ -1,8 +1,12 @@
-"""Exception hierarchy.
+"""Exception hierarchy, one class per CLI exit code.
 
-Everything a user-supplied file can trigger derives from ``InputError``;
-misuse of the library API raises plain ``ValueError``.
+``UsageError`` (exit 1), a ``ValueError``, is a bad argument; what a user-supplied file can
+trigger is an ``InputError`` (exit 2, like ``OSError``).  Anything else is a bug (exit 3).
 """
+
+
+class UsageError(ValueError):
+    """A bad argument, flag or flag combination."""
 
 
 class InputError(Exception):

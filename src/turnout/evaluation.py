@@ -21,6 +21,7 @@ import numpy as np
 
 from .classifiers import Hyperparams, predict_labels, train
 from .data import Dataset, class_counts
+from .errors import UsageError
 
 
 # ----------------------------------------------------------- folding
@@ -36,13 +37,13 @@ def stratified_folds(data: Dataset, folds: int, seed: int) -> np.ndarray:
     by at most one, and ``folds == n`` degenerates to leave-one-out.
     """
     if not data.labeled:
-        raise ValueError("stratified folds need a labeled dataset")
+        raise UsageError("stratified folds need a labeled dataset")
     if data.n == 0:
-        raise ValueError("the dataset has no records; stratified folds need at least one")
+        raise UsageError("the dataset has no records; stratified folds need at least one")
     if not 2 <= folds <= data.n:
-        raise ValueError(f"folds must be between 2 and {data.n}, got {folds}")
+        raise UsageError(f"folds must be between 2 and {data.n}, got {folds}")
     if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise UsageError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     labels = data.label_array
     fold_of = np.zeros(data.n, dtype=np.intp)
@@ -71,6 +72,8 @@ class ConfusionMatrix(NamedTuple("ConfusionMatrix", [("counts", tuple[tuple[int,
             raise ValueError("confusion matrix must be square with one row per class")
         if any(c < 0 for row in counts for c in row):
             raise ValueError("confusion matrix counts must be non-negative")
+        if len(set(labels)) != k or "" in labels:
+            raise ValueError("confusion matrix class labels must be distinct and nonempty")
         return super().__new__(cls, counts, labels)
 
     @property
@@ -262,11 +265,11 @@ class Protocol(NamedTuple("Protocol", [("kind", str), ("folds", int | None),
 
     def __new__(cls, kind: str, folds: int | None = None, seed: int | None = None) -> Protocol:
         if kind not in ("cv", "test-on-train"):
-            raise ValueError(f"unknown protocol kind {kind!r}")
+            raise UsageError(f"unknown protocol kind {kind!r}")
         if kind == "cv" and (folds is None or seed is None):
-            raise ValueError("cv protocol needs folds and seed")
+            raise UsageError("cv protocol needs folds and seed")
         if kind == "test-on-train" and (folds is not None or seed is not None):
-            raise ValueError("test-on-train protocol takes no folds or seed")
+            raise UsageError("test-on-train protocol takes no folds or seed")
         return super().__new__(cls, kind, folds, seed)
 
     def describe(self) -> str:
@@ -295,7 +298,7 @@ def held_out_scores(
     scored by the model trained on the split that holds it out (under
     test-on-train, the one model trained on every record)."""
     if not data.labeled:
-        raise ValueError("evaluation needs a labeled dataset")
+        raise UsageError("evaluation needs a labeled dataset")
     protocol = protocol or Protocol(kind="cv", folds=10, seed=0)
     scores = np.zeros((data.n, data.schema.n_classes), dtype=np.float64)
     for train_idx, test_idx in protocol.splits(data):

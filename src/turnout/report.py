@@ -87,7 +87,7 @@ def parse_confusion_table(text: str) -> ConfusionMatrix:
             raise DataError(f"column margin mismatch for class {labels[j]!r}")
     try:
         matrix = ConfusionMatrix(counts=tuple(counts), labels=labels)
-    except ValueError as exc:  # the constructor's checks: a negative count
+    except ValueError as exc:  # the constructor's checks: class labels, a negative count
         raise DataError(str(exc)) from None
     if totals[-1] != matrix.n:
         raise DataError("grand total mismatch")

@@ -684,6 +684,14 @@ def test_nb_alpha_zero_scores_an_absent_class_zero():
     assert proba.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1 / 3, 2 / 3, 0.0]]
 
 
+def test_nb_alpha_near_the_float_limit_predicts_the_priors_without_a_warning():
+    # alpha * domain size overflows; the suite turns an overflow warning into an error
+    data = tiny_dataset([(0, 1), (1, 1), (1, 0)], [0, 1, 1], [2, 3], 3)
+    model = train(data, "naive-bayes", Hyperparams(nb_alpha=1e308))
+    proba = model.predict_proba_batch(np.array([(0, 1), (1, 0), (0, 2)]))
+    assert proba.tolist() == [[1 / 3, 2 / 3, 0.0]] * 3
+
+
 @given(tied_problem())
 def test_tree_batch_matches_a_plain_walk(case):
     rows, labels, sizes, n_classes, queries = case

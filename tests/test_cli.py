@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import re
+import shutil
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from turnout import (
     Dataset,
     REFERENCE_TREE_ROOT,
     Hyperparams,
+    KnnModel,
     dataset_to_csv,
     election_csv_text,
     election_schema_text,
@@ -196,15 +198,17 @@ def test_evaluate_writes_report_directory(capsys, tmp_path):
     assert "dataset: embedded:election (100 records)" in summary
 
 
+MATRIX_TABLE = (
+    "actual\\predicted\ta\tb\ttotal\n"
+    "a\t3\t1\t4\n"
+    "b\t2\t4\t6\n"
+    "total\t5\t5\t10\n"
+)
+
+
 def test_evaluate_from_matrix_recomputes_metrics(capsys, tmp_path):
-    table = (
-        "actual\\predicted\ta\tb\ttotal\n"
-        "a\t3\t1\t4\n"
-        "b\t2\t4\t6\n"
-        "total\t5\t5\t10\n"
-    )
     path = tmp_path / "confusion.tsv"
-    path.write_text(table)
+    path.write_text(MATRIX_TABLE)
     code, out, _ = run(capsys, "evaluate", "--from-matrix", str(path))
     assert code == 0
     assert out == (
@@ -212,6 +216,40 @@ def test_evaluate_from_matrix_recomputes_metrics(capsys, tmp_path):
         "a\t0.7000\t0.7500\t0.6667\t0.6667\t0.6000\t0.7500\n"
         "b\t0.7000\t0.6667\t0.7500\t0.7273\t0.8000\t0.6667\n"
     )
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--seed", "3", "--folds", "5", "--algo", "tree", "--k", "7", "--test-on-train", "--svg"),
+     "k"),
+    (("--seed", "3"), "seed"),
+    (("--test-on-train",), "test-on-train"),
+    (("--svg",), "svg"),
+    (("--jobs", "2"), "jobs"),
+    (("--alpha", "nan"), "alpha"),
+    (("--max-depth", "0"), "max-depth"),
+    (("--data", "survey.csv", "--schema", "survey.schema"), "data"),
+])
+def test_evaluate_from_matrix_takes_no_other_option(capsys, tmp_path, argv, flag):
+    path = tmp_path / "confusion.tsv"
+    path.write_text(MATRIX_TABLE)
+    assert run(capsys, "evaluate", "--from-matrix", str(path), *argv) == (
+        1, "", f"usage error: --from-matrix does not take --{flag}\n")
+    # --out is allowed, and so is an option given at its default
+    out = tmp_path / "out"
+    code, printed, _ = run(capsys, "evaluate", "--from-matrix", str(path), "--out", str(out),
+                           "--algo", "all", "--jobs", "1", "--alpha", "1")
+    assert code == 0
+    assert (out / "metrics.tsv").read_text() == printed
+
+
+@pytest.mark.parametrize("second", ["a", ""], ids=["duplicate", "empty"])
+def test_evaluate_from_matrix_refuses_duplicate_or_empty_class_names_as_data(
+        capsys, tmp_path, second):
+    # the margins add up; only the second class's name, in header and row, is at fault
+    path = tmp_path / "confusion.tsv"
+    path.write_text(MATRIX_TABLE.replace("b", second))
+    assert run(capsys, "evaluate", "--from-matrix", str(path)) == (
+        2, "", "data error: confusion matrix class labels must be distinct and nonempty\n")
 
 
 def test_evaluate_from_matrix_rejects_broken_margins(capsys, tmp_path):
@@ -778,3 +816,95 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     code, _, err = run(capsys)
     assert code == 1
     assert "usage error" in err
+
+
+def test_a_value_error_inside_a_kernel_is_an_internal_error(capsys, monkeypatch):
+    # only a UsageError is exit 1; a ValueError the CLI did not expect is a bug
+    def broken(self, queries):
+        raise ValueError("kernel bug")
+
+    monkeypatch.setattr(KnnModel, "predict_proba_batch", broken)
+    assert run(capsys, "evaluate", "--algo", "knn", "--seed", "1") == (
+        3, "", "internal error: kernel bug\n")
+
+
+# ------------------------------------------------------------- fuzzing
+
+
+@st.composite
+def _survey(draw):
+    """A schema of 1-4 features with 2-4 values and 2-3 classes, and 0-30
+    labeled records over it; absent and single-record classes included."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    n_classes = draw(st.integers(2, 3))
+    schema = AttributeSchema(
+        tuple(Attribute(f"f{j}", tuple(f"v{v}" for v in range(s))) for j, s in enumerate(sizes)),
+        Attribute("vote", tuple(f"c{c}" for c in range(n_classes))))
+    records = draw(st.lists(st.tuples(st.tuples(*(st.integers(0, s - 1) for s in sizes)),
+                                      st.integers(0, n_classes - 1)), max_size=30))
+    rows = tuple(row for row, _ in records)
+    return schema, rows, tuple(label for _, label in records)
+
+
+@st.composite
+def _flags(draw, n):
+    """A CV protocol or --test-on-train, and the four hyperparameters; folds
+    and --min-samples reach n + 1 and --k reaches n + 2, past what n records allow."""
+    if draw(st.booleans()):
+        protocol = ["--test-on-train"]
+    else:
+        protocol = ["--folds", str(draw(st.integers(2, max(2, n + 1)))),
+                    "--seed", str(draw(st.integers(0, 2**32)))]
+    hyper = ["--k", str(draw(st.integers(1, n + 2))),
+             "--alpha", draw(st.sampled_from(["0", "0.5", "1e308"])),
+             "--max-depth", str(draw(st.integers(0, 3))),
+             "--min-samples", str(draw(st.integers(2, max(2, n + 1))))]
+    return protocol, hyper
+
+
+def _run_commands(commands, out):
+    """Each command's (exit code, stdout, stderr), and every file under ``out``."""
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
+    results = []
+    for argv in commands:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            results.append((main(argv), stdout.getvalue(), stderr.getvalue()))
+    files = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    return results, files
+
+
+@settings(max_examples=60, deadline=None)
+@given(survey=_survey(), draws=st.data())
+def test_every_generated_input_is_a_result_or_a_named_error_and_reruns_byte_identical(
+        tmp_path_factory, survey, draws):
+    schema, rows, labels = survey
+    protocol, hyper = draws.draw(_flags(len(rows)))
+    algo = draws.draw(st.sampled_from(ALGORITHMS))
+    work = tmp_path_factory.mktemp("fuzz")
+    inputs = {"survey.schema": schema.to_text(),
+              "labeled.csv": dataset_to_csv(Dataset(schema, rows, labels)),
+              "unlabeled.csv": dataset_to_csv(Dataset(schema, rows, None))}
+    for name, text in inputs.items():
+        (work / name).write_text(text, encoding="utf-8")
+    data = ["--data", str(work / "labeled.csv"), "--schema", str(work / "survey.schema")]
+    out = work / "out"
+    model = str(out / "model")
+    commands = [
+        ["validate", *data, "--attribute", "all"],
+        ["evaluate", *data, "--algo", "all", "--out", str(out / "report"), *protocol, *hyper],
+        ["train", *data, "--algo", algo, "--out", model, *hyper],
+        ["predict", model, *data, "--out", str(out / "labeled.tsv")],
+        ["predict", model, "--data", str(work / "unlabeled.csv"),
+         "--out", str(out / "unlabeled.tsv")],
+    ]
+    results, files = _run_commands(commands, out)
+    for argv, (code, _, err) in zip(commands, results):
+        assert code in (0, 1, 2), (argv, err)
+        if code:
+            assert err.startswith(("usage error: ", "data error: ")), (argv, err)
+    for name, content in files.items():
+        assert not NON_FINITE.search(content.decode("utf-8")), name
+    assert _run_commands(commands, out) == (results, files)

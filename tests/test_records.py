@@ -17,14 +17,20 @@ from turnout import (
     AttributeSchema,
     ConfusionMatrix,
     CurveSeries,
+    Dataset,
     EvaluationReport,
     Hyperparams,
     PerClassMetrics,
     Protocol,
     SchemaError,
+    UsageError,
+    class_counts,
+    crosstab,
+    held_out_scores,
     load_election_corpus,
     model_from_text,
     model_to_text,
+    stratified_folds,
     train,
 )
 
@@ -153,11 +159,43 @@ def test_record_defaults():
      "confusion matrix must be square with one row per class"),
     (lambda: ConfusionMatrix(((1, 0), (0, -1)), ("p", "q")), ValueError,
      "confusion matrix counts must be non-negative"),
+    # a metrics row could not say which class it is
+    (lambda: ConfusionMatrix(((1, 0), (0, 1)), ("p", "p")), ValueError,
+     "confusion matrix class labels must be distinct and nonempty"),
+    (lambda: ConfusionMatrix(((1, 0), (0, 1)), ("p", "")), ValueError,
+     "confusion matrix class labels must be distinct and nonempty"),
 ])
 def test_validated_records_reject_bad_fields(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert str(caught.value) == message
+
+
+UNLABELED = Dataset(SCHEMA, ((0,), (1,)), None)
+EMPTY = Dataset(SCHEMA, (), ())
+USAGE_CHECKS = {
+    "integer": lambda: Hyperparams(knn_k=2.5),
+    "hyperparams": lambda: Hyperparams(knn_k=0),
+    "protocol": lambda: Protocol("holdout"),
+    "folds-unlabeled": lambda: stratified_folds(UNLABELED, 2, 0),
+    "folds-empty": lambda: stratified_folds(EMPTY, 2, 0),
+    "folds-range": lambda: stratified_folds(load_election_corpus(), 101, 0),
+    "folds-seed": lambda: stratified_folds(load_election_corpus(), 10, -1),
+    "scores-unlabeled": lambda: held_out_scores(UNLABELED, "knn"),
+    "train-algorithm": lambda: train(load_election_corpus(), "svm"),
+    "train-unlabeled": lambda: train(UNLABELED, "knn"),
+    "feature-index": lambda: SCHEMA.feature_index("b"),
+    "crosstab-unlabeled": lambda: crosstab(UNLABELED, "a"),
+    "crosstab-target": lambda: crosstab(Dataset(SCHEMA, ((0,),), (0,)), "t"),
+    "class-counts": lambda: class_counts(UNLABELED),
+}
+
+
+@pytest.mark.parametrize("call", USAGE_CHECKS.values(), ids=USAGE_CHECKS.keys())
+def test_argument_checks_raise_usage_error(call):
+    # the CLI's exit 1; any other ValueError that reaches it is a bug (exit 3)
+    with pytest.raises(UsageError):
+        call()
 
 
 def test_model_classes_reject_assignment():
