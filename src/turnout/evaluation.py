@@ -1,7 +1,8 @@
 """Stratified cross-validation, confusion matrices, metrics, and curves.
 
-All randomness flows from one seeded generator, so every result is a
-pure function of (data, algorithm, hyperparameters, protocol, seed).
+All randomness flows from one seeded stream, numpy's PCG64 generator
+reproduced here in pure Python, so every result is a pure function of
+(data, algorithm, hyperparameters, protocol, seed) whatever numpy's version.
 A protocol's ``splits`` are (training, held-out) index pairs;
 ``held_out_scores`` trains on each training selection of the validated
 dataset and scores its held-out records with one batch call to the
@@ -15,41 +16,97 @@ the same floating-point order, as a per-threshold or per-record loop.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .classifiers import Hyperparams, predict_labels, train
+from .classifiers import Hyperparams, _integer, predict_labels, train
 from .data import Dataset, class_counts
 from .errors import UsageError
 
 
 # ----------------------------------------------------------- folding
 
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _pcg64_words(seed: int) -> Iterator[int]:
+    """The 32-bit draws of ``np.random.default_rng(seed)``, bit for bit,
+    without importing ``numpy.random`` (and with it OpenSSL), and fixed
+    across numpy releases, which promise no stream (NEP 19)."""
+    # SeedSequence(seed).generate_state(4, uint64): the seed's 32-bit words
+    # are hashed into a pool of four, and the pool out to eight words
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43b0d7e5
+
+    def hashmix(value: int, mult: int = 0x931e8875) -> int:
+        nonlocal const
+        const, value = const * mult & _M32, value ^ const
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        x = (0xca01f9dd * x - 0x4973f715 * hashmix(y)) & _M32
+        return x ^ x >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src, dst in [(s, d) for s in range(4) for d in range(4) if s != d]:
+        pool[dst] = mix(pool[dst], pool[src])
+    for extra, dst in [(e, d) for e in entropy[4:] for d in range(4)]:
+        pool[dst] = mix(pool[dst], extra)
+    const = 0x8b51f9dd  # generate_state hashes with its own constants
+    out = [hashmix(value, 0x58f38ded) for value in pool * 2]
+    w = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+    # PCG64 set_seed (O'Neill 2014), then each draw steps and outputs XSL-RR;
+    # a 32-bit draw takes an output's low half, and the next one its high half
+    mult, inc = 0x2360ed051fc65da44385df649fccf645, ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+    state = ((inc + (w[0] << 64 | w[1])) * mult + inc) & _M128
+    while True:
+        state = (state * mult + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        yield x & _M32
+        yield x >> 32
+
+
+def _shuffle(items: list, words: Iterator[int]) -> None:
+    """``Generator.shuffle``: Fisher-Yates from the end, each index drawn by
+    masked rejection."""
+    # numpy draws 64-bit words past index 2**32 - 1, so a class of more records would differ
+    for i in range(len(items) - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = next(words) & mask
+        while j > i:
+            j = next(words) & mask
+        items[i], items[j] = items[j], items[i]
+
 
 def stratified_folds(data: Dataset, folds: int, seed: int) -> np.ndarray:
     """The fold of each record, a read-only intp array: each class's
     records dealt round-robin into ``folds`` folds.
 
-    Records are grouped by class, each group is shuffled by a generator
-    seeded with ``seed``, and the groups are dealt in class order onto a
-    single round-robin cursor.  Within every class the fold sizes differ
-    by at most one, and ``folds == n`` degenerates to leave-one-out.
+    Records are grouped by class, the groups are shuffled in class order
+    by one stream that draws as ``np.random.default_rng(seed).permutation``
+    does (``_pcg64_words``), and dealt in class order onto a single
+    round-robin cursor.  Within every class the fold sizes differ by at
+    most one, and ``folds == n`` degenerates to leave-one-out.
     """
     if not data.labeled:
         raise UsageError("stratified folds need a labeled dataset")
     if data.n == 0:
         raise UsageError("the dataset has no records; stratified folds need at least one")
+    folds, seed = _integer("folds", folds), _integer("seed", seed)
     if not 2 <= folds <= data.n:
         raise UsageError(f"folds must be between 2 and {data.n}, got {folds}")
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    words = _pcg64_words(seed)
     labels = data.label_array
     fold_of = np.zeros(data.n, dtype=np.intp)
     cursor = 0
     for c in range(data.schema.n_classes):
-        members = rng.permutation(np.flatnonzero(labels == c))
+        members = np.flatnonzero(labels == c).tolist()
+        _shuffle(members, words)
         fold_of[members] = (cursor + np.arange(len(members))) % folds
         cursor += len(members)
     fold_of.flags.writeable = False
@@ -270,6 +327,8 @@ class Protocol(NamedTuple("Protocol", [("kind", str), ("folds", int | None),
             raise UsageError("cv protocol needs folds and seed")
         if kind == "test-on-train" and (folds is not None or seed is not None):
             raise UsageError("test-on-train protocol takes no folds or seed")
+        if kind == "cv":
+            folds, seed = _integer("folds", folds), _integer("seed", seed)
         return super().__new__(cls, kind, folds, seed)
 
     def describe(self) -> str:

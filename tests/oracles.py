@@ -8,8 +8,9 @@ exact split comparison ranks.  The curve sweeps at the end are the
 straightforward per-threshold and per-record float loops, kept so that
 the vectorised curves can be required to equal them exactly, same
 floating-point operations in the same order.  The fold
-deal draws from numpy's seeded generator, as the library must, and
-deals record by record.  ``table_as_tree`` only converts a trained
+deal draws from ``np.random.default_rng``, the independent reference for
+the PCG64 stream the library reproduces in pure Python, and deals
+record by record.  ``table_as_tree`` only converts a trained
 ``TreeModel`` into ``tree``'s nested form, so the two can be compared.
 """
 
@@ -90,11 +91,18 @@ def parse_csv(text, schema, labeled):
     )
 
 
+def permutations(seed, lengths):
+    """``permutation(n)`` for each n in ``lengths``, in turn, all from one
+    numpy generator seeded with ``seed``, as lists."""
+    rng = np.random.default_rng(seed)
+    return [rng.permutation(n).tolist() for n in lengths]
+
+
 def stratified_folds(labels, n_classes, folds, seed):
     """The per-record deal: each class's record positions, in class order
-    and shuffled by numpy's generator seeded with ``seed`` (the library's
-    one source of randomness), dealt one at a time onto a single
-    round-robin cursor.  Returns each record's fold."""
+    and shuffled by numpy's generator seeded with ``seed`` (the stream the
+    library reproduces), dealt one at a time onto a single round-robin
+    cursor.  Returns each record's fold."""
     rng = np.random.default_rng(seed)
     fold_of = [0] * len(labels)
     cursor = 0

@@ -107,9 +107,15 @@ def test_fold_balance_property(labels, seed, data):
         assert max(sizes) - min(sizes) <= 1
 
 
+# seeds of any size, and the word boundaries where SeedSequence takes
+# another 32-bit word and, past 2**128, mixes words beyond its pool of four
+SEEDS = st.integers(min_value=0, max_value=2**200) | st.sampled_from(
+    [2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**128 + 1, 2**160])
+
+
 @given(
     labels=st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=60),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    seed=SEEDS,
     data=st.data(),
 )
 def test_folds_match_the_per_record_deal(labels, seed, data):
@@ -117,6 +123,29 @@ def test_folds_match_the_per_record_deal(labels, seed, data):
     ds = tiny_dataset([(0,)] * len(labels), labels, [2], 4)
     want = oracles.stratified_folds(labels, 4, folds, seed)
     assert stratified_folds(ds, folds=folds, seed=seed).tolist() == list(want)
+
+
+@settings(deadline=None)
+@given(seed=SEEDS, lengths=st.lists(st.integers(min_value=0, max_value=3000), min_size=1, max_size=5))
+def test_the_stream_shuffles_as_numpys_generator(seed, lengths):
+    # one stream across the lists: an odd number of 32-bit draws leaves the
+    # high half of a 64-bit output for the next list.  numpy switches to
+    # 64-bit draws for a list of more than 2**32 items, which is not tested.
+    words = evaluation._pcg64_words(seed)
+    got = []
+    for n in lengths:
+        items = list(range(n))
+        evaluation._shuffle(items, words)
+        got.append(items)
+    assert got == oracles.permutations(seed, lengths)
+
+
+def test_cv_protocol_stores_numpy_integers_as_int(corpus):
+    protocol = Protocol("cv", np.int64(5), np.uint8(3))
+    assert protocol == cv(5, 3) and type(protocol.folds) is int and type(protocol.seed) is int
+    assert protocol.describe() == "stratified 5-fold cross-validation (seed 3)"
+    assert np.array_equal(stratified_folds(corpus, np.int32(5), np.int64(3)),
+                          stratified_folds(corpus, 5, 3))
 
 
 # ------------------------------------------------- confusion + metrics

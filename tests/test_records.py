@@ -173,29 +173,48 @@ def test_validated_records_reject_bad_fields(build, error, message):
 
 UNLABELED = Dataset(SCHEMA, ((0,), (1,)), None)
 EMPTY = Dataset(SCHEMA, (), ())
+
+
+def _corpus_folds(folds, seed):
+    return stratified_folds(load_election_corpus(), folds, seed)
+
+
 USAGE_CHECKS = {
-    "integer": lambda: Hyperparams(knn_k=2.5),
-    "hyperparams": lambda: Hyperparams(knn_k=0),
-    "protocol": lambda: Protocol("holdout"),
-    "folds-unlabeled": lambda: stratified_folds(UNLABELED, 2, 0),
-    "folds-empty": lambda: stratified_folds(EMPTY, 2, 0),
-    "folds-range": lambda: stratified_folds(load_election_corpus(), 101, 0),
-    "folds-seed": lambda: stratified_folds(load_election_corpus(), 10, -1),
-    "scores-unlabeled": lambda: held_out_scores(UNLABELED, "knn"),
-    "train-algorithm": lambda: train(load_election_corpus(), "svm"),
-    "train-unlabeled": lambda: train(UNLABELED, "knn"),
-    "feature-index": lambda: SCHEMA.feature_index("b"),
-    "crosstab-unlabeled": lambda: crosstab(UNLABELED, "a"),
-    "crosstab-target": lambda: crosstab(Dataset(SCHEMA, ((0,),), (0,)), "t"),
-    "class-counts": lambda: class_counts(UNLABELED),
+    "integer": (lambda: Hyperparams(knn_k=2.5), "knn_k must be an integer, got 2.5"),
+    "hyperparams": (lambda: Hyperparams(knn_k=0), "knn_k must be >= 1, got 0"),
+    "protocol": (lambda: Protocol("holdout"), "unknown protocol kind 'holdout'"),
+    # a "2.5-fold" protocol described itself as such, and dealt into fold 2
+    "protocol-folds": (lambda: Protocol("cv", 2.5, 1), "folds must be an integer, got 2.5"),
+    "protocol-seed": (lambda: Protocol("cv", 10, True), "seed must be an integer, got True"),
+    "folds-unlabeled": (lambda: stratified_folds(UNLABELED, 2, 0),
+                        "stratified folds need a labeled dataset"),
+    "folds-empty": (lambda: stratified_folds(EMPTY, 2, 0),
+                    "the dataset has no records; stratified folds need at least one"),
+    "folds-range": (lambda: _corpus_folds(101, 0), "folds must be between 2 and 100, got 101"),
+    "folds-float": (lambda: _corpus_folds(2.5, 1), "folds must be an integer, got 2.5"),
+    "folds-seed": (lambda: _corpus_folds(10, -1), "seed must be >= 0, got -1"),
+    # each was a bare TypeError, and True dealt as seed 1
+    "folds-seed-float": (lambda: _corpus_folds(10, 1.5), "seed must be an integer, got 1.5"),
+    "folds-seed-str": (lambda: _corpus_folds(10, "3"), "seed must be an integer, got '3'"),
+    "folds-seed-bool": (lambda: _corpus_folds(10, True), "seed must be an integer, got True"),
+    "scores-unlabeled": (lambda: held_out_scores(UNLABELED, "knn"), "evaluation needs a labeled dataset"),
+    "train-algorithm": (lambda: train(load_election_corpus(), "svm"),
+                        "unknown algorithm 'svm'; expected one of ('knn', 'naive-bayes', 'tree')"),
+    "train-unlabeled": (lambda: train(UNLABELED, "knn"), "training needs a labeled dataset"),
+    "feature-index": (lambda: SCHEMA.feature_index("b"), "unknown attribute 'b'"),
+    "crosstab-unlabeled": (lambda: crosstab(UNLABELED, "a"), "crosstab needs a labeled dataset"),
+    "crosstab-target": (lambda: crosstab(Dataset(SCHEMA, ((0,),), (0,)), "t"),
+                        "crosstab is taken against the target; pass a feature attribute"),
+    "class-counts": (lambda: class_counts(UNLABELED), "class counts need a labeled dataset"),
 }
 
 
-@pytest.mark.parametrize("call", USAGE_CHECKS.values(), ids=USAGE_CHECKS.keys())
-def test_argument_checks_raise_usage_error(call):
+@pytest.mark.parametrize("call, message", USAGE_CHECKS.values(), ids=USAGE_CHECKS.keys())
+def test_argument_checks_raise_usage_error(call, message):
     # the CLI's exit 1; any other ValueError that reaches it is a bug (exit 3)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError) as caught:
         call()
+    assert str(caught.value) == message
 
 
 def test_model_classes_reject_assignment():
@@ -280,6 +299,16 @@ def test_no_command_loads_numpy_ma(tmp_path):
     loaded = _new_modules(run)
     assert "turnout.evaluation" in loaded and "numpy" in loaded
     assert "numpy.ma" not in loaded
+
+
+def test_evaluate_loads_neither_numpy_random_nor_openssl():
+    # the fold deal is drawn in-package: numpy.random would bring secrets,
+    # hashlib and OpenSSL, about 6 MB and 15 ms, for a few thousand draws
+    # (train and predict still load hashlib for the model fingerprint)
+    argv = ["evaluate", "--algo", "all", "--seed", "1"]
+    loaded = _new_modules(f"from turnout.cli import main\nassert main({argv!r}) == 0")
+    assert "turnout.evaluation" in loaded and "numpy" in loaded
+    assert not {"numpy.random", "secrets", "hashlib", "_hashlib"} & loaded
 
 
 def test_each_public_name_is_the_object_its_module_defines():
