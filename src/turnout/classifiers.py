@@ -408,8 +408,14 @@ class NaiveBayesModel(TrainedModel):
 # -------------------------------------------------------------- tree
 
 
-def _split_score(tally: list[list[int]]) -> tuple[int, int]:
-    """Exact surrogate for the weighted child entropy of a candidate split.
+def _exact_split(
+    table: np.ndarray, counts: np.ndarray, candidates: np.ndarray,
+    offsets: np.ndarray, sizes: np.ndarray,
+) -> int:
+    """The candidate with the lowest exact split score, or -1 when none is
+    strictly below the parent's; ties go to the earlier candidate.
+
+    The score is an exact surrogate for the weighted child entropy:
 
     sum_v n_v * H(child_v)  =  log2(p) - log2(q)  with
     p = prod_v n_v ** n_v   and   q = prod_{v,c} n_vc ** n_vc.
@@ -417,33 +423,13 @@ def _split_score(tally: list[list[int]]) -> tuple[int, int]:
     Scores compare as log2(p1/q1) < log2(p2/q2) iff p1*q2 < p2*q1, which
     is plain big-integer arithmetic: no float rounding can flip a tie.
     """
-    p = 1
-    q = 1
-    for row in tally:
-        n_v = sum(row)
-        if n_v:
-            p *= n_v**n_v
-        for c in row:
-            if c:
-                q *= c**c
-    return p, q
-
-
-def _score_less(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] * b[1] < b[0] * a[1]
-
-
-def _exact_split(
-    table: np.ndarray, counts: np.ndarray, candidates: np.ndarray,
-    offsets: np.ndarray, sizes: np.ndarray,
-) -> int:
-    """The candidate with the lowest exact split score, or -1 when none is
-    strictly below the parent's; ties go to the earlier candidate."""
-    best_j, best_score = -1, _split_score([counts.tolist()])
-    for j in candidates.tolist():
-        score = _split_score(table[offsets[j] : offsets[j] + sizes[j]].tolist())
-        if _score_less(score, best_score):
-            best_j, best_score = j, score
+    best_j, best_p, best_q = -1, 0, 0
+    for j in [-1, *candidates.tolist()]:  # -1: the parent, unsplit
+        rows = [counts.tolist()] if j < 0 else table[offsets[j] : offsets[j] + sizes[j]].tolist()
+        p = math.prod(sum(row) ** sum(row) for row in rows)  # 0 ** 0 == 1
+        q = math.prod(c**c for row in rows for c in row)
+        if j < 0 or p * best_q < best_p * q:
+            best_j, best_p, best_q = j, p, q
     return best_j
 
 
@@ -529,7 +515,7 @@ class TreeModel(TrainedModel):
         of the comparisons.  A node whose best float score is more than
         2 eps below the parent's and below every other attribute's splits on
         that attribute.  Any other node is decided exactly on its integer
-        tallies with ``_split_score``/``_score_less``, over the attributes
+        tallies with ``_exact_split``, over the attributes
         within 2 eps of the best that take more than one value in the node;
         so ties, and zero gain, are never settled by float order.  An
         attribute constant in a node, such as one split on above it, scores

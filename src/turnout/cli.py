@@ -105,7 +105,8 @@ def _read_text(path: str, what: str) -> str:
 
 def _load_data(args: argparse.Namespace, labeled: bool | None,
                fallback_schema: AttributeSchema | None = None) -> tuple[Dataset, str]:
-    """Load --data/--schema; with ``labeled=None`` the header decides."""
+    """Load --data/--schema; with ``labeled=None`` the header decides, and
+    with ``labeled=True`` the dataset needs at least one record."""
     if args.data == EMBEDDED:
         schema = corpus.load_election_schema()
         text = corpus.election_csv_text()
@@ -121,13 +122,8 @@ def _load_data(args: argparse.Namespace, labeled: bool | None,
             raise UsageError("--schema is required when --data is a file path")
         text = _read_text(args.data, "data file")
         source = args.data
-    return parse_csv(text, schema, labeled), source
-
-
-def _load_training_data(args: argparse.Namespace) -> tuple[Dataset, str]:
-    """Load labeled --data/--schema with at least one record."""
-    data, source = _load_data(args, labeled=True)
-    if data.n == 0:
+    data = parse_csv(text, schema, labeled)
+    if labeled and data.n == 0:
         raise DataError(f"dataset {source!r} has no records")
     return data, source
 
@@ -147,19 +143,6 @@ def _describe_classes(data: Dataset) -> str:
     return f"{data.n} records; classes: " + ", ".join(parts)
 
 
-def _crosstab_text(data: Dataset, attribute: str) -> str:
-    table = crosstab(data, attribute)
-    labels = data.schema.class_labels
-    lines = [f"crosstab: {attribute}"]
-    lines.append("\t" + "\t".join(labels) + "\ttotal")
-    attr = data.schema.features[data.schema.feature_index(attribute)]
-    for v, row in enumerate(table):
-        lines.append(attr.values[v] + "\t" + "\t".join(str(c) for c in row) + f"\t{int(row.sum())}")
-    columns = table.sum(axis=0)
-    lines.append("total\t" + "\t".join(str(int(c)) for c in columns) + f"\t{int(table.sum())}")
-    return "\n".join(lines)
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     data, _ = _load_data(args, labeled=None)
     if data.labeled:
@@ -172,9 +155,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             names.extend(data.schema.feature_names)
         else:
             names.append(requested)
+    if names:  # only a crosstab needs the report module
+        from .report import format_count_table
     for name in names:
-        print()
-        print(_crosstab_text(data, name))
+        table = crosstab(data, name).tolist()
+        values = data.schema.features[data.schema.feature_index(name)].values
+        print(f"\ncrosstab: {name}")
+        print(format_count_table("", values, data.schema.class_labels, table), end="")
     return 0
 
 
@@ -223,7 +210,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         folds = 10 if args.folds is None else args.folds
         protocol = Protocol(kind="cv", folds=folds, seed=args.seed)
 
-    data, source = _load_training_data(args)
+    data, source = _load_data(args, labeled=True)
     params = _hyperparams(args)
     algos = ALGORITHMS if args.algo == "all" else (args.algo,)
 
@@ -257,7 +244,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    data, _ = _load_training_data(args)
+    data, _ = _load_data(args, labeled=True)
     model = train(data, args.algo, _hyperparams(args))
     save_model(model, args.out)
     print(f"wrote {args.algo} model to {args.out}")

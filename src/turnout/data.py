@@ -304,8 +304,8 @@ def parse_csv(text: str, schema: AttributeSchema, labeled: bool | None) -> Datas
 
     # every cell's domain index, record after record; each is in range by
     # construction, so the dataset is built without validating it again
-    lookups = [(attr, {label: i for i, label in enumerate(attr.values)}) for attr in columns]
-    # a line of canonical labels only is looked up whole; others go cell by cell
+    # each column's canonical labels, the only ones a canonicalised cell can
+    # match; a line of canonical labels only is looked up whole, others cell by cell
     exact = [{v: i for i, v in enumerate(a.values) if canonical_label(v) == v} for a in columns]
     indices: list[int] = []
     for lineno, line in lines:
@@ -319,7 +319,7 @@ def parse_csv(text: str, schema: AttributeSchema, labeled: bool | None) -> Datas
             continue
         except KeyError:
             pass
-        for (attr, index_of), cell in zip(lookups, cells):
+        for attr, index_of, cell in zip(columns, exact, cells):
             value = canonical_label(cell)
             if not value:
                 raise DataError(f"line {lineno}: empty value in column {attr.name!r}")

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .classifiers import Hyperparams, _integer, predict_labels, train
-from .data import Dataset, class_counts
+from .data import Dataset, class_counts, tally
 from .errors import UsageError
 
 
@@ -142,9 +142,8 @@ class ConfusionMatrix(NamedTuple("ConfusionMatrix", [("counts", tuple[tuple[int,
         cls, actual: Sequence[int], predicted: Sequence[int], labels: Sequence[str]
     ) -> "ConfusionMatrix":
         k = len(labels)
-        cells = np.asarray(actual, dtype=np.intp) * k + np.asarray(predicted, dtype=np.intp)
-        counts = np.bincount(cells, minlength=k * k).reshape(k, k).tolist()
-        return cls(counts=tuple(tuple(row) for row in counts), labels=tuple(labels))
+        counts = tally(np.asarray(actual, dtype=np.intp), np.asarray(predicted, dtype=np.intp), k, k)
+        return cls(counts=tuple(map(tuple, counts.tolist())), labels=tuple(labels))
 
 
 def class_accuracy(matrix: ConfusionMatrix) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from itertools import chain
 from pathlib import Path
+from typing import Sequence
 
 from .errors import DataError
 from .evaluation import (
@@ -40,14 +41,21 @@ def format_metrics_table(matrix: ConfusionMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_count_table(corner: str, rows: Sequence[str], columns: Sequence[str],
+                       counts: Sequence[Sequence[int]]) -> str:
+    """Counts with row, column, and grand totals, under a header of
+    ``corner`` and the column labels; each row starts with its label."""
+    lines = [corner + "\t" + "\t".join(columns) + "\ttotal"]
+    for label, row in zip(rows, counts):
+        lines.append(label + "\t" + "\t".join(map(str, row)) + f"\t{sum(row)}")
+    totals = [sum(column) for column in zip(*counts)]
+    lines.append("total\t" + "\t".join(map(str, totals)) + f"\t{sum(totals)}")
+    return "\n".join(lines) + "\n"
+
+
 def format_confusion_table(matrix: ConfusionMatrix) -> str:
     """Actual-by-predicted counts with row, column, and grand totals."""
-    lines = ["actual\\predicted\t" + "\t".join(matrix.labels) + "\ttotal"]
-    for label, row in zip(matrix.labels, matrix.counts):
-        lines.append(label + "\t" + "\t".join(str(c) for c in row) + f"\t{sum(row)}")
-    columns = [sum(row[j] for row in matrix.counts) for j in range(len(matrix.labels))]
-    lines.append("total\t" + "\t".join(str(c) for c in columns) + f"\t{matrix.n}")
-    return "\n".join(lines) + "\n"
+    return format_count_table("actual\\predicted", matrix.labels, matrix.labels, matrix.counts)
 
 
 def parse_confusion_table(text: str) -> ConfusionMatrix:

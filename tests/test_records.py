@@ -279,12 +279,14 @@ def test_only_evaluate_loads_evaluation_and_report(tmp_path):
     model = tmp_path / "knn.model"
     run = "from turnout.cli import main; assert main({!r}) == 0"
     train_argv = ["train", "--algo", "knn", "--out", str(model)]
-    for argv in (train_argv, ["predict", str(model)]):
+    for argv in (train_argv, ["predict", str(model)], ["validate"]):
         loaded, _ = _package_modules(run.format(argv))
         assert "turnout.classifiers" in loaded
         assert not {"turnout.evaluation", "turnout.report"} & loaded
-    loaded, _ = _package_modules(run.format(["evaluate", "--algo", "knn", "--seed", "1"]))
-    assert {"turnout.evaluation", "turnout.report"} <= loaded
+    # validate prints its crosstabs with the report module's count-table writer
+    for argv in (["evaluate", "--algo", "knn", "--seed", "1"], ["validate", "--attribute", "Age"]):
+        loaded, _ = _package_modules(run.format(argv))
+        assert {"turnout.evaluation", "turnout.report"} <= loaded
 
 
 def test_no_command_loads_numpy_ma(tmp_path):
