@@ -443,9 +443,10 @@ class TreeModel(TrainedModel):
     its class counts; an empty child slot carries its parent's, and a
     split node read from a model file, which stores none, has zeros.  A
     leaf's label is the argmax of its counts, ties to the earlier class.
-    A table may share a child between parents, but every path from the
-    root must end at a leaf, and each leaf needs whole counts in
-    0..2**63-1, not all 0: anything else is a ValueError naming the node.
+    A table may share a child between parents, but every split must name
+    a feature and have a slot per value, every path from the root must
+    end at a leaf, and each leaf needs whole counts in 0..2**63-1, not
+    all 0: anything else is a ValueError naming the node.
     """
 
     algorithm = "tree"
@@ -461,7 +462,15 @@ class TreeModel(TrainedModel):
             raise ValueError(f"leaf node {leaves[bad.argmax()]} has an invalid class distribution")
         # each node's child slots, one per value of its split attribute; a
         # table with no node has no root, which the walk below reports
-        width = np.where(attribute < 0, 0, self.domain_sizes[attribute])
+        unknown = (attribute >= len(self.domain_sizes)).nonzero()[0]
+        if unknown.size:
+            raise ValueError(f"split node {unknown[0]} names an unknown attribute")
+        split = attribute >= 0
+        width = np.where(split, self.domain_sizes[np.where(split, attribute, 0)], 0)
+        narrow = (width > children.shape[1]).nonzero()[0]
+        if narrow.size:
+            raise ValueError(f"split node {narrow[0]} has {children.shape[1]} child slots, "
+                             f"expected {width[narrow[0]]}")
         slots = np.arange(children.shape[1]) < width[:, None]
         kids = children[slots]
         bad = kids[(kids < 0) | (kids >= n)]

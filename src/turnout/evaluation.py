@@ -95,11 +95,9 @@ def stratified_folds(data: Dataset, folds: int, seed: int) -> np.ndarray:
         raise UsageError("stratified folds need a labeled dataset")
     if data.n == 0:
         raise UsageError("the dataset has no records; stratified folds need at least one")
-    folds, seed = _integer("folds", folds), _integer("seed", seed)
-    if not 2 <= folds <= data.n:
+    _, folds, seed = Protocol("cv", folds, seed)  # the checks that need no data
+    if folds > data.n:
         raise UsageError(f"folds must be between 2 and {data.n}, got {folds}")
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
     words = _pcg64_words(seed)
     labels = data.label_array
     fold_of = np.zeros(data.n, dtype=np.intp)
@@ -315,7 +313,8 @@ def calibration_points(
 class Protocol(NamedTuple("Protocol", [("kind", str), ("folds", int | None),
                                        ("seed", int | None)])):
     """How predictions are obtained: k-fold CV (``kind="cv"``, with
-    ``folds`` and ``seed``) or ``kind="test-on-train"`` (with neither)."""
+    integer ``folds`` >= 2 and ``seed`` >= 0) or ``kind="test-on-train"``
+    (with neither)."""
 
     __slots__ = ()
 
@@ -328,6 +327,10 @@ class Protocol(NamedTuple("Protocol", [("kind", str), ("folds", int | None),
             raise UsageError("test-on-train protocol takes no folds or seed")
         if kind == "cv":
             folds, seed = _integer("folds", folds), _integer("seed", seed)
+            if folds < 2:
+                raise UsageError(f"folds must be >= 2, got {folds}")
+            if seed < 0:
+                raise UsageError(f"seed must be >= 0, got {seed}")
         return super().__new__(cls, kind, folds, seed)
 
     def describe(self) -> str:

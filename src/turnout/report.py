@@ -154,7 +154,9 @@ def curve_svg(series: CurveSeries) -> str:
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="#1f6fb2" stroke-width="2"/>'
         )
-    title = f"{series.kind}: {series.label}"
+    # a schema label may hold '&', '<' and '>', which the text node must escape
+    label = series.label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    title = f"{series.kind}: {label}"
     if series.auc is not None:
         title += f" (auc {series.auc:.4f})"
     parts.append(
@@ -191,7 +193,14 @@ def curve_filename(series: CurveSeries, suffix: str = "csv") -> str:
 
 def write_report(report: EvaluationReport, outdir: str | Path, svg: bool = False) -> list[Path]:
     """Write metrics.tsv, confusion.tsv, and one CSV (plus optional SVG)
-    per curve into ``outdir``; returns the paths written."""
+    per curve into ``outdir``; returns the paths written.  Two class labels
+    whose curves would share a file name are a DataError, before any write."""
+    label_of: dict[str, str] = {}
+    for series in report.curves:
+        name = curve_filename(series)
+        if label_of.setdefault(name, series.label) != series.label:
+            raise DataError(f"class labels {label_of[name]!r} and {series.label!r} "
+                            f"would both write {name!r}")
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -152,9 +152,15 @@ def _leaf_counts(tree, counts):
      r"leaf node \d+ has an invalid class distribution"),
     ("tree", lambda m: (m.attribute, m.children, _leaf_counts(m, [2.5, 0, 0])),
      r"leaf node \d+ has an invalid class distribution"),
+    # the corpus has 9 features; this was an IndexError
+    ("tree", lambda m: (_changed(m.attribute, 0, 9), m.children, m.counts),
+     "split node 0 names an unknown attribute"),
+    # the root splits on a 3-value attribute; this built, and prediction raised IndexError
+    ("tree", lambda m: (m.attribute, m.children[:, :2], m.counts),
+     "split node 0 has 2 child slots, expected 3"),
 ], ids=["nb-all-zero", "nb-short-table", "nb-doubled-table", "nb-negative-cell",
         "nb-fractional-cell", "tree-all-zero-leaf", "tree-negative-leaf-count",
-        "tree-fractional-leaf-count"])
+        "tree-fractional-leaf-count", "tree-unknown-attribute", "tree-narrow-children"])
 def test_directly_built_model_refuses_tables_it_cannot_predict_from(algo, arrays, message):
     # each table would predict NaN or a wrong distribution, or fail inside
     # numpy, so the constructor refuses it, naming the fault

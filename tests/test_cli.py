@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from turnout import (
     REFERENCE_TREE_ROOT,
     Hyperparams,
     KnnModel,
+    canonical_label,
     dataset_to_csv,
     election_csv_text,
     election_schema_text,
@@ -223,6 +225,13 @@ def test_evaluate_rejects_a_negative_seed(capsys):
     code, _, err = run(capsys, "evaluate", "--algo", "knn", "--seed", "-1")
     assert code == 1
     assert "usage error: seed must be >= 0, got -1" in err
+
+
+def test_evaluate_refuses_one_fold_before_reading_the_data(capsys):
+    # was exit 2 on the missing file: the protocol is checked first
+    code, _, err = run(capsys, "evaluate", "--seed", "1", "--folds", "1",
+                       "--data", "no/such/file.csv", "--schema", "no/such/file.schema")
+    assert (code, err) == (1, "usage error: folds must be >= 2, got 1\n")
 
 
 def test_evaluate_rejects_bad_jobs(capsys):
@@ -900,15 +909,25 @@ def test_a_value_error_inside_a_kernel_is_an_internal_error(capsys, monkeypatch)
 # ------------------------------------------------------------- fuzzing
 
 
+# canonical labels with spaces and the characters that SVG text ('&', '<'),
+# file names ('-', ' ') and %-formats ('%') must survive
+_LABEL = st.text("ab &<-%", min_size=1, max_size=4).map(canonical_label).filter(bool)
+
+
+def _labels(n):
+    return st.lists(_LABEL, min_size=n, max_size=n, unique=True).map(tuple)
+
+
 @st.composite
 def _survey(draw):
     """A schema of 1-4 features with 2-4 values and 2-3 classes, and 0-30
-    labeled records over it; absent and single-record classes included."""
+    labeled records over it; absent and single-record classes included.
+    Class labels may share a curve file name (``a b`` and ``a-b``)."""
     sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
     n_classes = draw(st.integers(2, 3))
     schema = AttributeSchema(
-        tuple(Attribute(f"f{j}", tuple(f"v{v}" for v in range(s))) for j, s in enumerate(sizes)),
-        Attribute("vote", tuple(f"c{c}" for c in range(n_classes))))
+        tuple(Attribute(f"f{j}", draw(_labels(s))) for j, s in enumerate(sizes)),
+        Attribute("vote", draw(_labels(n_classes))))
     records = draw(st.lists(st.tuples(st.tuples(*(st.integers(0, s - 1) for s in sizes)),
                                       st.integers(0, n_classes - 1)), max_size=30))
     rows = tuple(row for row, _ in records)
@@ -963,7 +982,8 @@ def test_every_generated_input_is_a_result_or_a_named_error_and_reruns_byte_iden
     model = str(out / "model")
     commands = [
         ["validate", *data, "--attribute", "all"],
-        ["evaluate", *data, "--algo", "all", "--out", str(out / "report"), *protocol, *hyper],
+        ["evaluate", *data, "--algo", "all", "--svg", "--out", str(out / "report"),
+         *protocol, *hyper],
         ["train", *data, "--algo", algo, "--out", model, *hyper],
         ["predict", model, *data, "--out", str(out / "labeled.tsv")],
         ["predict", model, "--data", str(work / "unlabeled.csv"),
@@ -976,4 +996,6 @@ def test_every_generated_input_is_a_result_or_a_named_error_and_reruns_byte_iden
             assert err.startswith(("usage error: ", "data error: ")), (argv, err)
     for name, content in files.items():
         assert not NON_FINITE.search(content.decode("utf-8")), name
+        if name.endswith(".svg"):
+            ET.fromstring(content)  # well-formed XML, whatever the labels hold
     assert _run_commands(commands, out) == (results, files)

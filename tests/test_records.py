@@ -186,11 +186,15 @@ USAGE_CHECKS = {
     # a "2.5-fold" protocol described itself as such, and dealt into fold 2
     "protocol-folds": (lambda: Protocol("cv", 2.5, 1), "folds must be an integer, got 2.5"),
     "protocol-seed": (lambda: Protocol("cv", 10, True), "seed must be an integer, got True"),
+    # each built, and described itself as "stratified 1-fold cross-validation (seed -1)"
+    "protocol-folds-range": (lambda: Protocol("cv", 1, 0), "folds must be >= 2, got 1"),
+    "protocol-seed-range": (lambda: Protocol("cv", 10, -1), "seed must be >= 0, got -1"),
     "folds-unlabeled": (lambda: stratified_folds(UNLABELED, 2, 0),
                         "stratified folds need a labeled dataset"),
     "folds-empty": (lambda: stratified_folds(EMPTY, 2, 0),
                     "the dataset has no records; stratified folds need at least one"),
     "folds-range": (lambda: _corpus_folds(101, 0), "folds must be between 2 and 100, got 101"),
+    "folds-one": (lambda: _corpus_folds(1, 0), "folds must be >= 2, got 1"),
     "folds-float": (lambda: _corpus_folds(2.5, 1), "folds must be an integer, got 2.5"),
     "folds-seed": (lambda: _corpus_folds(10, -1), "seed must be >= 0, got -1"),
     # each was a bare TypeError, and True dealt as seed 1

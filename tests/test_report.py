@@ -1,9 +1,14 @@
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from turnout import (
+    Attribute,
+    AttributeSchema,
     ConfusionMatrix,
     CurveSeries,
     DataError,
+    Dataset,
     Protocol,
     evaluate,
     lift_points,
@@ -139,6 +144,14 @@ def test_svg_renders_one_point_as_a_marker():
         curve_svg(CurveSeries(kind="lift", label="a", points=()))
 
 
+def test_svg_title_escapes_markup_in_the_class_label():
+    # a schema label may hold '&', '<' and '>'; each SVG was rejected by XML parsers
+    for label in ("yes & no", "<none>", "a > b & <c>"):
+        svg = curve_svg(CurveSeries(kind="roc", label=label, points=((0, 0), (1, 1)), auc=0.5))
+        title = ET.fromstring(svg).find("{http://www.w3.org/2000/svg}text")
+        assert title.text == f"roc: {label} (auc 0.5000)"
+
+
 def test_filenames_are_slugged():
     assert slug("Possible participation") == "Possible_participation"
     curve = CurveSeries(kind="roc", label="Possible participation", points=((0, 0), (1, 1)))
@@ -171,3 +184,14 @@ def test_write_report_is_byte_deterministic(tmp_path):
     for a, b in zip(first, second):
         assert a.name == b.name
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_write_report_refuses_class_labels_whose_files_collide(tmp_path):
+    # both labels slug to a_b: the run exited 0 and kept only the a-b curves
+    schema = AttributeSchema((Attribute("f", ("x", "y")),), Attribute("t", ("a b", "a-b", "c")))
+    data = Dataset(schema, ((0,), (1,), (0,)), (0, 1, 2))
+    report = evaluate(data, "knn", protocol=Protocol(kind="test-on-train"))
+    with pytest.raises(DataError) as caught:
+        write_report(report, tmp_path / "out", svg=True)
+    assert str(caught.value) == "class labels 'a b' and 'a-b' would both write 'roc_a_b.csv'"
+    assert not (tmp_path / "out").exists()
