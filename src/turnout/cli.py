@@ -158,9 +158,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if names:  # only a crosstab needs the report module
         from .report import format_count_table
     for name in names:
+        print()
         table = crosstab(data, name).tolist()
         values = data.schema.features[data.schema.feature_index(name)].values
-        print(f"\ncrosstab: {name}")
+        print(f"crosstab: {name}")
         print(format_count_table("", values, data.schema.class_labels, table), end="")
     return 0
 
