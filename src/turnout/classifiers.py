@@ -438,55 +438,44 @@ class TreeModel(TrainedModel):
     node 0: the same numbering as the model file's ``node <i>`` lines.
 
     ``attribute[i]`` is node i's split attribute (-1 for a leaf) and
-    ``children[i, v]`` the node that its records with value v go to (-1
-    past the attribute's domain and on a leaf's row).  ``counts[i]`` holds
-    its class counts; an empty child slot carries its parent's, and a
-    split node read from a model file, which stores none, has zeros.  A
-    leaf's label is the argmax of its counts, ties to the earlier class.
-    A table may share a child between parents, but every split must name
-    a feature and have a slot per value, every path from the root must
-    end at a leaf, and each leaf needs whole counts in 0..2**63-1, not
-    all 0: anything else is a ValueError naming the node.
+    ``counts[i]`` its class counts; an empty branch carries its parent's,
+    and a split node read from a model file, which stores none, has zeros.
+    A leaf's label is the argmax of its counts, ties to the earlier class.
+    The numbering fixes ``children[i, v]``, the node split i sends value v
+    to (-1 past its domain and on a leaf): 1, plus the domain sizes of the
+    splits before i, plus v.  Each split must name a feature and come
+    before its children, the table must hold just the root and those
+    children, and each leaf needs whole counts in 0..2**63-1, not all 0:
+    anything else is a ValueError naming the fault.
     """
 
     algorithm = "tree"
 
     def __init__(self, schema: AttributeSchema, params: Hyperparams, attribute: np.ndarray,
-                 children: np.ndarray, counts: np.ndarray) -> None:
+                 counts: np.ndarray) -> None:
         super().__init__(schema, params)
         # compared before the casts: a file's integers are objects of any size
         n, counts, leaves = len(attribute), np.asarray(counts), (attribute < 0).nonzero()[0]
+        if counts.shape != (n, schema.n_classes):
+            raise ValueError(f"tree counts have shape {counts.shape}, "
+                             f"expected ({n}, {schema.n_classes}): one row of class counts per node")
         dist = counts[leaves]
         bad = ((dist < 0) | (dist >= 2**63) | (dist % 1 != 0)).any(axis=1) | ~(dist > 0).any(axis=1)
         if bad.any():
             raise ValueError(f"leaf node {leaves[bad.argmax()]} has an invalid class distribution")
-        # each node's child slots, one per value of its split attribute; a
-        # table with no node has no root, which the walk below reports
         unknown = (attribute >= len(self.domain_sizes)).nonzero()[0]
         if unknown.size:
             raise ValueError(f"split node {unknown[0]} names an unknown attribute")
         split = attribute >= 0
         width = np.where(split, self.domain_sizes[np.where(split, attribute, 0)], 0)
-        narrow = (width > children.shape[1]).nonzero()[0]
-        if narrow.size:
-            raise ValueError(f"split node {narrow[0]} has {children.shape[1]} child slots, "
-                             f"expected {width[narrow[0]]}")
-        slots = np.arange(children.shape[1]) < width[:, None]
-        kids = children[slots]
-        bad = kids[(kids < 0) | (kids >= n)]
-        if bad.size:
-            raise ValueError(f"tree node {bad[0]} is missing or cyclic")
-        children = np.asarray(children, dtype=np.intp)
-        # the nodes a path of t steps from the root reaches; after n steps
-        # some node repeats on the path, so a nonempty set means a loop.
-        # (np.bincount, not np.unique, whose first call imports numpy.ma.)
-        reached = np.zeros(1, dtype=np.intp)
-        for _ in range(n):
-            reached = np.bincount(children[reached][slots[reached]], minlength=n).nonzero()[0]
-            if not reached.size:
-                break
-        else:
-            raise ValueError(f"tree node {reached[0]} is missing or cyclic")
+        first = 1 + np.cumsum(width) - width
+        if n != 1 + width.sum():
+            raise ValueError(f"tree has {n} nodes, expected the root and {width.sum()} children")
+        late = (split & (first <= np.arange(n))).nonzero()[0]
+        if late.size:
+            raise ValueError(f"split node {late[0]} comes after its children")
+        slots = np.arange(int(self.domain_sizes.max()))
+        children = np.where(slots < width[:, None], first[:, None] + slots, -1)
         vars(self).update(attribute=attribute, children=children,
                           counts=np.asarray(counts, dtype=np.int64))
 
@@ -546,12 +535,10 @@ class TreeModel(TrainedModel):
         eps_per_f = ((k + 1) * int(sizes.max()) + 10) * 2.0**-50
 
         # the node table, one depth at a time: every node's class counts and
-        # split attribute, and below the root its parent's node number and the
-        # value that leads there from the parent
+        # split attribute, and below the root its parent's node number
         counts_at: list[np.ndarray] = []
         attribute_at: list[np.ndarray] = []
         parent_at = [np.zeros(0, dtype=np.intp)]
-        value_at = [np.zeros(0, dtype=np.intp)]
         base = 0  # node number of this depth's first node
         # the records still in play and their node at this depth; ``labels`` is
         # narrowed along with ``rows``
@@ -605,21 +592,17 @@ class TreeModel(TrainedModel):
             parent_of = np.repeat(np.arange(m), n_children)
             value = np.arange(len(parent_of)) - first[parent_of]
             parent_at.append(base + nodes[parent_of])
-            value_at.append(value)
             base += len(attribute)
             counts = table[parent_of, offsets[choice[parent_of]] + value]
             moved = split[node_of]
             rows, labels, node_of = rows[moved], labels[moved], node_of[moved]
             slot = first[node_of] + data.matrix[rows, choice[node_of]]
 
-        # breadth first, node i > 0 is the child of parents[i - 1] on values[i - 1]
-        counts = np.concatenate(counts_at)
-        parents, values = np.concatenate(parent_at), np.concatenate(value_at)
-        children = np.full((len(counts), int(sizes.max())), -1, dtype=np.intp)
-        children[parents, values] = np.arange(1, len(counts))
+        # breadth first, node i > 0 is a child of parents[i - 1]
+        counts, parents = np.concatenate(counts_at), np.concatenate(parent_at)
         empty = (counts[1:].sum(axis=1) == 0).nonzero()[0]
         counts[empty + 1] = counts[parents[empty]]
-        return cls(data.schema, params, np.concatenate(attribute_at), children, counts)
+        return cls(data.schema, params, np.concatenate(attribute_at), counts)
 
     def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
         """Move every record still at a split node one depth down per step,
@@ -654,11 +637,12 @@ class TreeModel(TrainedModel):
     @classmethod
     def from_payload(cls, lines: list[str], schema: AttributeSchema,
                      params: Hyperparams) -> TreeModel:
-        """The model ``payload`` wrote, each leaf labeled with its argmax."""
+        """The model ``payload`` wrote, each leaf labeled with its argmax and
+        each split listing the next nodes, breadth first, that none before it lists."""
         n, sizes = len(lines), tuple(a.size for a in schema.features)
         attribute = np.full(n, -1, dtype=np.intp)
-        children = np.full((n, max(sizes)), -1, dtype=object)
         counts = np.zeros((n, schema.n_classes), dtype=object)
+        listed = 1  # the nodes listed as children so far, the root included
         for i, line in enumerate(lines):
             leaf = line.startswith(f"node {i}: leaf ")
             head, sep, tail = line.partition(" counts " if leaf else " children ")
@@ -679,9 +663,13 @@ class TreeModel(TrainedModel):
                 raise ModelFileError(
                     f"split node {i} has {len(tail)} children, expected {sizes[head[0]]}"
                 )
+            want = list(range(listed, listed + len(tail)))
+            if tail != want:
+                raise ModelFileError(f"split node {i} has children {' '.join(map(str, tail))}, "
+                                     f"expected {' '.join(map(str, want))}")
             attribute[i] = head[0]
-            children[i, : len(tail)] = tail
-        return cls(schema, params, attribute, children, counts)
+            listed += len(tail)
+        return cls(schema, params, attribute, counts)
 
 
 # ------------------------------------------------------ common front

@@ -181,8 +181,8 @@ def _tree_root_note(data: Dataset, params: Hyperparams) -> str:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .evaluation import Protocol, class_accuracy, evaluate, majority_baseline
-    from .report import (format_confusion_table, format_metrics_table, parse_confusion_table,
-                         write_report)
+    from .report import (check_curve_names, format_confusion_table, format_metrics_table,
+                         parse_confusion_table, write_report)
 
     if args.from_matrix is not None:
         defaults = vars(_build_parser().parse_args(["evaluate"]))
@@ -212,6 +212,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         protocol = Protocol(kind="cv", folds=folds, seed=args.seed)
 
     data, source = _load_data(args, labeled=True)
+    if args.out:  # a file-name collision needs only the labels: refuse it before evaluating
+        check_curve_names(data.schema.class_labels)
     params = _hyperparams(args)
     algos = ALGORITHMS if args.algo == "all" else (args.algo,)
 

@@ -251,8 +251,8 @@ class Dataset:
                 f"label_array={labels!r})")
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        """The records at ``indices``, in that order, without re-validation."""
-        picked = np.asarray(indices, dtype=np.intp)
+        """The records at integer ``indices``, in that order, without re-validation."""
+        picked = index_array(indices, "subset indices")
         label_array = None if self.label_array is None else self.label_array[picked]
         return _valid_dataset(self.schema, self.matrix[picked], label_array)
 

@@ -127,7 +127,7 @@ def model_from_text(text: str) -> TrainedModel:
         raise ModelFileError("model file truncated: missing 'end'")
     try:
         return REGISTRY[algorithm].from_payload(payload, schema, params)
-    except ValueError as exc:  # the constructor's checks: domains, counts, child nodes
+    except ValueError as exc:  # the constructor's checks: domains, counts, node order
         raise ModelFileError(str(exc)) from None
 
 

@@ -191,16 +191,22 @@ def curve_filename(series: CurveSeries, suffix: str = "csv") -> str:
     return f"{series.kind}_{slug(series.label)}.{suffix}"
 
 
+def check_curve_names(labels: Sequence[str]) -> None:
+    """Refuse two class labels with one ``slug``, whose curve files would
+    share names, with a DataError naming both labels and their ROC file."""
+    label_of: dict[str, str] = {}
+    for label in labels:
+        first = label_of.setdefault(slug(label), label)
+        if first != label:
+            raise DataError(f"class labels {first!r} and {label!r} "
+                            f"would both write 'roc_{slug(label)}.csv'")
+
+
 def write_report(report: EvaluationReport, outdir: str | Path, svg: bool = False) -> list[Path]:
     """Write metrics.tsv, confusion.tsv, and one CSV (plus optional SVG)
     per curve into ``outdir``; returns the paths written.  Two class labels
     whose curves would share a file name are a DataError, before any write."""
-    label_of: dict[str, str] = {}
-    for series in report.curves:
-        name = curve_filename(series)
-        if label_of.setdefault(name, series.label) != series.label:
-            raise DataError(f"class labels {label_of[name]!r} and {series.label!r} "
-                            f"would both write {name!r}")
+    check_curve_names(report.matrix.labels)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

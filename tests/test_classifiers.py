@@ -146,21 +146,21 @@ def _leaf_counts(tree, counts):
      "count table needs 29 rows of 3 non-negative integers"),
     ("naive-bayes", lambda m: (m.class_counts, _changed(m.counts / 1, (0, 0), m.counts[0, 0] + 0.5)),
      "count table needs 29 rows of 3 non-negative integers"),
-    ("tree", lambda m: (m.attribute, m.children, _leaf_counts(m, [0, 0, 0])),
+    ("tree", lambda m: (m.attribute, _leaf_counts(m, [0, 0, 0])),
      r"leaf node \d+ has an invalid class distribution"),
-    ("tree", lambda m: (m.attribute, m.children, _leaf_counts(m, [-1, 5, 0])),
+    ("tree", lambda m: (m.attribute, _leaf_counts(m, [-1, 5, 0])),
      r"leaf node \d+ has an invalid class distribution"),
-    ("tree", lambda m: (m.attribute, m.children, _leaf_counts(m, [2.5, 0, 0])),
+    ("tree", lambda m: (m.attribute, _leaf_counts(m, [2.5, 0, 0])),
      r"leaf node \d+ has an invalid class distribution"),
     # the corpus has 9 features; this was an IndexError
-    ("tree", lambda m: (_changed(m.attribute, 0, 9), m.children, m.counts),
+    ("tree", lambda m: (_changed(m.attribute, 0, 9), m.counts),
      "split node 0 names an unknown attribute"),
-    # the root splits on a 3-value attribute; this built, and prediction raised IndexError
-    ("tree", lambda m: (m.attribute, m.children[:, :2], m.counts),
-     "split node 0 has 2 child slots, expected 3"),
+    # the corpus has 3 classes; this built, and predicted 2-vectors
+    ("tree", lambda m: (m.attribute, m.counts[:, :2] + 1),
+     r"tree counts have shape \(\d+, 2\), expected \(\d+, 3\): one row of class counts per node"),
 ], ids=["nb-all-zero", "nb-short-table", "nb-doubled-table", "nb-negative-cell",
         "nb-fractional-cell", "tree-all-zero-leaf", "tree-negative-leaf-count",
-        "tree-fractional-leaf-count", "tree-unknown-attribute", "tree-narrow-children"])
+        "tree-fractional-leaf-count", "tree-unknown-attribute", "tree-narrow-counts"])
 def test_directly_built_model_refuses_tables_it_cannot_predict_from(algo, arrays, message):
     # each table would predict NaN or a wrong distribution, or fail inside
     # numpy, so the constructor refuses it, naming the fault
@@ -314,18 +314,23 @@ def test_corpus_tree_root_has_the_greatest_information_gain():
 # --------------------------------------------------------------- tree
 
 
-def test_tree_model_refuses_a_loop_or_a_child_that_is_no_node():
-    # prediction walks children until it reaches a leaf: a loop never ends
+def test_tree_model_refuses_a_table_that_is_not_breadth_first():
+    # the numbering fixes every child, so a table can only hold too many or
+    # too few nodes, or put a split after its children
     tree = train(load_election_corpus(), "tree")
-    n = len(tree.attribute)
-    looped = np.where(tree.children >= 0, 0, -1)
-    dangling = tree.children.copy()
-    dangling[0, 0] = n
-    missing = tree.children.copy()
-    missing[0, 0] = -1
-    for children, node in ((looped, 0), (dangling, n), (missing, -1)):
-        with pytest.raises(ValueError, match=f"^tree node {node} is missing or cyclic$"):
-            TreeModel(tree.schema, tree.params, tree.attribute, children, tree.counts)
+    n, root, leaf = len(tree.attribute), int(tree.attribute[0]), [1, 0, 0]
+    assert tree.domain_sizes[root] == 3
+    tables = [
+        (np.append(tree.attribute, -1), np.vstack([tree.counts, leaf]),
+         f"tree has {n + 1} nodes, expected the root and {n - 1} children"),
+        (tree.attribute[:-1], tree.counts[:-1],
+         f"tree has {n - 1} nodes, expected the root and {n - 1} children"),
+        # node 1 would be its own first child
+        (np.array([-1, root, -1, -1]), np.array([leaf] * 4), "split node 1 comes after its children"),
+    ]
+    for attribute, counts, message in tables:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TreeModel(tree.schema, tree.params, attribute, counts)
 
 
 def test_tree_pure_node_is_a_leaf():

@@ -276,6 +276,19 @@ def test_evaluate_writes_report_directory(capsys, tmp_path):
     assert "dataset: embedded:election (100 records)" in summary
 
 
+def test_evaluate_refuses_colliding_curve_names_before_evaluating(capsys, tmp_path, monkeypatch):
+    # both labels slug to a_b; this printed the whole summary and then exited 2
+    schema = AttributeSchema((Attribute("f", ("x", "y")),), Attribute("t", ("a b", "a-b")))
+    (tmp_path / "s.schema").write_text(schema.to_text())
+    (tmp_path / "d.csv").write_text(dataset_to_csv(Dataset(schema, ((0,), (1,)), (0, 1))))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "evaluate", "--data", "d.csv", "--schema", "s.schema",
+                         "--algo", "knn", "--test-on-train", "--out", "o")
+    assert (code, out) == (2, "")
+    assert err == "data error: class labels 'a b' and 'a-b' would both write 'roc_a_b.csv'\n"
+    assert not (tmp_path / "o").exists()
+
+
 MATRIX_TABLE = (
     "actual\\predicted\ta\tb\ttotal\n"
     "a\t3\t1\t4\n"

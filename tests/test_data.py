@@ -203,6 +203,14 @@ def test_dataset_caches_arrays_and_subsets_by_index():
         picked.schema = data.schema
 
 
+def test_subset_refuses_indices_that_are_not_integers():
+    # a mask or floats cast to intp would pick records 0 and 1 without a word
+    corpus = turnout.load_election_corpus()
+    for indices in (corpus.label_array == 1, [0.7, 1.2]):
+        with pytest.raises(ValueError, match="^subset indices must be integers, got "):
+            corpus.subset(indices)
+
+
 def test_dataset_equality_hash_and_repr_read_the_arrays():
     schema = _toy()
     data = Dataset(schema, ((0, 0), (2, 1)), (0, 1))

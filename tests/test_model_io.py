@@ -244,8 +244,9 @@ def test_rejects_negative_or_empty_naive_bayes_counts(corpus):
 def test_rejects_cyclic_tree(corpus):
     text = model_to_text(train(corpus, "tree"))
     root = next(line for line in text.splitlines() if line.startswith("node 0: split "))
+    assert root.endswith(" children 1 2 3")
     broken = re.sub(r"children \d+", "children 0", root, count=1)
-    with pytest.raises(ModelFileError, match="missing or cyclic"):
+    with pytest.raises(ModelFileError, match="^split node 0 has children 0 2 3, expected 1 2 3$"):
         model_from_text(_tamper(text, root, broken))
 
 
@@ -254,33 +255,50 @@ def test_rejects_dangling_child_index(corpus):
     root = next(line for line in text.splitlines() if line.startswith("node 0: split "))
     for child in ("99999", "-1"):
         broken = re.sub(r"children \d+", f"children {child}", root, count=1)
-        with pytest.raises(ModelFileError, match=f"tree node {child} is missing or cyclic"):
+        with pytest.raises(ModelFileError,
+                           match=f"^split node 0 has children {child} 2 3, expected 1 2 3$"):
             model_from_text(_tamper(text, root, broken))
 
 
 def test_rejects_cycle_below_the_root(corpus):
     text = model_to_text(train(corpus, "tree"))
     inner = [line for line in text.splitlines() if " split " in line][1]
+    node, first = re.match(r"node (\d+): split \d+ children (\d+)", inner).groups()
     broken = re.sub(r"children \d+", "children 0", inner, count=1)
-    with pytest.raises(ModelFileError, match="tree node 0 is missing or cyclic"):
+    with pytest.raises(ModelFileError,
+                       match=f"^split node {node} has children 0 .*, expected {first} "):
         model_from_text(_tamper(text, inner, broken))
 
 
-def test_tree_file_with_a_shared_child_predicts_like_the_tree():
+def test_rejects_tree_file_whose_branches_share_a_node():
     data = tiny_dataset([(0, 0), (1, 1), (2, 0)], [0, 1, 1], [3, 2], 2)
     text = model_to_text(train(data, "tree"))
     tree = "node 0: split 0 children 1 2 3\n"
     assert tree in text and "node 3: leaf 1 counts 0 1\n" in text
-    # the root's last branch reuses node 2, which equals node 3
+    # the root's last branch reuses node 2, which equals node 3: the
+    # breadth-first numbering gives that branch node 3
     shared = _tamper(_tamper(_tamper(text, tree, "node 0: split 0 children 1 2 2\n"),
                              "node 3: leaf 1 counts 0 1\n", ""),
                      "payload-lines: 4", "payload-lines: 3")
-    queries = np.array([(v, w) for v in range(3) for w in range(2)])
-    got = model_from_text(shared)
-    want = model_from_text(text)
-    assert np.array_equal(got.predict_proba_batch(queries),
-                          want.predict_proba_batch(queries))
-    assert model_to_text(got) == shared
+    with pytest.raises(ModelFileError, match="^split node 0 has children 1 2 2, expected 1 2 3$"):
+        model_from_text(shared)
+
+
+def test_rejects_tree_file_that_is_not_breadth_first():
+    data = tiny_dataset([(0,), (1,)], [0, 1], [2], 2)
+    text = model_to_text(train(data, "tree"))
+    root, left = "node 0: split 0 children 1 2\n", "node 1: leaf 0 counts 1 0\n"
+    extra = _tamper(_tamper(text, "end\n", "node 3: leaf 0 counts 1 0\nend\n"),
+                    "payload-lines: 3", "payload-lines: 4")
+    missing = _tamper(_tamper(text, "node 2: leaf 1 counts 0 1\n", ""),
+                      "payload-lines: 3", "payload-lines: 2")
+    # the root is a leaf, and node 1 lists itself as its first child
+    late = _tamper(text, root + left, left.replace("1:", "0:") + root.replace("0:", "1:"))
+    for broken, message in ((extra, "tree has 4 nodes, expected the root and 2 children"),
+                            (missing, "tree has 2 nodes, expected the root and 2 children"),
+                            (late, "split node 1 comes after its children")):
+        with pytest.raises(ModelFileError, match=f"^{message}$"):
+            model_from_text(broken)
 
 
 def test_rejects_malformed_node_that_no_path_reaches():
@@ -298,7 +316,7 @@ def test_rejects_split_that_no_path_reaches_with_a_child_that_is_no_node():
     text = model_to_text(train(data, "tree"))
     extra = _tamper(text, "end\n", "node 3: split 0 children 1 99\nend\n")
     extra = _tamper(extra, "payload-lines: 3", "payload-lines: 4")
-    with pytest.raises(ModelFileError, match="^tree node 99 is missing or cyclic$"):
+    with pytest.raises(ModelFileError, match="^split node 3 has children 1 99, expected 3 4$"):
         model_from_text(extra)
 
 
