@@ -454,7 +454,8 @@ class TreeModel(TrainedModel):
     def __init__(self, schema: AttributeSchema, params: Hyperparams, attribute: np.ndarray,
                  counts: np.ndarray) -> None:
         super().__init__(schema, params)
-        # compared before the casts: a file's integers are objects of any size
+        attribute = index_array(attribute, "tree attribute table")
+        # counts are checked before their cast: a file's integers are objects of any size
         n, counts, leaves = len(attribute), np.asarray(counts), (attribute < 0).nonzero()[0]
         if counts.shape != (n, schema.n_classes):
             raise ValueError(f"tree counts have shape {counts.shape}, "

@@ -30,6 +30,7 @@ itself, with no ``_replace`` and no tuple behaviour.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from operator import getitem
 from typing import NamedTuple
 
@@ -117,10 +118,13 @@ class AttributeSchema(NamedTuple("AttributeSchema", [("features", tuple[Attribut
         return "\n".join(lines) + "\n"
 
     def fingerprint(self) -> str:
-        """SHA-256 of the canonical schema text; names and order both count."""
-        import hashlib  # only model files and schema mismatches need it
+        """SHA-256 of the canonical schema text, as 64 hex digits; names and
+        order both count.  :mod:`turnout.sha256` computes it in pure Python,
+        so no command loads OpenSSL; it is imported here, since only model
+        files and schema mismatches need it."""
+        from .sha256 import sha256_hex
 
-        return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
+        return sha256_hex(self.to_text().encode("utf-8"))
 
 
 def parse_schema(text: str) -> AttributeSchema:
@@ -275,6 +279,22 @@ def _valid_dataset(schema: AttributeSchema, matrix: np.ndarray,
     return data
 
 
+_BLOCK_CHARS = 1 << 16
+
+
+def _block_lines(text: str) -> Iterator[str]:
+    """The lines ``text.splitlines()`` gives, split one block of about
+    ``_BLOCK_CHARS`` characters at a time, so that only one block's line
+    strings are alive at once.  Each block ends just after a line feed,
+    which ends a line whatever comes before it, so no line boundary, not
+    even a carriage return and line feed, straddles a cut."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def parse_csv(text: str, schema: AttributeSchema, labeled: bool | None) -> Dataset:
     """Parse a comma-separated data file against ``schema``.
 
@@ -284,9 +304,10 @@ def parse_csv(text: str, schema: AttributeSchema, labeled: bool | None) -> Datas
     is read as unlabeled otherwise.  Cells are matched against domain
     labels after whitespace canonicalisation; anything else is rejected
     with the line number and column name.  Blank lines are skipped; cell
-    order is preserved exactly.
+    order is preserved exactly.  Lines are numbered as ``str.splitlines``
+    splits them, and read one block at a time.
     """
-    lines = enumerate(strip_bom(text).splitlines(), start=1)
+    lines = enumerate(_block_lines(strip_bom(text)), start=1)
     # the first nonblank line; the record loop goes on from the line after it
     header_line = next((line for _, line in lines if line.strip()), None)
     if header_line is None:

@@ -193,13 +193,14 @@ def curve_filename(series: CurveSeries, suffix: str = "csv") -> str:
 
 def check_curve_names(labels: Sequence[str]) -> None:
     """Refuse two class labels with one ``slug``, whose curve files would
-    share names, with a DataError naming both labels and their ROC file."""
+    share names, with a DataError naming both labels and their calibration
+    file, the one curve file every class gets."""
     label_of: dict[str, str] = {}
     for label in labels:
         first = label_of.setdefault(slug(label), label)
         if first != label:
             raise DataError(f"class labels {first!r} and {label!r} "
-                            f"would both write 'roc_{slug(label)}.csv'")
+                            f"would both write 'calibration_{slug(label)}.csv'")
 
 
 def write_report(report: EvaluationReport, outdir: str | Path, svg: bool = False) -> list[Path]:

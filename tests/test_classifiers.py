@@ -158,9 +158,13 @@ def _leaf_counts(tree, counts):
     # the corpus has 3 classes; this built, and predicted 2-vectors
     ("tree", lambda m: (m.attribute, m.counts[:, :2] + 1),
      r"tree counts have shape \(\d+, 2\), expected \(\d+, 3\): one row of class counts per node"),
+    # this was a bare IndexError
+    ("tree", lambda m: (m.attribute / 1, m.counts),
+     "tree attribute table must be integers, got float64 values"),
 ], ids=["nb-all-zero", "nb-short-table", "nb-doubled-table", "nb-negative-cell",
         "nb-fractional-cell", "tree-all-zero-leaf", "tree-negative-leaf-count",
-        "tree-fractional-leaf-count", "tree-unknown-attribute", "tree-narrow-counts"])
+        "tree-fractional-leaf-count", "tree-unknown-attribute", "tree-narrow-counts",
+        "tree-float-attribute"])
 def test_directly_built_model_refuses_tables_it_cannot_predict_from(algo, arrays, message):
     # each table would predict NaN or a wrong distribution, or fail inside
     # numpy, so the constructor refuses it, naming the fault
@@ -331,6 +335,14 @@ def test_tree_model_refuses_a_table_that_is_not_breadth_first():
     for attribute, counts, message in tables:
         with pytest.raises(ValueError, match=f"^{message}$"):
             TreeModel(tree.schema, tree.params, attribute, counts)
+
+
+def test_tree_model_reads_its_attribute_table_from_any_integer_sequence():
+    # a list was a bare TypeError
+    tree = train(load_election_corpus(), "tree")
+    rebuilt = TreeModel(tree.schema, tree.params, tree.attribute.tolist(), tree.counts)
+    assert rebuilt.payload() == tree.payload()
+    assert rebuilt.attribute.dtype == np.intp
 
 
 def test_tree_pure_node_is_a_leaf():

@@ -285,7 +285,7 @@ def test_evaluate_refuses_colliding_curve_names_before_evaluating(capsys, tmp_pa
     code, out, err = run(capsys, "evaluate", "--data", "d.csv", "--schema", "s.schema",
                          "--algo", "knn", "--test-on-train", "--out", "o")
     assert (code, out) == (2, "")
-    assert err == "data error: class labels 'a b' and 'a-b' would both write 'roc_a_b.csv'\n"
+    assert err == "data error: class labels 'a b' and 'a-b' would both write 'calibration_a_b.csv'\n"
     assert not (tmp_path / "o").exists()
 
 

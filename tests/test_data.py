@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from turnout import (
     class_counts,
     crosstab,
     dataset_to_csv,
+    load_election_schema,
     parse_csv,
     parse_schema,
 )
@@ -59,6 +63,21 @@ def test_fingerprint_changes_with_order():
     a = parse_schema("attribute x: A | B\ntarget y: P | Q\n")
     b = parse_schema("attribute x: B | A\ntarget y: P | Q\n")
     assert a.fingerprint() != b.fingerprint()
+
+
+def test_fingerprint_digest_is_sha256():
+    # hashlib is the reference only here; 55/56, 64 and 119/120 bytes are
+    # where the padding takes one more block
+    from turnout.sha256 import sha256_hex
+
+    rng = random.Random(0)
+    for n in range(201):
+        data = rng.randbytes(n)
+        assert sha256_hex(data) == hashlib.sha256(data).hexdigest(), n
+    accented = parse_schema("attribute Größe: klein | groß\ntarget Wahl: ja | nein | ¿?\n")
+    for schema in (load_election_schema(), accented):
+        text = schema.to_text().encode("utf-8")
+        assert schema.fingerprint() == hashlib.sha256(text).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -255,6 +274,29 @@ def test_leading_byte_order_mark_is_stripped():
     assert schema == parse_schema(GOOD_SCHEMA)
     data = parse_csv("\ufeffColor,Size,Outcome\nRed,Small,Yes\n", schema, labeled=True)
     assert data.matrix.tolist() == [[0, 0]]
+
+
+def test_parse_csv_reads_a_file_of_several_blocks_as_one():
+    # CRLF endings with one "\r\n" where a cut at a fixed width would split
+    # it, a lone "\r", blank lines and a BOM, over four blocks
+    block = turnout.data._BLOCK_CHARS
+    head = "Color,Size,Outcome\r\nRed,Small,Yes\rBlue,Big,No\r\n\r\n"
+    records = "Red,Small,Yes\r\nBlue, Big ,No\r\n \r\nGreen,Small,No\r\n"
+    start = head + records * ((block - len(head)) // len(records) - 1)
+    body = start + " " * (block - 1 - len(start)) + "\r\n" + records * (5 * block // (2 * len(records)))
+    assert body[block - 1 : block + 1] == "\r\n" and len(body) > 3 * block
+    crlf = "\ufeff" + body
+    lf = body.replace("\r\n", "\n").replace("\r", "\n")
+    data = parse_csv(crlf, _toy(), labeled=True)
+    assert data == parse_csv(lf, _toy(), labeled=True)
+    assert data.n == sum(1 for line in lf.splitlines()[1:] if line.strip())
+    # a bad cell in the third block names the line text.splitlines() numbers
+    at = crlf.index("Green", 2 * block + 64)
+    bad = crlf[:at] + "Grey" + crlf[at + len("Green"):]
+    lineno = next(i for i, line in enumerate(bad.splitlines(), start=1) if "Grey" in line)
+    with pytest.raises(DataError) as err:
+        parse_csv(bad, _toy(), labeled=True)
+    assert str(err.value) == f"line {lineno}: unknown value 'Grey' for attribute 'Color'"
 
 
 def test_class_counts_requires_labels():

@@ -293,24 +293,25 @@ def test_only_evaluate_loads_evaluation_and_report(tmp_path):
         assert {"turnout.evaluation", "turnout.report"} <= loaded
 
 
-def test_no_command_loads_numpy_ma(tmp_path):
+def test_no_command_loads_numpy_ma_or_openssl(tmp_path):
     # the first np.unique on integers imports numpy.ma, which costs the
-    # corpus run about a tenth of its wall time; all seven commands run in
-    # one interpreter, so none of them may load it
+    # corpus run about a tenth of its wall time; hashlib loads OpenSSL,
+    # about 3.5 MB and 5 ms, where the model fingerprint needs one short
+    # digest.  All nine invocations run in one interpreter, so none may load either
     argvs = [argv for algo in ("knn", "naive-bayes", "tree")
              for argv in (["train", "--algo", algo, "--out", str(tmp_path / algo)],
                           ["predict", str(tmp_path / algo)])]
-    argvs.append(["evaluate", "--algo", "all", "--seed", "1"])
+    argvs += [["evaluate", "--algo", "all", "--seed", "1"], ["validate", "--attribute", "Age"],
+              ["export-corpus", "--out", str(tmp_path / "corpus")]]
     run = "from turnout.cli import main\n" + "\n".join(f"assert main({argv!r}) == 0" for argv in argvs)
     loaded = _new_modules(run)
-    assert "turnout.evaluation" in loaded and "numpy" in loaded
-    assert "numpy.ma" not in loaded
+    assert {"turnout.evaluation", "turnout.model_io", "turnout.sha256", "numpy"} <= loaded
+    assert not {"numpy.ma", "hashlib", "_hashlib", "_blake2"} & loaded
 
 
 def test_evaluate_loads_neither_numpy_random_nor_openssl():
     # the fold deal is drawn in-package: numpy.random would bring secrets,
     # hashlib and OpenSSL, about 6 MB and 15 ms, for a few thousand draws
-    # (train and predict still load hashlib for the model fingerprint)
     argv = ["evaluate", "--algo", "all", "--seed", "1"]
     loaded = _new_modules(f"from turnout.cli import main\nassert main({argv!r}) == 0")
     assert "turnout.evaluation" in loaded and "numpy" in loaded

@@ -193,5 +193,5 @@ def test_write_report_refuses_class_labels_whose_files_collide(tmp_path):
     report = evaluate(data, "knn", protocol=Protocol(kind="test-on-train"))
     with pytest.raises(DataError) as caught:
         write_report(report, tmp_path / "out", svg=True)
-    assert str(caught.value) == "class labels 'a b' and 'a-b' would both write 'roc_a_b.csv'"
+    assert str(caught.value) == "class labels 'a b' and 'a-b' would both write 'calibration_a_b.csv'"
     assert not (tmp_path / "out").exists()
