@@ -535,19 +535,16 @@ class TreeModel(TrainedModel):
         f = np.concatenate(([0.0], n * np.log2(n)))  # f[n] = n * log2(n)
         eps_per_f = ((k + 1) * int(sizes.max()) + 10) * 2.0**-50
 
-        # the node table, one depth at a time: every node's class counts and
-        # split attribute, and below the root its parent's node number
+        # the node table, one depth at a time: every node's class counts and split attribute
         counts_at: list[np.ndarray] = []
         attribute_at: list[np.ndarray] = []
-        parent_at = [np.zeros(0, dtype=np.intp)]
-        base = 0  # node number of this depth's first node
         # the records still in play and their node at this depth; ``labels`` is
         # narrowed along with ``rows``
         rows = np.arange(data.n)
         slot = np.zeros(data.n, dtype=np.intp)
         counts = tally(slot, labels, 1, k)
         for depth in range(d + 1):
-            n_node = counts.sum(axis=1)
+            n_node = np.bincount(slot, minlength=len(counts))  # an empty branch holds none
             open_ = (counts.max(axis=1) < n_node) & (n_node >= params.tree_min_samples)
             if depth == d or (params.tree_max_depth is not None and depth >= params.tree_max_depth):
                 open_[:] = False
@@ -592,18 +589,14 @@ class TreeModel(TrainedModel):
             attribute[nodes] = choice
             parent_of = np.repeat(np.arange(m), n_children)
             value = np.arange(len(parent_of)) - first[parent_of]
-            parent_at.append(base + nodes[parent_of])
-            base += len(attribute)
-            counts = table[parent_of, offsets[choice[parent_of]] + value]
+            child = table[parent_of, offsets[choice[parent_of]] + value]
+            # an empty branch carries its parent's counts
+            counts = np.where(child.any(axis=1)[:, None], child, counts[nodes[parent_of]])
             moved = split[node_of]
             rows, labels, node_of = rows[moved], labels[moved], node_of[moved]
             slot = first[node_of] + data.matrix[rows, choice[node_of]]
 
-        # breadth first, node i > 0 is a child of parents[i - 1]
-        counts, parents = np.concatenate(counts_at), np.concatenate(parent_at)
-        empty = (counts[1:].sum(axis=1) == 0).nonzero()[0]
-        counts[empty + 1] = counts[parents[empty]]
-        return cls(data.schema, params, np.concatenate(attribute_at), counts)
+        return cls(data.schema, params, np.concatenate(attribute_at), np.concatenate(counts_at))
 
     def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
         """Move every record still at a split node one depth down per step,
@@ -660,11 +653,7 @@ class TreeModel(TrainedModel):
                 continue
             if len(head) != 1 or not 0 <= head[0] < len(sizes):
                 raise ModelFileError(f"split node {i} names an unknown attribute")
-            if len(tail) != sizes[head[0]]:
-                raise ModelFileError(
-                    f"split node {i} has {len(tail)} children, expected {sizes[head[0]]}"
-                )
-            want = list(range(listed, listed + len(tail)))
+            want = list(range(listed, listed + sizes[head[0]]))
             if tail != want:
                 raise ModelFileError(f"split node {i} has children {' '.join(map(str, tail))}, "
                                      f"expected {' '.join(map(str, want))}")

@@ -95,11 +95,17 @@ def _build_parser() -> _Parser:
 
 
 def _read_text(path: str, what: str) -> str:
+    """The file's text after a leading UTF-8 byte-order mark, from one
+    decode: a str that held U+FEFF would take 2 bytes per character."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
+        bom = 3 * raw.startswith(b"\xef\xbb\xbf")
+        return str(memoryview(raw)[bom:], "utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {what} {path!r}: {exc}") from None
     except UnicodeDecodeError as exc:
+        # offsets count the file's bytes, the mark included
+        exc.object, exc.start = raw, exc.start + bom
         raise DataError(not_utf8(what, path, exc)) from None
 
 

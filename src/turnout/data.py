@@ -323,11 +323,11 @@ def parse_csv(text: str, schema: AttributeSchema, labeled: bool | None) -> Datas
     if header != expected:
         raise DataError(f"header mismatch: expected {expected}, got {header}")
 
-    # every cell's domain index, record after record; each is in range by
-    # construction, so the dataset is built without validating it again
     # each column's canonical labels, the only ones a canonicalised cell can
     # match; a line of canonical labels only is looked up whole, others cell by cell
     exact = [{v: i for i, v in enumerate(a.values) if canonical_label(v) == v} for a in columns]
+    # every cell's domain index, record after record; each is in range by
+    # construction, so the dataset is built without validating it again
     indices: list[int] = []
     for lineno, line in lines:
         if not line.strip():

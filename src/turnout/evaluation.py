@@ -338,15 +338,17 @@ class Protocol(NamedTuple("Protocol", [("kind", str), ("folds", int | None),
             return f"stratified {self.folds}-fold cross-validation (seed {self.seed})"
         return "test on training data"
 
-    def splits(self, data: Dataset) -> list[tuple[np.ndarray, np.ndarray]]:
+    def splits(self, data: Dataset) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The (training indices, held-out indices) pairs: one per fold of
-        ``stratified_folds`` under CV, else the single pair (all, all)."""
+        ``stratified_folds`` under CV, else the single pair (all, all).
+        The folds are dealt at the call, so its usage errors raise there;
+        the pairs are made one at a time, as the iterator is read."""
         if self.kind == "test-on-train":
             every = np.arange(data.n)
-            return [(every, every)]
+            return iter([(every, every)])
         fold_of = stratified_folds(data, self.folds, self.seed)
-        return [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f))
-                for f in range(self.folds)]
+        return ((np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f))
+                for f in range(self.folds))
 
 
 def held_out_scores(

@@ -742,6 +742,47 @@ def test_tree_matches_the_oracle_tree(case, min_samples, max_depth):
     assert table_as_tree(root) == want
 
 
+def _check_node_counts(model, rows, labels):
+    """Assert that every node's in-memory counts, split nodes included, are
+    the class tally of the training records that reach it, or its parent's
+    counts if none do; returns the number of such empty branches."""
+    reach = np.zeros_like(model.counts)
+    for row, label in zip(rows, labels):
+        node = 0
+        while True:
+            reach[node, label] += 1
+            if model.attribute[node] < 0:
+                break
+            node = model.children[node, row[model.attribute[node]]]
+    parent = {kid: i for i, kids in enumerate(model.children.tolist()) for kid in kids if kid >= 0}
+    for i, tally in enumerate(reach):
+        want = tally if tally.any() else model.counts[parent[i]]
+        assert model.counts[i].tolist() == want.tolist(), f"node {i}"
+    return int((~reach.any(axis=1)).sum())
+
+
+def test_every_tree_node_counts_the_training_records_that_reach_it():
+    data = load_election_corpus()
+    rows, labels = data.matrix.tolist(), data.label_array.tolist()
+    splits = empty = 0
+    for params in (Hyperparams(), Hyperparams(tree_min_samples=5),
+                   Hyperparams(tree_max_depth=2), Hyperparams(tree_max_depth=0)):
+        model = train(data, "tree", params)
+        empty += _check_node_counts(model, rows, labels)
+        splits += int((model.attribute >= 0).sum())
+    # the corpus trees hold split nodes and empty branches below them
+    assert splits > 0 and empty > 0
+
+
+@given(tied_problem(), st.sampled_from([2, 3, 5]), st.sampled_from([None, 0, 1, 2]))
+def test_every_tree_node_counts_the_training_records_that_reach_it_on_small_datasets(
+        case, min_samples, max_depth):
+    rows, labels, sizes, n_classes, _ = case
+    params = Hyperparams(tree_min_samples=min_samples, tree_max_depth=max_depth)
+    _check_node_counts(train(tiny_dataset(rows, labels, sizes, n_classes), "tree", params),
+                       rows, labels)
+
+
 def test_tree_matches_the_oracle_tree_on_the_corpus():
     data = load_election_corpus()
     sizes = [a.size for a in data.schema.features]

@@ -562,6 +562,29 @@ def test_byte_order_mark_is_ignored(capsys, tmp_path):
     assert len(out.splitlines()) == 3
 
 
+def test_byte_order_mark_is_dropped_in_the_one_decode(tmp_path):
+    path = tmp_path / "election.csv"
+    path.write_text("\ufeff" + election_csv_text(), encoding="utf-8")
+    text = turnout.cli._read_text(str(path), "data file")
+    assert "\ufeff" not in text and text == election_csv_text()
+    # one byte per character: no copy of the text ever held U+FEFF
+    assert sys.getsizeof(text) < len(text) + 100
+
+
+@pytest.mark.parametrize("what, argv", [
+    ("data file", ("validate", "--data", "{bad}", "--schema", "{dir}/election.schema")),
+    ("schema file", ("validate", "--data", "{dir}/election.csv", "--schema", "{bad}")),
+    ("matrix file", ("evaluate", "--from-matrix", "{bad}")),
+])
+def test_offset_of_a_bad_byte_after_a_byte_order_mark_counts_the_mark(capsys, tmp_path, what, argv):
+    assert run(capsys, "export-corpus", "--out", str(tmp_path))[0] == 0
+    bad = tmp_path / "bom.txt"
+    bad.write_bytes(bytes.fromhex("EFBBBF6162E9"))
+    code, _, err = run(capsys, *(a.format(bad=bad, dir=tmp_path) for a in argv))
+    assert (code, err) == (2, f"data error: {what} {str(bad)!r} is not UTF-8: byte 0xe9 "
+                              "at offset 5 (unexpected end of data)\n")
+
+
 # -------------------------------------------------------- train/predict
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ from turnout import (
     Dataset,
     Hyperparams,
     Protocol,
+    UsageError,
     class_accuracy,
     evaluate,
     held_out_scores,
@@ -263,7 +265,7 @@ def test_protocol_validation_and_description():
 @pytest.mark.parametrize("folds", [2, 10, 100])
 def test_cv_splits_partition_the_records(corpus, folds):
     assert folds <= corpus.n
-    splits = cv(folds, seed=9).splits(corpus)
+    splits = list(cv(folds, seed=9).splits(corpus))
     assert len(splits) == folds
     held = np.concatenate([test for _, test in splits])
     assert sorted(held.tolist()) == list(range(corpus.n))  # each record held out once
@@ -277,6 +279,27 @@ def test_cv_splits_partition_the_records(corpus, folds):
         for i in test_idx.tolist():
             got[i] = f
     assert tuple(got) == want
+
+
+def test_leave_one_out_splits_are_made_one_at_a_time():
+    rng = np.random.default_rng(3)
+    n = 2000
+    data = tiny_dataset(rng.integers(0, 3, (n, 4)).tolist(), rng.integers(0, 3, n).tolist(),
+                        [3, 3, 3, 3], 3)
+    tracemalloc.start()
+    try:
+        held = [test_idx.item() for _, test_idx in cv(folds=n, seed=1).splits(data)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(held) == list(range(n))
+    # all n pairs at once would be n * (n - 1) * 8 bytes, about 32 MB
+    assert peak < 1_000_000
+
+
+def test_cv_splits_raise_usage_errors_at_the_call(corpus):
+    with pytest.raises(UsageError, match=f"folds must be between 2 and {corpus.n}"):
+        cv(folds=corpus.n + 1).splits(corpus)
 
 
 def test_test_on_train_split_is_all_records_twice(corpus):

@@ -357,3 +357,55 @@ def test_rejects_garbage_schema(corpus):
     line = next(l for l in text.splitlines() if l.startswith("attribute "))
     with pytest.raises(ModelFileError, match="embedded schema is invalid"):
         model_from_text(_tamper(text, line, "attribute broken"))
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # a node line that has neither " children " nor " counts "
+    ("node 0: split 7 children 1 2 3", "node 0: split 7 1 2 3",
+     "malformed tree node line 'node 0: split 7 1 2 3'"),
+    ("node 5: leaf 1 counts 2 4 3", "node 5: leaf 1 2 4 3",
+     "malformed tree node line 'node 5: leaf 1 2 4 3'"),
+    # the corpus has nine features, 0..8
+    ("node 0: split 7 children 1 2 3", "node 0: split 9 children 1 2 3",
+     "split node 0 names an unknown attribute"),
+    ("node 0: split 7 children 1 2 3", "node 0: split -1 children 1 2 3",
+     "split node 0 names an unknown attribute"),
+    ("node 0: split 7 children 1 2 3", "node 0: split 7 0 children 1 2 3",
+     "split node 0 names an unknown attribute"),
+    # too few or too many children: one check of the whole list
+    ("node 0: split 7 children 1 2 3", "node 0: split 7 children 1 2",
+     "split node 0 has children 1 2, expected 1 2 3"),
+    ("node 0: split 7 children 1 2 3", "node 0: split 7 children 1 2 3 4",
+     "split node 0 has children 1 2 3 4, expected 1 2 3"),
+    ("node 0: split 7 children 1 2 3", "node 0: split 7 children 2 3",
+     "split node 0 has children 2 3, expected 1 2 3"),
+])
+def test_rejects_tree_node_line_naming_its_fault(corpus, tmp_path, capsys, old, new, message):
+    text = _tamper(model_to_text(train(corpus, "tree")), old + "\n", new + "\n")
+    with pytest.raises(ModelFileError, match=f"^{re.escape(message)}$"):
+        model_from_text(text)
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    assert main(["predict", str(path)]) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("schema-lines: 10", "schema-lines: ten", "bad schema-lines count: 'ten'"),
+    ("schema-lines: 10", "schema-lines: 1.5", "bad schema-lines count: '1.5'"),
+    ("schema-lines: 10", "schema-lines: -1", "bad schema-lines count: '-1'"),
+    ("payload-lines: 60", "payload-lines: 6O", "bad payload-lines count: '6O'"),
+    ("payload-lines: 60", "payload-lines: -60", "bad payload-lines count: '-60'"),
+    ("max-depth=none", "max-depth none", "malformed params token 'max-depth'"),
+    ("algorithm: tree", "algo: tree", "expected 'algorithm' line, got 'algo: tree'"),
+    ("\nparams: ", "\nparameters: ",
+     "expected 'params' line, got 'parameters: k=5 alpha=1.0 min-samples=2 max-depth=none'"),
+])
+def test_rejects_header_line_naming_its_fault(corpus, tmp_path, capsys, old, new, message):
+    text = _tamper(model_to_text(train(corpus, "tree")), old, new)
+    with pytest.raises(ModelFileError, match=f"^{re.escape(message)}$"):
+        model_from_text(text)
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    assert main(["predict", str(path)]) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"

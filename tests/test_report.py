@@ -25,6 +25,7 @@ from turnout.report import (
     slug,
     write_report,
 )
+from turnout.cli import main
 
 MATRIX = ConfusionMatrix(counts=((3, 1), (2, 4)), labels=("a", "b"))
 
@@ -85,6 +86,23 @@ def test_confusion_parser_rejects_malformed_tables():
     missing_row = "\n".join(good.splitlines()[:-2]) + "\n" + good.splitlines()[-1] + "\n"
     with pytest.raises(DataError):
         parse_confusion_table(missing_row)
+
+
+@pytest.mark.parametrize("total, message", [
+    ("sum\t5\t5\t10", "confusion table must end with a 'total' row"),
+    ("total\t5\t5", "confusion table must end with a 'total' row"),
+    ("total\t5\t5\t10\t10", "confusion table must end with a 'total' row"),
+    ("total\t5\t5\tten", "non-integer count in total row"),
+    ("total\t5\t5.0\t10", "non-integer count in total row"),
+])
+def test_confusion_parser_names_a_bad_total_row(tmp_path, capsys, total, message):
+    text = format_confusion_table(MATRIX).replace("total\t5\t5\t10", total)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        parse_confusion_table(text)
+    path = tmp_path / "matrix.tsv"
+    path.write_text(text)
+    assert main(["evaluate", "--from-matrix", str(path)]) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
 
 
 # -------------------------------------------------------------- curves
