@@ -86,7 +86,7 @@ def predict_labels(proba: np.ndarray) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValueError("empty probability vector")
     sums = arr.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > PROBA_TOLERANCE)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= PROBA_TOLERANCE))  # NaN included
     if bad.size:
         raise ValueError(f"probabilities sum to {float(sums[bad[0]])!r}, not 1")
     return np.argmax(arr, axis=1)
@@ -445,8 +445,8 @@ class TreeModel(TrainedModel):
     to (-1 past its domain and on a leaf): 1, plus the domain sizes of the
     splits before i, plus v.  Each split must name a feature and come
     before its children, the table must hold just the root and those
-    children, and each leaf needs whole counts in 0..2**63-1, not all 0:
-    anything else is a ValueError naming the fault.
+    children, and each row needs whole counts in 0..2**63-1, a leaf's not
+    all 0: anything else is a ValueError naming the fault.
     """
 
     algorithm = "tree"
@@ -456,14 +456,16 @@ class TreeModel(TrainedModel):
         super().__init__(schema, params)
         attribute = index_array(attribute, "tree attribute table")
         # counts are checked before their cast: a file's integers are objects of any size
-        n, counts, leaves = len(attribute), np.asarray(counts), (attribute < 0).nonzero()[0]
+        n, counts = len(attribute), np.asarray(counts)
         if counts.shape != (n, schema.n_classes):
             raise ValueError(f"tree counts have shape {counts.shape}, "
                              f"expected ({n}, {schema.n_classes}): one row of class counts per node")
-        dist = counts[leaves]
-        bad = ((dist < 0) | (dist >= 2**63) | (dist % 1 != 0)).any(axis=1) | ~(dist > 0).any(axis=1)
+        bad = ((counts < 0) | (counts >= 2**63) | (counts % 1 != 0)).any(axis=1)
+        bad |= (attribute < 0) & ~(counts > 0).any(axis=1)
         if bad.any():
-            raise ValueError(f"leaf node {leaves[bad.argmax()]} has an invalid class distribution")
+            i = bad.argmax()
+            raise ValueError(f"leaf node {i} has an invalid class distribution" if attribute[i] < 0
+                             else f"split node {i} has invalid class counts")
         unknown = (attribute >= len(self.domain_sizes)).nonzero()[0]
         if unknown.size:
             raise ValueError(f"split node {unknown[0]} names an unknown attribute")
@@ -640,9 +642,9 @@ class TreeModel(TrainedModel):
         for i, line in enumerate(lines):
             leaf = line.startswith(f"node {i}: leaf ")
             head, sep, tail = line.partition(" counts " if leaf else " children ")
-            head = _ints(head, f"node {i}: {'leaf' if leaf else 'split'} ", "tree node")
             if not sep:
                 raise ModelFileError(f"malformed tree node line {line!r}")
+            head = _ints(head, f"node {i}: {'leaf' if leaf else 'split'} ", "tree node")
             tail = _ints(tail, "", "tree node")
             if leaf:
                 if len(head) != 1 or len(tail) != schema.n_classes:

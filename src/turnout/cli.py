@@ -23,8 +23,9 @@ from .data import (
     crosstab,
     parse_csv,
     parse_schema,
+    read_input,
 )
-from .errors import DataError, InputError, UsageError, not_utf8
+from .errors import DataError, InputError, UsageError
 # bound here, like Dataset, because tracing wraps them through cli's namespace
 from .model_io import load_model, save_model
 
@@ -94,21 +95,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_text(path: str, what: str) -> str:
-    """The file's text after a leading UTF-8 byte-order mark, from one
-    decode: a str that held U+FEFF would take 2 bytes per character."""
-    try:
-        raw = Path(path).read_bytes()
-        bom = 3 * raw.startswith(b"\xef\xbb\xbf")
-        return str(memoryview(raw)[bom:], "utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {what} {path!r}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        # offsets count the file's bytes, the mark included
-        exc.object, exc.start = raw, exc.start + bom
-        raise DataError(not_utf8(what, path, exc)) from None
-
-
 def _load_data(args: argparse.Namespace, labeled: bool | None,
                fallback_schema: AttributeSchema | None = None) -> tuple[Dataset, str]:
     """Load --data/--schema; with ``labeled=None`` the header decides, and
@@ -121,12 +107,12 @@ def _load_data(args: argparse.Namespace, labeled: bool | None,
         raise DataError(f"unknown embedded dataset {args.data!r}")
     else:
         if args.schema is not None:
-            schema = parse_schema(_read_text(args.schema, "schema file"))
+            schema = parse_schema(read_input(args.schema, "schema file"))
         elif fallback_schema is not None:
             schema = fallback_schema
         else:
             raise UsageError("--schema is required when --data is a file path")
-        text = _read_text(args.data, "data file")
+        text = read_input(args.data, "data file")
         source = args.data
     data = parse_csv(text, schema, labeled)
     if labeled and data.n == 0:
@@ -195,7 +181,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         for flag, value in vars(args).items():
             if flag not in ("from_matrix", "out") and value != defaults[flag]:
                 raise UsageError(f"--from-matrix does not take --{flag.replace('_', '-')}")
-        matrix = parse_confusion_table(_read_text(args.from_matrix, "matrix file"))
+        matrix = parse_confusion_table(read_input(args.from_matrix, "matrix file"))
         table = format_metrics_table(matrix)
         print(table, end="")
         if args.out:

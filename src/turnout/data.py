@@ -1,4 +1,4 @@
-"""Categorical dataset handling: schema grammar, CSV ingestion, cross-tabs.
+"""Categorical dataset handling: input files, schema grammar, CSV ingestion, cross-tabs.
 
 Every type here is immutable after construction and safe to share between
 threads.  Cell values are stored as indices into the owning attribute's
@@ -32,16 +32,33 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from operator import getitem
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, SchemaError, UsageError
+from .errors import DataError, InputError, SchemaError, UsageError
 
 
 def strip_bom(text: str) -> str:
     """Drop one leading UTF-8 byte-order mark, as spreadsheet exports write."""
     return text.removeprefix("\ufeff")
+
+
+def read_input(path: str | Path, what: str) -> str:
+    """The text of the input file ``what`` (data, schema, matrix or model
+    file) after a leading UTF-8 byte-order mark, from one decode: a str
+    that held U+FEFF would take 2 bytes per character."""
+    try:
+        raw = Path(path).read_bytes()
+        bom = 3 * raw.startswith(b"\xef\xbb\xbf")
+        return str(memoryview(raw)[bom:], "utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {str(path)!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        at = exc.start + bom  # offsets count the file's bytes, the mark included
+        raise InputError(f"{what} {str(path)!r} is not UTF-8: byte 0x{raw[at]:02x} "
+                         f"at offset {at} ({exc.reason})") from None
 
 
 def canonical_label(text: str) -> str:

@@ -28,8 +28,3 @@ class ModelFileError(InputError):
 class SchemaMismatchError(InputError):
     """Prediction input does not match the schema the model was trained on."""
 
-
-def not_utf8(what: str, path: object, exc: UnicodeDecodeError) -> str:
-    """Message for a file whose bytes do not decode as UTF-8."""
-    return (f"{what} {str(path)!r} is not UTF-8: byte 0x{exc.object[exc.start]:02x} "
-            f"at offset {exc.start} ({exc.reason})")

@@ -29,8 +29,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from .classifiers import REGISTRY, Hyperparams, TrainedModel
-from .data import parse_schema
-from .errors import ModelFileError, SchemaError, not_utf8
+from .data import parse_schema, read_input
+from .errors import ModelFileError, SchemaError
 
 FORMAT_LINE = "turnout-model v1"
 
@@ -136,8 +136,4 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ModelFileError(not_utf8("model file", path, exc)) from None
-    return model_from_text(text)
+    return model_from_text(read_input(path, "model file"))

@@ -70,6 +70,14 @@ def test_predict_labels_is_row_wise_predict_label():
         predict_labels(np.array([[1.0, 0.0], [0.3, 0.3], [0.1, 0.1]]))  # first bad row is named
 
 
+def test_predict_labels_refuses_rows_that_sum_to_nan():
+    # abs(nan - 1) > tolerance is False, so a NaN row once passed and got class 0
+    with pytest.raises(ValueError, match="^probabilities sum to nan, not 1$"):
+        predict_labels(np.array([[1.0, 0.0], [np.nan, np.nan]]))
+    with pytest.raises(ValueError, match="^probabilities sum to nan, not 1$"):
+        predict_label([np.nan, 1.0])
+
+
 # ---------------------------------------------------------------- knn
 
 
@@ -152,6 +160,13 @@ def _leaf_counts(tree, counts):
      r"leaf node \d+ has an invalid class distribution"),
     ("tree", lambda m: (m.attribute, _leaf_counts(m, [2.5, 0, 0])),
      r"leaf node \d+ has an invalid class distribution"),
+    # node 0 is the corpus tree's root split; 2**64 was an OverflowError, -5 and 0.5 built
+    ("tree", lambda m: (m.attribute, _changed(m.counts.astype(object), (0, 0), 2**64)),
+     "split node 0 has invalid class counts"),
+    ("tree", lambda m: (m.attribute, _changed(m.counts, (0, 0), -5)),
+     "split node 0 has invalid class counts"),
+    ("tree", lambda m: (m.attribute, _changed(m.counts / 1, (0, 0), 0.5)),
+     "split node 0 has invalid class counts"),
     # the corpus has 9 features; this was an IndexError
     ("tree", lambda m: (_changed(m.attribute, 0, 9), m.counts),
      "split node 0 names an unknown attribute"),
@@ -163,7 +178,8 @@ def _leaf_counts(tree, counts):
      "tree attribute table must be integers, got float64 values"),
 ], ids=["nb-all-zero", "nb-short-table", "nb-doubled-table", "nb-negative-cell",
         "nb-fractional-cell", "tree-all-zero-leaf", "tree-negative-leaf-count",
-        "tree-fractional-leaf-count", "tree-unknown-attribute", "tree-narrow-counts",
+        "tree-fractional-leaf-count", "tree-huge-split-count", "tree-negative-split-count",
+        "tree-fractional-split-count", "tree-unknown-attribute", "tree-narrow-counts",
         "tree-float-attribute"])
 def test_directly_built_model_refuses_tables_it_cannot_predict_from(algo, arrays, message):
     # each table would predict NaN or a wrong distribution, or fail inside

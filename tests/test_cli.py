@@ -34,6 +34,7 @@ from turnout import (
     train,
 )
 from turnout.cli import main
+from turnout.data import read_input
 
 from oracles import table_as_tree
 
@@ -565,7 +566,7 @@ def test_byte_order_mark_is_ignored(capsys, tmp_path):
 def test_byte_order_mark_is_dropped_in_the_one_decode(tmp_path):
     path = tmp_path / "election.csv"
     path.write_text("\ufeff" + election_csv_text(), encoding="utf-8")
-    text = turnout.cli._read_text(str(path), "data file")
+    text = read_input(str(path), "data file")
     assert "\ufeff" not in text and text == election_csv_text()
     # one byte per character: no copy of the text ever held U+FEFF
     assert sys.getsizeof(text) < len(text) + 100
@@ -857,6 +858,43 @@ def test_file_that_is_not_utf8_is_a_data_error_naming_it(capsys, tmp_path, what,
     assert code == 2
     assert (f"data error: {what} {str(bad)!r} is not UTF-8: byte 0xe9 at offset 11 "
             "(invalid continuation byte)") in err
+
+
+# one argv per input-file kind; {file} is the file under test, {dir} holds the
+# other inputs, and {dir}/<source> is a good file of that kind
+_INPUT_FILES = [
+    ("data file", "election.csv", ("validate", "--data", "{file}", "--schema", "{dir}/election.schema")),
+    ("schema file", "election.schema", ("validate", "--data", "{dir}/election.csv", "--schema", "{file}")),
+    ("model file", "tree.model", ("predict", "{file}")),
+    ("matrix file", "knn/confusion.tsv", ("evaluate", "--from-matrix", "{file}")),
+]
+
+
+def _write_input_files(capsys, directory):
+    assert run(capsys, "export-corpus", "--out", str(directory))[0] == 0
+    assert run(capsys, "train", "--algo", "tree", "--out", str(directory / "tree.model"))[0] == 0
+    assert run(capsys, "evaluate", "--algo", "knn", "--seed", "1", "--out", str(directory))[0] == 0
+
+
+@pytest.mark.parametrize("what, source, argv", _INPUT_FILES, ids=[w for w, _, _ in _INPUT_FILES])
+def test_byte_order_mark_is_ignored_in_every_input_file(capsys, tmp_path, what, source, argv):
+    _write_input_files(capsys, tmp_path)
+    plain = tmp_path / source
+    marked = tmp_path / "bom.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    results = [run(capsys, *(a.format(file=file, dir=tmp_path) for a in argv))
+               for file in (plain, marked)]
+    assert results[0][0] == 0 and results[0][2] == ""
+    assert results[1] == results[0]
+
+
+@pytest.mark.parametrize("what, source, argv", _INPUT_FILES, ids=[w for w, _, _ in _INPUT_FILES])
+def test_missing_input_file_is_a_data_error_naming_it(capsys, tmp_path, what, source, argv):
+    assert run(capsys, "export-corpus", "--out", str(tmp_path))[0] == 0
+    missing = tmp_path / "no" / "such.txt"
+    code, out, err = run(capsys, *(a.format(file=missing, dir=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"data error: cannot read {what} {str(missing)!r}: [Errno 2] ")
 
 
 # -------------------------------------------------------- process entry

@@ -5,6 +5,7 @@ import pytest
 
 from turnout import (
     Hyperparams,
+    InputError,
     ModelFileError,
     SchemaMismatchError,
     load_election_corpus,
@@ -67,6 +68,19 @@ def test_save_and_load_files(tmp_path, corpus):
     save_model(model, path)
     clone = load_model(path)
     assert np.array_equal(clone.predict_proba(corpus), model.predict_proba(corpus))
+
+
+def test_load_model_reads_through_the_input_file_reader(tmp_path, corpus):
+    text = model_to_text(train(corpus, "tree"))
+    path = tmp_path / "bom.model"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert model_to_text(load_model(path)) == text
+    path.write_bytes(text.encode("utf-8") + b"\xe9")
+    with pytest.raises(InputError, match=f"^model file {re.escape(repr(str(path)))} is not UTF-8: "
+                                         f"byte 0xe9 at offset {len(text)} "):
+        load_model(path)
+    with pytest.raises(InputError, match="^cannot read model file "):
+        load_model(tmp_path / "missing.model")
 
 
 def test_loaded_model_rejects_foreign_schema(corpus):
@@ -365,6 +379,11 @@ def test_rejects_garbage_schema(corpus):
      "malformed tree node line 'node 0: split 7 1 2 3'"),
     ("node 5: leaf 1 counts 2 4 3", "node 5: leaf 1 2 4 3",
      "malformed tree node line 'node 5: leaf 1 2 4 3'"),
+    # a misspelled keyword is found before the words are read as integers
+    ("node 0: split 7 children 1 2 3", "node 0: split 7 kids 1 2 3",
+     "malformed tree node line 'node 0: split 7 kids 1 2 3'"),
+    ("node 5: leaf 1 counts 2 4 3", "node 5: leaf 1 tally 2 4 3",
+     "malformed tree node line 'node 5: leaf 1 tally 2 4 3'"),
     # the corpus has nine features, 0..8
     ("node 0: split 7 children 1 2 3", "node 0: split 9 children 1 2 3",
      "split node 0 names an unknown attribute"),
