@@ -330,12 +330,13 @@ class NaiveBayesModel(TrainedModel):
         alpha, sizes, k = params.nb_alpha, self.domain_sizes, schema.n_classes
         # exact Python ints until checked: a file's counts have any size
         totals, table = np.asarray(class_counts, dtype=object), np.asarray(counts, dtype=object)
-        if totals.shape != (k,) or (totals < 0).any() or (totals % 1 != 0).any() or totals.sum() == 0:
-            raise ValueError(f"class counts must be {k} non-negative integers with a positive total")
-        if totals.sum() >= 2**63:  # the tables sum to the class counts, so they fit too
-            raise ValueError("class counts must total less than 2**63")
-        if table.shape != (int(sizes.sum()), k) or (table < 0).any() or (table % 1 != 0).any():
-            raise ValueError(f"count table needs {int(sizes.sum())} rows of {k} non-negative integers")
+        with np.errstate(invalid="ignore"):  # NaN and ±inf are just not whole numbers
+            if totals.shape != (k,) or (totals < 0).any() or (totals % 1 != 0).any() or totals.sum() == 0:
+                raise ValueError(f"class counts must be {k} non-negative integers with a positive total")
+            if totals.sum() >= 2**63:  # the tables sum to the class counts, so they fit too
+                raise ValueError("class counts must total less than 2**63")
+            if table.shape != (int(sizes.sum()), k) or (table < 0).any() or (table % 1 != 0).any():
+                raise ValueError(f"count table needs {int(sizes.sum())} rows of {k} non-negative integers")
         wrong = (np.add.reduceat(table, self._offsets, axis=0) != totals).any(axis=1)
         if wrong.any():
             raise ValueError(f"count table {int(wrong.argmax())} does not sum to the class counts")
@@ -460,8 +461,9 @@ class TreeModel(TrainedModel):
         if counts.shape != (n, schema.n_classes):
             raise ValueError(f"tree counts have shape {counts.shape}, "
                              f"expected ({n}, {schema.n_classes}): one row of class counts per node")
-        bad = ((counts < 0) | (counts >= 2**63) | (counts % 1 != 0)).any(axis=1)
-        bad |= (attribute < 0) & ~(counts > 0).any(axis=1)
+        with np.errstate(invalid="ignore"):  # NaN and ±inf are just not whole numbers
+            bad = ((counts < 0) | (counts >= 2**63) | (counts % 1 != 0)).any(axis=1)
+            bad |= (attribute < 0) & ~(counts > 0).any(axis=1)
         if bad.any():
             i = bad.argmax()
             raise ValueError(f"leaf node {i} has an invalid class distribution" if attribute[i] < 0

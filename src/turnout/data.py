@@ -190,21 +190,24 @@ class Dataset:
     ``label_array`` holds the target index per record, or is ``None`` for
     a uniformly unlabeled dataset; a mix is unrepresentable.
 
-    Construction from ``rows`` and ``labels`` validates every cell once,
-    with vector comparisons.  ``subset`` and ``parse_csv`` build a dataset
-    from arrays already known to be valid, without validating them again.
-    Two datasets are equal when their schemas, records and labels are.
+    The one constructor validates every cell of ``rows`` and ``labels``,
+    with vector comparisons, and copies them; ``parse_csv`` and ``subset``
+    build through it too, so every dataset has been checked.  Two
+    datasets are equal when their schemas, records and labels are.
     """
 
     schema: AttributeSchema
     matrix: np.ndarray
     label_array: np.ndarray | None
 
-    def __init__(self, schema: AttributeSchema, rows: tuple[tuple[int, ...], ...],
-                 labels: tuple[int, ...] | None) -> None:
+    def __init__(self, schema: AttributeSchema, rows: tuple[tuple[int, ...], ...] | np.ndarray,
+                 labels: tuple[int, ...] | np.ndarray | None) -> None:
         features = schema.features
         width = len(features)
-        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        if isinstance(rows, np.ndarray) and rows.ndim == 2:  # one width, no per-record call
+            lengths = np.full(len(rows), rows.shape[1], dtype=np.intp)
+        else:  # a sequence of records may be ragged
+            lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
         short = np.flatnonzero(lengths != width)
         # records before the first one of the wrong width are checked first,
         # so the error names the earliest failing record
@@ -233,10 +236,6 @@ class Dataset:
             if bad_labels.size:
                 i = int(bad_labels[0])
                 raise DataError(f"record {i}: label index {int(label_array[i])} out of range")
-        self._init(schema, matrix, label_array)
-
-    def _init(self, schema: AttributeSchema, matrix: np.ndarray,
-              label_array: np.ndarray | None) -> None:
         matrix.flags.writeable = False
         if label_array is not None:
             label_array.flags.writeable = False
@@ -272,10 +271,10 @@ class Dataset:
                 f"label_array={labels!r})")
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        """The records at integer ``indices``, in that order, without re-validation."""
+        """The records at integer ``indices``, in that order."""
         picked = index_array(indices, "subset indices")
         label_array = None if self.label_array is None else self.label_array[picked]
-        return _valid_dataset(self.schema, self.matrix[picked], label_array)
+        return Dataset(self.schema, self.matrix[picked], label_array)
 
 
 def index_array(values: object, what: str) -> np.ndarray:
@@ -286,14 +285,6 @@ def index_array(values: object, what: str) -> np.ndarray:
     if array.size and not np.issubdtype(array.dtype, np.integer):
         raise ValueError(f"{what} must be integers, got {array.dtype} values")
     return array.astype(np.intp, copy=False)
-
-
-def _valid_dataset(schema: AttributeSchema, matrix: np.ndarray,
-                   label_array: np.ndarray | None) -> Dataset:
-    """A dataset over arrays already known to be valid, not validated again."""
-    data = object.__new__(Dataset)
-    data._init(schema, matrix, label_array)
-    return data
 
 
 _BLOCK_CHARS = 1 << 16
@@ -343,8 +334,7 @@ def parse_csv(text: str, schema: AttributeSchema, labeled: bool | None) -> Datas
     # each column's canonical labels, the only ones a canonicalised cell can
     # match; a line of canonical labels only is looked up whole, others cell by cell
     exact = [{v: i for i, v in enumerate(a.values) if canonical_label(v) == v} for a in columns]
-    # every cell's domain index, record after record; each is in range by
-    # construction, so the dataset is built without validating it again
+    # every cell's domain index, record after record
     indices: list[int] = []
     for lineno, line in lines:
         if not line.strip():
@@ -368,10 +358,11 @@ def parse_csv(text: str, schema: AttributeSchema, labeled: bool | None) -> Datas
                     f"line {lineno}: unknown value {value!r} for attribute {attr.name!r}"
                 ) from None
     table = np.array(indices, dtype=np.intp).reshape(-1, len(columns))
+    del indices  # freed before the constructor copies the table
     if not labeled:
-        return _valid_dataset(schema, table, None)
+        return Dataset(schema, table, None)
     d = len(schema.features)
-    return _valid_dataset(schema, table[:, :d].copy(), table[:, d].copy())
+    return Dataset(schema, table[:, :d], table[:, d])
 
 
 def dataset_to_csv(data: Dataset) -> str:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .classifiers import REGISTRY, Hyperparams, TrainedModel
-from .data import parse_schema, read_input
+from .data import parse_schema, read_input, strip_bom
 from .errors import ModelFileError, SchemaError
 
 FORMAT_LINE = "turnout-model v1"
@@ -90,8 +90,9 @@ def _parse_params(text: str) -> Hyperparams:
 
 
 def model_from_text(text: str) -> TrainedModel:
-    """Parse the documented model format; anything off is ModelFileError."""
-    lines = iter(text.splitlines())
+    """Parse the documented model format after a leading byte-order mark;
+    anything off, a nonblank line after ``end`` included, is ModelFileError."""
+    lines = iter(strip_bom(text).splitlines())
 
     def take(what: str) -> str:
         line = next(lines, None)
@@ -125,6 +126,9 @@ def model_from_text(text: str) -> TrainedModel:
     payload = [take("payload line") for _ in range(n_payload)]
     if take("end marker") != "end":
         raise ModelFileError("model file truncated: missing 'end'")
+    extra = next((line for line in lines if line.strip()), None)
+    if extra is not None:
+        raise ModelFileError(f"unexpected line after 'end': {extra!r}")
     try:
         return REGISTRY[algorithm].from_payload(payload, schema, params)
     except ValueError as exc:  # the constructor's checks: domains, counts, node order

@@ -154,6 +154,11 @@ def _leaf_counts(tree, counts):
      "count table needs 29 rows of 3 non-negative integers"),
     ("naive-bayes", lambda m: (m.class_counts, _changed(m.counts / 1, (0, 0), m.counts[0, 0] + 0.5)),
      "count table needs 29 rows of 3 non-negative integers"),
+    # NaN and inf are no whole numbers; each raised a numpy RuntimeWarning first
+    ("naive-bayes", lambda m: (_changed(m.class_counts / 1, 0, np.inf), m.counts),
+     "class counts must be 3 non-negative integers with a positive total"),
+    ("naive-bayes", lambda m: (m.class_counts, _changed(m.counts / 1, (0, 0), np.nan)),
+     "count table needs 29 rows of 3 non-negative integers"),
     ("tree", lambda m: (m.attribute, _leaf_counts(m, [0, 0, 0])),
      r"leaf node \d+ has an invalid class distribution"),
     ("tree", lambda m: (m.attribute, _leaf_counts(m, [-1, 5, 0])),
@@ -167,6 +172,10 @@ def _leaf_counts(tree, counts):
      "split node 0 has invalid class counts"),
     ("tree", lambda m: (m.attribute, _changed(m.counts / 1, (0, 0), 0.5)),
      "split node 0 has invalid class counts"),
+    ("tree", lambda m: (m.attribute, _changed(m.counts / 1, (0, 0), np.inf)),
+     "split node 0 has invalid class counts"),
+    ("tree", lambda m: (m.attribute, _leaf_counts(m, np.array([np.nan, 5, 0], dtype=object))),
+     r"leaf node \d+ has an invalid class distribution"),
     # the corpus has 9 features; this was an IndexError
     ("tree", lambda m: (_changed(m.attribute, 0, 9), m.counts),
      "split node 0 names an unknown attribute"),
@@ -177,9 +186,10 @@ def _leaf_counts(tree, counts):
     ("tree", lambda m: (m.attribute / 1, m.counts),
      "tree attribute table must be integers, got float64 values"),
 ], ids=["nb-all-zero", "nb-short-table", "nb-doubled-table", "nb-negative-cell",
-        "nb-fractional-cell", "tree-all-zero-leaf", "tree-negative-leaf-count",
-        "tree-fractional-leaf-count", "tree-huge-split-count", "tree-negative-split-count",
-        "tree-fractional-split-count", "tree-unknown-attribute", "tree-narrow-counts",
+        "nb-fractional-cell", "nb-inf-class-count", "nb-nan-cell", "tree-all-zero-leaf",
+        "tree-negative-leaf-count", "tree-fractional-leaf-count", "tree-huge-split-count",
+        "tree-negative-split-count", "tree-fractional-split-count", "tree-inf-split-count",
+        "tree-nan-leaf-count", "tree-unknown-attribute", "tree-narrow-counts",
         "tree-float-attribute"])
 def test_directly_built_model_refuses_tables_it_cannot_predict_from(algo, arrays, message):
     # each table would predict NaN or a wrong distribution, or fail inside

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,37 @@ def test_dataset_rejects_non_integer_values(rows, labels, message):
     with pytest.raises(ValueError) as caught:
         Dataset(_toy(), rows, labels)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("rows, labels, error, message", [
+    (((0, 0, 1), (1, 1, 0)), (0, 1), DataError, "record 0: expected 2 values, got 3"),
+    (((0, 0), (2, 3)), (0, 1), DataError, "record 1: index 3 out of range for attribute 'Size'"),
+    (((0, 0), (2, 1)), (0, 2), DataError, "record 1: label index 2 out of range"),
+    (((0.0, 0.0), (2.0, 1.0)), (0, 1), ValueError,
+     "record values must be integers, got float64 values"),
+], ids=["wrong-width", "out-of-range-value", "out-of-range-label", "float-records"])
+def test_dataset_refuses_arrays_as_it_refuses_tuples(rows, labels, error, message):
+    # parse_csv and subset hand the constructor arrays; an array's width is read from its shape
+    for given in ((rows, labels), (np.array(rows), np.array(labels))):
+        with pytest.raises(error) as caught:
+            Dataset(_toy(), *given)
+        assert str(caught.value) == message
+
+
+def test_parse_csv_peak_memory_is_a_small_multiple_of_the_matrix():
+    # 10,000 unlabeled records: the list of cell indices is freed before
+    # the constructor copies the table, so the two are never all alive at once
+    corpus = turnout.load_election_corpus()
+    header, _, body = dataset_to_csv(Dataset(corpus.schema, corpus.matrix, None)).partition("\n")
+    text = f"{header}\n{body * 100}"
+    tracemalloc.start()
+    try:
+        data = parse_csv(text, corpus.schema, labeled=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.n == 10_000 and not data.labeled
+    assert peak < 3.25 * data.matrix.nbytes
 
 
 def test_dataset_accepts_an_empty_batch():

@@ -83,6 +83,22 @@ def test_load_model_reads_through_the_input_file_reader(tmp_path, corpus):
         load_model(tmp_path / "missing.model")
 
 
+def test_model_text_after_a_byte_order_mark_reads_as_without_it(corpus):
+    # parse_schema and parse_csv drop the mark too; this was 'unsupported model format'
+    text = model_to_text(train(corpus, "tree"))
+    assert model_to_text(model_from_text("\ufeff" + text)) == text
+
+
+def test_rejects_a_line_after_the_end_marker(corpus, tmp_path, capsys):
+    # trailing blank lines still load; this file loaded as if the line were not there
+    text = model_to_text(train(corpus, "tree"))
+    assert model_to_text(model_from_text(text + "\n \n")) == text
+    path = tmp_path / "extra.model"
+    path.write_text(text + "\ngarbage\n")
+    assert main(["predict", str(path)]) == 2
+    assert capsys.readouterr().err == "data error: unexpected line after 'end': 'garbage'\n"
+
+
 def test_loaded_model_rejects_foreign_schema(corpus):
     model = model_from_text(model_to_text(train(corpus, "knn")))
     other = tiny_dataset([(0,)], [0], [2], 2)
