@@ -126,18 +126,20 @@ def _ints(line: str, prefix: str, what: str) -> list[int]:
 
 
 def _bit_codes(records: np.ndarray, offsets: np.ndarray, n_words: int) -> np.ndarray:
-    """Packed one-hot codes of in-domain records, shape (n_words, m).
+    """Packed one-hot codes of in-domain records, shape (m, n_words).
 
     Attribute j with value v sets bit ``offsets[j] + v``, counted across
     ``n_words`` uint64 words; the attributes' bit ranges do not overlap,
-    so each record sets exactly one bit per attribute.
+    so each record sets exactly one bit per attribute.  Each attribute
+    ORs in one lookup of a table whose row b is the code of bit b alone,
+    so no temporary is larger than the codes themselves.
     """
-    word, bit = np.divmod(records + offsets, 64)
-    ones = np.left_shift(np.uint64(1), bit.astype(np.uint64))
-    return np.stack([
-        np.bitwise_or.reduce(np.where(word == w, ones, np.uint64(0)), axis=1)
-        for w in range(n_words)
-    ])
+    shifts = np.arange(64 * n_words, dtype=np.uint64) % np.uint64(64)
+    single = np.eye(n_words, dtype=np.uint64).repeat(64, axis=0) << shifts[:, None]
+    codes = np.zeros((len(records), n_words), dtype=np.uint64)
+    for j, offset in enumerate(offsets.tolist()):
+        codes |= single[records[:, j] + offset]
+    return codes
 
 
 def _layout(schema: AttributeSchema) -> tuple[np.ndarray, np.ndarray]:
@@ -204,10 +206,11 @@ class KnnModel(TrainedModel):
 
     ``rows`` holds the encoded training records and ``labels`` their
     class indices, as (N, d) and (N,) integer arrays.  Each record is
-    also kept as a packed one-hot bit code (see ``_bit_codes``): two
-    records that disagree on an attribute differ in exactly two of its
-    bits, so the popcount of their codes' XOR is twice their Hamming
-    distance.  ``rows`` itself is read only to write the model file.
+    also kept as a packed one-hot bit code (see ``_bit_codes``), one row
+    per code word: two records that disagree on an attribute differ in
+    exactly two of its bits, so the popcount of their codes' XOR is twice
+    their Hamming distance.  ``rows`` itself is read only to write the
+    model file.
     """
 
     algorithm = "knn"
@@ -228,7 +231,8 @@ class KnnModel(TrainedModel):
             raise ValueError(f"{need}; row {int(bad.argmax())} is out of range")
         rows, labels = index_array(rows, "knn rows"), index_array(labels, "labels")
         n_words = -(-int(self.domain_sizes.sum()) // 64)
-        vars(self).update(rows=rows, labels=labels, _codes=_bit_codes(rows, self._offsets, n_words))
+        codes = _bit_codes(rows, self._offsets, n_words).T.copy()  # (n_words, N)
+        vars(self).update(rows=rows, labels=labels, _codes=codes)
 
     @classmethod
     def _fit(cls, data: Dataset, params: Hyperparams) -> KnnModel:
@@ -262,9 +266,8 @@ class KnnModel(TrainedModel):
         twice_type = np.min_scalar_type(2 * d)
         key_type = np.int32 if (2 * d + 1) * n < 2**31 else np.int64
         positions = np.arange(n, dtype=key_type)
-        codes = _bit_codes(queries, self._offsets, n_words)
         # each query's code words as one sortable scalar
-        packed = np.ascontiguousarray(codes.T).view(f"V{8 * n_words}")[:, 0]
+        packed = _bit_codes(queries, self._offsets, n_words).view(f"V{8 * n_words}")[:, 0]
         distinct, inverse = np.unique(packed, return_inverse=True)
         codes = distinct.view(np.uint64).reshape(-1, n_words).T
         out = np.empty((codes.shape[1], n_classes), dtype=np.float64)

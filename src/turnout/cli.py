@@ -8,21 +8,24 @@ or OSError), 3 internal error (any other exception: a bug).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import corpus
+# first, so that classifiers.py, the package's largest module, is compiled
+# before numpy is loaded and not on top of it: a lower peak for every command
 from .classifiers import ALGORITHMS, Hyperparams, predict_labels, train
+from . import corpus
 from .data import (
+    _BLOCK_CHARS,
     AttributeSchema,
     Dataset,
     class_counts,
     crosstab,
     parse_csv,
     parse_schema,
+    read_blocks,
     read_input,
 )
 from .errors import DataError, InputError, UsageError
@@ -112,7 +115,7 @@ def _load_data(args: argparse.Namespace, labeled: bool | None,
             schema = fallback_schema
         else:
             raise UsageError("--schema is required when --data is a file path")
-        text = read_input(args.data, "data file")
+        text = read_blocks(args.data, "data file")  # read as it is parsed
         source = args.data
     data = parse_csv(text, schema, labeled)
     if labeled and data.n == 0:
@@ -250,18 +253,19 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     data, _ = _load_data(args, labeled=None, fallback_schema=model.schema)
     proba = model.predict_proba(data)
-    winners = predict_labels(proba).tolist()
+    winners = predict_labels(proba)
     labels = model.schema.class_labels
-    lines = ["index\tprediction\t" + "\t".join(labels)]
-    line = "%d\t%s" + "\t%.6f" * len(labels)  # labels are arguments: they may hold '%'
-    lines += [line % (i, labels[w], *row)
-              for i, (w, row) in enumerate(zip(winners, map(np.ndarray.tolist, proba)))]
-    text = "\n".join(lines) + "\n"
+    line = "%d\t%s" + "\t%.6f" * len(labels) + "\n"  # labels are arguments: they may hold '%'
+    block = _BLOCK_CHARS // 64  # lines formatted and written at a time, about 1,024
+    out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as stream:
+        stream.write("index\tprediction\t" + "\t".join(labels) + "\n")
+        for start in range(0, len(proba), block):
+            stop = start + block
+            rows = zip(range(start, stop), winners[start:stop].tolist(), proba[start:stop].tolist())
+            stream.write("".join([line % (i, labels[w], *row) for i, w, row in rows]))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote predictions to {args.out}")
-    else:
-        print(text, end="")
     return 0
 
 

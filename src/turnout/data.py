@@ -30,7 +30,9 @@ itself, with no ``_replace`` and no tuple behaviour.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import codecs
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from operator import getitem
 from pathlib import Path
 from typing import NamedTuple
@@ -45,20 +47,49 @@ def strip_bom(text: str) -> str:
     return text.removeprefix("\ufeff")
 
 
-def read_input(path: str | Path, what: str) -> str:
+def read_blocks(path: str | Path, what: str) -> Iterator[str]:
     """The text of the input file ``what`` (data, schema, matrix or model
-    file) after a leading UTF-8 byte-order mark, from one decode: a str
-    that held U+FEFF would take 2 bytes per character."""
+    file) after a leading UTF-8 byte-order mark, read ``_BLOCK_CHARS``
+    bytes at a time through one incremental decoder.  Each block but the
+    last ends just after a line feed, the cut ``_text_blocks`` makes, so no
+    line straddles two blocks.  A file that is not UTF-8 is refused at the
+    block that holds the first byte that does not decode, with the offset
+    of that byte in the file; the file is closed however reading ends."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    read = 0  # the file's bytes before this chunk
+    tail: list[str] = []  # the text after the last line feed
     try:
-        raw = Path(path).read_bytes()
-        bom = 3 * raw.startswith(b"\xef\xbb\xbf")
-        return str(memoryview(raw)[bom:], "utf-8")
+        with open(path, "rb") as file:
+            while True:
+                chunk = file.read(_BLOCK_CHARS)
+                try:
+                    text = decoder.decode(chunk, final=not chunk)
+                except UnicodeDecodeError as exc:
+                    # exc.object is the bytes the decoder held back, then the chunk
+                    at = read - len(decoder.getstate()[0]) + exc.start
+                    raise InputError(f"{what} {str(path)!r} is not UTF-8: byte "
+                                     f"0x{exc.object[exc.start]:02x} at offset {at} "
+                                     f"({exc.reason})") from None
+                if not read:
+                    text = strip_bom(text)
+                if not chunk:
+                    break
+                read += len(chunk)
+                cut = text.rfind("\n") + 1
+                if cut:
+                    yield "".join([*tail, text[:cut]])
+                    tail = []
+                tail.append(text[cut:])
     except OSError as exc:
         raise InputError(f"cannot read {what} {str(path)!r}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        at = exc.start + bom  # offsets count the file's bytes, the mark included
-        raise InputError(f"{what} {str(path)!r} is not UTF-8: byte 0x{raw[at]:02x} "
-                         f"at offset {at} ({exc.reason})") from None
+    if last := "".join(tail):
+        yield last
+
+
+def read_input(path: str | Path, what: str) -> str:
+    """The whole text of the input file ``what``: its ``read_blocks``
+    joined, so a byte-order mark never widens the str."""
+    return "".join(read_blocks(path, what))
 
 
 def canonical_label(text: str) -> str:
@@ -206,8 +237,8 @@ class Dataset:
         width = len(features)
         if isinstance(rows, np.ndarray) and rows.ndim == 2:  # one width, no per-record call
             lengths = np.full(len(rows), rows.shape[1], dtype=np.intp)
-        else:  # a sequence of records may be ragged
-            lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        else:  # a sequence of records may be ragged, or hold a record that is no sequence
+            lengths = np.fromiter(map(_width, rows), dtype=np.intp, count=len(rows))
         short = np.flatnonzero(lengths != width)
         # records before the first one of the wrong width are checked first,
         # so the error names the earliest failing record
@@ -223,7 +254,8 @@ class Dataset:
                 f"attribute {features[j].name!r}"
             )
         if short.size:
-            raise DataError(f"record {n_ok}: expected {width} values, got {int(lengths[n_ok])}")
+            got = int(lengths[n_ok]) if lengths[n_ok] >= 0 else repr(rows[n_ok])
+            raise DataError(f"record {n_ok}: expected {width} values, got {got}")
         label_array = None
         if labels is not None:
             if len(labels) != len(rows):
@@ -277,6 +309,14 @@ class Dataset:
         return Dataset(self.schema, self.matrix[picked], label_array)
 
 
+def _width(record: object) -> int:
+    """The number of values in ``record``, or -1 when it is no sequence."""
+    try:
+        return len(record)
+    except TypeError:
+        return -1
+
+
 def index_array(values: object, what: str) -> np.ndarray:
     """``values`` as an intp array, not copied when it already is one.  A
     non-integer dtype, which the cast would truncate, is a ValueError naming
@@ -290,21 +330,24 @@ def index_array(values: object, what: str) -> np.ndarray:
 _BLOCK_CHARS = 1 << 16
 
 
-def _block_lines(text: str) -> Iterator[str]:
-    """The lines ``text.splitlines()`` gives, split one block of about
-    ``_BLOCK_CHARS`` characters at a time, so that only one block's line
-    strings are alive at once.  Each block ends just after a line feed,
-    which ends a line whatever comes before it, so no line boundary, not
-    even a carriage return and line feed, straddles a cut."""
+def _text_blocks(text: str) -> Iterator[str]:
+    """``text`` in blocks of about ``_BLOCK_CHARS`` characters.  Each block
+    but the last ends just after a line feed, which ends a line whatever
+    comes before it, so no line boundary, not even a carriage return and
+    line feed, straddles a cut."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
-        yield from text[start:end].splitlines()
+        yield text[start:end]
         start = end
 
 
-def parse_csv(text: str, schema: AttributeSchema, labeled: bool | None) -> Dataset:
+def parse_csv(text: str | Iterable[str], schema: AttributeSchema, labeled: bool | None) -> Dataset:
     """Parse a comma-separated data file against ``schema``.
+
+    ``text`` is a str, which ``_text_blocks`` cuts, or blocks of it as
+    ``read_blocks`` yields them (then decoded as they are parsed).  Lines
+    are split one block at a time, so only one block's are alive at once.
 
     The header must name every feature attribute in schema order, plus the
     target when ``labeled``.  With ``labeled=None`` the file is labeled
@@ -313,9 +356,10 @@ def parse_csv(text: str, schema: AttributeSchema, labeled: bool | None) -> Datas
     labels after whitespace canonicalisation; anything else is rejected
     with the line number and column name.  Blank lines are skipped; cell
     order is preserved exactly.  Lines are numbered as ``str.splitlines``
-    splits them, and read one block at a time.
+    splits the whole text.
     """
-    lines = enumerate(_block_lines(strip_bom(text)), start=1)
+    blocks = _text_blocks(strip_bom(text)) if isinstance(text, str) else text
+    lines = enumerate(chain.from_iterable(map(str.splitlines, blocks)), start=1)
     # the first nonblank line; the record loop goes on from the line after it
     header_line = next((line for _, line in lines if line.strip()), None)
     if header_line is None:

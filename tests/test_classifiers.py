@@ -660,6 +660,34 @@ def test_knn_batch_spanning_several_blocks_matches_oracle():
         assert got.tolist() == want
 
 
+def _stacked_bit_codes(records, offsets, n_words):
+    """The codes as built one word at a time from full-size (m, d) word,
+    bit and one-hot arrays, shape (n_words, m)."""
+    word, bit = np.divmod(records + offsets, 64)
+    ones = np.left_shift(np.uint64(1), bit.astype(np.uint64))
+    return np.stack([
+        np.bitwise_or.reduce(np.where(word == w, ones, np.uint64(0)), axis=1)
+        for w in range(n_words)
+    ])
+
+
+@pytest.mark.parametrize("sizes", [
+    [3, 4, 5, 6, 4, 2, 2, 2, 1],  # 29 bits: one word
+    [30, 40, 50, 20, 3],  # 143 bits: three words; attributes 1 and 3 straddle bits 64 and 128
+], ids=["one-word", "three-words"])
+def test_bit_codes_built_column_by_column_match_the_stacked_construction(sizes):
+    rng = np.random.default_rng(5)
+    sizes = np.array(sizes, dtype=np.intp)
+    offsets = np.cumsum(sizes) - sizes
+    n_words = -(-int(sizes.sum()) // 64)
+    records = rng.integers(sizes, size=(500, len(sizes))).astype(np.intp)
+    records[:2] = [sizes - 1, np.zeros_like(sizes)]  # every attribute's last and first bit
+    codes = classifiers._bit_codes(records, offsets, n_words)
+    assert codes.shape == (500, n_words) and codes.dtype == np.uint64
+    assert np.array_equal(codes, _stacked_bit_codes(records, offsets, n_words).T)
+    assert (np.bitwise_count(codes).sum(axis=1) == len(sizes)).all()
+
+
 def _knn_case_across_a_word_boundary():
     """W = 75 bits, two code words; attribute 2 holds bits 60..69, so its
     values 3 and 4 sit on either side of the boundary at bit 64."""

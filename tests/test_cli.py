@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -31,10 +32,11 @@ from turnout import (
     model_to_text,
     parse_csv,
     predict_labels,
+    save_model,
     train,
 )
 from turnout.cli import main
-from turnout.data import read_input
+from turnout.data import _BLOCK_CHARS, read_input
 
 from oracles import table_as_tree
 
@@ -897,6 +899,116 @@ def test_missing_input_file_is_a_data_error_naming_it(capsys, tmp_path, what, so
     assert err.startswith(f"data error: cannot read {what} {str(missing)!r}: [Errno 2] ")
 
 
+# ---------------------------------------------- predict over a large file
+
+
+def _queries(tmp_path, copies):
+    """A query file: the corpus features, unlabeled, ``copies`` times over."""
+    corpus = load_election_corpus()
+    header, _, body = dataset_to_csv(Dataset(corpus.schema, corpus.matrix, None)).partition("\n")
+    path = tmp_path / "queries.csv"
+    path.write_text(f"{header}\n{body * copies}", encoding="utf-8")
+    return path
+
+
+def _model(tmp_path, algo):
+    path = tmp_path / f"{algo}.model"
+    save_model(train(load_election_corpus(), algo), path)
+    return path
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_predict_peak_memory_is_a_small_multiple_of_the_query_matrix(tmp_path, algo):
+    # the file is read, and the predictions written, one block at a time;
+    # the parse's cell list and the (n, d) matrix are most of what is left
+    argv = ["predict", str(_model(tmp_path, algo)), "--data", str(_queries(tmp_path, 100)),
+            "--out", str(tmp_path / "predictions.tsv")]
+    assert main(argv) == 0  # untraced: what a first call imports is no working memory
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len((tmp_path / "predictions.tsv").read_bytes().splitlines()) == 10_001
+    assert peak < 3 * 10_000 * 9 * 8  # the queries' (n, d) intp matrix
+
+
+def test_predict_writes_the_same_bytes_in_blocks_to_stdout_and_to_a_file(capsys, tmp_path):
+    queries = _queries(tmp_path, 120)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(queries.read_bytes().replace(b"\n", b"\r\n"))
+    assert queries.stat().st_size > 2 * _BLOCK_CHARS
+    model = _model(tmp_path, "knn")
+    # the whole output formatted at once, from the whole file's probabilities
+    loaded = load_model(model)
+    proba = loaded.predict_proba(parse_csv(queries.read_text(encoding="utf-8"), loaded.schema, None))
+    labels = loaded.schema.class_labels
+    want = "".join(["index\tprediction\t" + "\t".join(labels) + "\n"] + [
+        f"{i}\t{labels[w]}" + "".join(f"\t{p:.6f}" for p in row) + "\n"
+        for i, (w, row) in enumerate(zip(predict_labels(proba).tolist(), proba.tolist()))])
+    assert len(want.splitlines()) == 12_001
+    out_path = tmp_path / "predictions.tsv"
+    for data in (queries, crlf):
+        assert run(capsys, "predict", str(model), "--data", str(data)) == (0, want, "")
+        assert run(capsys, "predict", str(model), "--data", str(data), "--out", str(out_path)) == (
+            0, f"wrote predictions to {out_path}\n", "")
+        assert out_path.read_bytes() == want.encode("utf-8")
+
+
+def _with_fault(path, line=None, at=None):
+    """``path`` with the first cell of ``line`` (1-based) made unknown, and a
+    byte that is not UTF-8 inserted at byte offset ``at``; either may be None."""
+    raw = path.read_bytes()
+    if line is not None:
+        lines = raw.split(b"\n")
+        lines[line - 1] = b"Ancient," + lines[line - 1].split(b",", 1)[1]
+        raw = b"\n".join(lines)
+    if at is not None:
+        raw = raw[:at] + b"\xe9" + raw[at:]
+    path.write_bytes(raw)
+    return path
+
+
+@pytest.mark.parametrize("line, at, message", [
+    (3, 3 * _BLOCK_CHARS, "line 3: unknown value 'Ancient' for attribute 'Age'"),
+    (3, 100, "data file {path!r} is not UTF-8: byte 0xe9 at offset 100 (invalid continuation byte)"),
+    (5000, 3 * _BLOCK_CHARS,
+     f"data file {{path!r}} is not UTF-8: byte 0xe9 at offset {3 * _BLOCK_CHARS} "
+     "(invalid continuation byte)"),
+], ids=["csv-fault-in-an-earlier-block", "bad-byte-in-the-first-block", "bad-byte-first"])
+def test_a_data_file_is_decoded_as_it_is_parsed(capsys, tmp_path, line, at, message):
+    # the first fault in reading order is reported: a CSV fault in an earlier
+    # block than the first bad byte comes first; both exit 2
+    path = _with_fault(_queries(tmp_path, 120), line, at)
+    assert path.read_bytes()[at] == 0xE9
+    code, out, err = run(capsys, "predict", str(_model(tmp_path, "tree")), "--data", str(path))
+    assert (code, out, err) == (2, "", f"data error: {message.format(path=str(path))}\n")
+
+
+@pytest.mark.parametrize("case", ["read", "csv-fault", "bad-byte", "header", "missing"])
+def test_every_data_file_is_closed_on_every_path(tmp_path, case):
+    # a file left open would be an unraisable ResourceWarning on stderr
+    path = _queries(tmp_path, 120)
+    if case == "csv-fault":
+        _with_fault(path, line=5000)
+    elif case == "bad-byte":
+        _with_fault(path, at=2 * _BLOCK_CHARS)
+    elif case == "header":
+        path.write_text("Nothing,Here\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    elif case == "missing":
+        path = tmp_path / "missing.csv"
+    argv = ["predict", str(_model(tmp_path, "tree")), "--data", str(path),
+            "--out", str(tmp_path / "predictions.tsv")]
+    result = subprocess.run([sys.executable, "-W", "error::ResourceWarning", "-m", "turnout", *argv],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == (0 if case == "read" else 2), result.stderr
+    assert "ResourceWarning" not in result.stderr and "Exception ignored" not in result.stderr
+    if case != "read":
+        assert result.stderr.startswith("data error: ") and result.stderr.count("\n") == 1
+
+
 # -------------------------------------------------------- process entry
 
 
@@ -918,6 +1030,26 @@ def test_process_entry_freezes_the_import_time_heap():
     _, frozen, enabled = result.stdout.splitlines()[-1].split()
     assert int(frozen) > 0
     assert enabled == "True"
+
+
+def test_cli_imports_classifiers_before_numpy():
+    # classifiers.py, the largest module, is then compiled before numpy is
+    # loaded, not on top of it: a lower peak for every command.  The finder
+    # records the order in which imports start; sys.modules is ordered by
+    # when each one finishes, and numpy finishes inside classifiers' import
+    probe = ("import sys\n"
+             "started = []\n"
+             "class Recorder:\n"
+             "    def find_spec(name, path=None, target=None):\n"
+             "        started.append(name)\n"
+             "sys.meta_path.insert(0, Recorder)\n"
+             "import turnout.cli\n"
+             "print(started.index('turnout.classifiers'), started.index('numpy'))\n")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    classifiers, numpy = map(int, result.stdout.split())
+    assert classifiers < numpy
 
 
 def test_in_process_main_leaves_the_collector_as_it_was(capsys):

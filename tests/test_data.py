@@ -21,6 +21,7 @@ from turnout import (
     parse_csv,
     parse_schema,
 )
+from turnout.data import read_blocks, read_input
 
 import oracles
 
@@ -202,6 +203,20 @@ def test_dataset_names_the_earliest_failing_record():
         Dataset(schema=schema, rows=((0, 0), (0, 1, 0), (9, 9)), labels=None)
     with pytest.raises(DataError, match="record 2: label index -1 out of range"):
         Dataset(schema=schema, rows=((0, 0),) * 3, labels=(0, 1, -1))
+
+
+def test_a_record_that_is_no_sequence_is_a_data_error_naming_it():
+    # both were a bare TypeError: "object of type '...' has no len()"
+    rows = np.array([0, 1])
+    with pytest.raises(DataError) as err:
+        Dataset(_toy(), rows, None)
+    assert str(err.value) == f"record 0: expected 2 values, got {rows[0]!r}"
+    with pytest.raises(DataError) as err:
+        Dataset(_toy(), ((0, 0), None, 3), (0, 1, 0))
+    assert str(err.value) == "record 1: expected 2 values, got None"
+    # a bad value in an earlier record is still the one named
+    with pytest.raises(DataError, match=r"^record 0: index 5 out of range for attribute 'Size'$"):
+        Dataset(_toy(), ((0, 5), None), None)
 
 
 def test_dataset_caches_arrays_and_subsets_by_index():
@@ -495,3 +510,91 @@ def test_canonical_records_are_not_canonicalised_cell_by_cell(monkeypatch):
         return len(calls)
 
     assert calls_to_parse(10) == calls_to_parse(1000)
+
+
+# ------------------------------------------------------ reading in blocks
+
+BLOCK = turnout.data._BLOCK_CHARS
+
+
+def _blocks(path):
+    """read_blocks of a data file, each block but the last checked to end
+    just after a line feed."""
+    blocks = list(read_blocks(path, "data file"))
+    assert all(block.endswith("\n") for block in blocks[:-1])
+    return blocks
+
+
+def test_read_blocks_decodes_a_character_split_across_a_read(tmp_path):
+    # the first byte of the two-byte "ü" is the last byte of the first read
+    schema = parse_schema(GOOD_SCHEMA.replace("Green", "Grün"))
+    head = "Color,Size,Outcome\n" + "Red,Small,Yes\n" * 4000
+    head += " " * (BLOCK - 4 - len(head)) + "\n"
+    raw = (head + "Grün,Big,No\n" + "Blue,Big,Yes\n" * 10).encode("utf-8")
+    assert raw[BLOCK - 1 : BLOCK + 1] == "ü".encode("utf-8")
+    path = tmp_path / "split.csv"
+    path.write_bytes(raw)
+    text = raw.decode("utf-8")
+    assert "".join(_blocks(path)) == text == read_input(path, "data file")
+    data = parse_csv(read_blocks(path, "data file"), schema, labeled=True)
+    assert data == parse_csv(text, schema, labeled=True)
+    assert data.n == 4011 and data.matrix[4000].tolist() == [1, 1]
+
+
+def _not_utf8(raw: bytes, path) -> str:
+    """The message for ``raw``, from one decode of the whole file."""
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return (f"data file {str(path)!r} is not UTF-8: byte 0x{raw[exc.start]:02x} "
+                f"at offset {exc.start} ({exc.reason})")
+    raise AssertionError("the file decodes")
+
+
+@pytest.mark.parametrize("where, bad, message", [
+    (100_000, b"\xff", "byte 0xff at offset 100000 (invalid start byte)"),
+    # the lead byte is the last of the first read, which the decoder holds back
+    (BLOCK - 1, b"\xc3A", f"byte 0xc3 at offset {BLOCK - 1} (invalid continuation byte)"),
+    (3 * BLOCK + 5, b"\xe2\x82", f"byte 0xe2 at offset {3 * BLOCK + 5} (invalid continuation byte)"),
+    (None, b"\xc3", "(unexpected end of data)"),
+], ids=["start-byte", "held-back-lead", "third-read", "truncated-end"])
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_a_bad_byte_past_the_first_block_names_its_offset_in_the_file(tmp_path, where, bad,
+                                                                      message, bom):
+    good = bom + ("Color,Size,Outcome\n" + "Red,Small,Yes\n" * (4 * BLOCK // 14)).encode()
+    where = len(good) if where is None else where
+    raw = good[:where] + bad + good[where:]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    expected = _not_utf8(raw, path)
+    assert expected.endswith(message)
+    for read in (lambda: read_input(path, "data file"),
+                 lambda: parse_csv(read_blocks(path, "data file"), _toy(), labeled=True)):
+        with pytest.raises(turnout.InputError) as err:
+            read()
+        assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("last_line_ended", [True, False], ids=["ended", "unended"])
+def test_a_file_read_in_blocks_parses_as_its_lf_copy(tmp_path, ending, last_line_ended):
+    records = ("Red,Small,Yes", "Blue, Big ,No", "Green,Small,No")
+    reps = (BLOCK - 60) // len(ending.join(records) + ending)
+    head = ending.join(["Color,Size,Outcome", *records * reps]) + ending
+    # blank lines, a line of spaces among them, across the end of the first
+    # read; a CRLF file has its "\r" as the read's last byte
+    blank = " " * ((BLOCK - 1 - len(head)) % len(ending)) + ending * 100 + "   " + ending * 10
+    text = head + blank + ending.join(records * (BLOCK // 15)) + ending * last_line_ended
+    assert len(head) < BLOCK < len(head) + len(blank) and len(text) > 2 * BLOCK
+    if ending == "\r\n":
+        assert text[BLOCK - 1 : BLOCK + 1] == "\r\n"
+    path, lf_path = tmp_path / "data.csv", tmp_path / "lf.csv"
+    path.write_bytes(text.encode())
+    lf = text.replace("\r\n", "\n")
+    lf_path.write_bytes(lf.encode())
+    assert "".join(_blocks(path)) == text and len(_blocks(path)) > 2
+    data = parse_csv(read_blocks(path, "data file"), _toy(), labeled=True)
+    assert data == parse_csv(read_blocks(lf_path, "data file"), _toy(), labeled=True)
+    assert data == parse_csv(text, _toy(), labeled=True)
+    assert data.n == len(records) * (reps + BLOCK // 15)
+    assert data.matrix[-1].tolist() == [1, 0] and data.label_array[-1] == 1
