@@ -684,4 +684,6 @@ def train(data: Dataset, algorithm: str, params: Hyperparams | None = None) -> T
         raise UsageError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if data.label_array is None:
         raise UsageError("training needs a labeled dataset")
+    if not data.n:
+        raise UsageError("the dataset has no records; training needs at least one")
     return REGISTRY[algorithm]._fit(data, params or Hyperparams())

@@ -26,7 +26,6 @@ from .data import (
     parse_csv,
     parse_schema,
     read_blocks,
-    read_input,
 )
 from .errors import DataError, InputError, UsageError
 # bound here, like Dataset, because tracing wraps them through cli's namespace
@@ -110,12 +109,12 @@ def _load_data(args: argparse.Namespace, labeled: bool | None,
         raise DataError(f"unknown embedded dataset {args.data!r}")
     else:
         if args.schema is not None:
-            schema = parse_schema(read_input(args.schema, "schema file"))
+            schema = parse_schema(read_blocks(args.schema, "schema file"))
         elif fallback_schema is not None:
             schema = fallback_schema
         else:
             raise UsageError("--schema is required when --data is a file path")
-        text = read_blocks(args.data, "data file")  # read as it is parsed
+        text = read_blocks(args.data, "data file")
         source = args.data
     data = parse_csv(text, schema, labeled)
     if labeled and data.n == 0:
@@ -184,7 +183,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         for flag, value in vars(args).items():
             if flag not in ("from_matrix", "out") and value != defaults[flag]:
                 raise UsageError(f"--from-matrix does not take --{flag.replace('_', '-')}")
-        matrix = parse_confusion_table(read_input(args.from_matrix, "matrix file"))
+        matrix = parse_confusion_table(read_blocks(args.from_matrix, "matrix file"))
         table = format_metrics_table(matrix)
         print(table, end="")
         if args.out:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import codecs
 from collections.abc import Iterable, Iterator
-from itertools import chain
 from operator import getitem
 from pathlib import Path
 from typing import NamedTuple
@@ -42,19 +41,17 @@ import numpy as np
 from .errors import DataError, InputError, SchemaError, UsageError
 
 
-def strip_bom(text: str) -> str:
-    """Drop one leading UTF-8 byte-order mark, as spreadsheet exports write."""
-    return text.removeprefix("\ufeff")
+_BLOCK_CHARS = 1 << 16
 
 
 def read_blocks(path: str | Path, what: str) -> Iterator[str]:
     """The text of the input file ``what`` (data, schema, matrix or model
     file) after a leading UTF-8 byte-order mark, read ``_BLOCK_CHARS``
-    bytes at a time through one incremental decoder.  Each block but the
-    last ends just after a line feed, the cut ``_text_blocks`` makes, so no
-    line straddles two blocks.  A file that is not UTF-8 is refused at the
-    block that holds the first byte that does not decode, with the offset
-    of that byte in the file; the file is closed however reading ends."""
+    bytes at a time through one incremental decoder, for a parser to take
+    as it comes.  Each block but the last ends just after a line feed, so
+    no line straddles two blocks.  A file that is not UTF-8 is refused at
+    the block that holds the first byte that does not decode, with the
+    offset of that byte in the file; the file is closed however reading ends."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     read = 0  # the file's bytes before this chunk
     tail: list[str] = []  # the text after the last line feed
@@ -62,16 +59,16 @@ def read_blocks(path: str | Path, what: str) -> Iterator[str]:
         with open(path, "rb") as file:
             while True:
                 chunk = file.read(_BLOCK_CHARS)
+                done = read - len(decoder.getstate()[0])  # the bytes decoded to text
                 try:
                     text = decoder.decode(chunk, final=not chunk)
                 except UnicodeDecodeError as exc:
                     # exc.object is the bytes the decoder held back, then the chunk
-                    at = read - len(decoder.getstate()[0]) + exc.start
                     raise InputError(f"{what} {str(path)!r} is not UTF-8: byte "
-                                     f"0x{exc.object[exc.start]:02x} at offset {at} "
-                                     f"({exc.reason})") from None
-                if not read:
-                    text = strip_bom(text)
+                                     f"0x{exc.object[exc.start]:02x} at offset "
+                                     f"{done + exc.start} ({exc.reason})") from None
+                if not done:  # the text starts the file, even when a read split the mark
+                    text = text.removeprefix("\ufeff")
                 if not chunk:
                     break
                 read += len(chunk)
@@ -86,10 +83,21 @@ def read_blocks(path: str | Path, what: str) -> Iterator[str]:
         yield last
 
 
-def read_input(path: str | Path, what: str) -> str:
-    """The whole text of the input file ``what``: its ``read_blocks``
-    joined, so a byte-order mark never widens the str."""
-    return "".join(read_blocks(path, what))
+def text_lines(text: str | Iterable[str]) -> Iterator[str]:
+    """The lines ``str.splitlines`` gives for the whole text: a str after a
+    leading byte-order mark, or ``read_blocks``' blocks.  A str is cut like
+    a file, just after a line feed about every ``_BLOCK_CHARS`` characters,
+    and a line feed ends a line whatever precedes it, a carriage return
+    too; each block is split alone, so only one block's lines are alive."""
+    if not isinstance(text, str):
+        for block in text:
+            yield from block.splitlines()
+        return
+    text, start = text.removeprefix("\ufeff"), 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def canonical_label(text: str) -> str:
@@ -175,12 +183,13 @@ class AttributeSchema(NamedTuple("AttributeSchema", [("features", tuple[Attribut
         return sha256_hex(self.to_text().encode("utf-8"))
 
 
-def parse_schema(text: str) -> AttributeSchema:
-    """Parse a schema document, rejecting grammar and invariant violations."""
+def parse_schema(text: str | Iterable[str]) -> AttributeSchema:
+    """Parse a schema document (a str or ``read_blocks``' blocks), rejecting
+    grammar and invariant violations."""
     features: list[Attribute] = []
     target: Attribute | None = None
     seen: set[str] = set()
-    for lineno, raw in enumerate(strip_bom(text).splitlines(), start=1):
+    for lineno, raw in enumerate(text_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -327,27 +336,10 @@ def index_array(values: object, what: str) -> np.ndarray:
     return array.astype(np.intp, copy=False)
 
 
-_BLOCK_CHARS = 1 << 16
-
-
-def _text_blocks(text: str) -> Iterator[str]:
-    """``text`` in blocks of about ``_BLOCK_CHARS`` characters.  Each block
-    but the last ends just after a line feed, which ends a line whatever
-    comes before it, so no line boundary, not even a carriage return and
-    line feed, straddles a cut."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
-        yield text[start:end]
-        start = end
-
-
 def parse_csv(text: str | Iterable[str], schema: AttributeSchema, labeled: bool | None) -> Dataset:
     """Parse a comma-separated data file against ``schema``.
 
-    ``text`` is a str, which ``_text_blocks`` cuts, or blocks of it as
-    ``read_blocks`` yields them (then decoded as they are parsed).  Lines
-    are split one block at a time, so only one block's are alive at once.
+    ``text`` is a str or ``read_blocks``' blocks, split by ``text_lines``.
 
     The header must name every feature attribute in schema order, plus the
     target when ``labeled``.  With ``labeled=None`` the file is labeled
@@ -358,8 +350,7 @@ def parse_csv(text: str | Iterable[str], schema: AttributeSchema, labeled: bool 
     order is preserved exactly.  Lines are numbered as ``str.splitlines``
     splits the whole text.
     """
-    blocks = _text_blocks(strip_bom(text)) if isinstance(text, str) else text
-    lines = enumerate(chain.from_iterable(map(str.splitlines, blocks)), start=1)
+    lines = enumerate(text_lines(text), start=1)
     # the first nonblank line; the record loop goes on from the line after it
     header_line = next((line for _, line in lines if line.strip()), None)
     if header_line is None:

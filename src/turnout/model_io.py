@@ -13,7 +13,8 @@ Layout (line oriented, utf-8):
     end
 
 This module reads and writes that envelope only, with each params key
-exactly once.  The payload grammar lives with each model class in
+exactly once; ``load_model`` parses a file's ``read_blocks`` as they are
+read.  The payload grammar lives with each model class in
 :mod:`turnout.classifiers`: ``payload`` writes the lines, ``from_payload``
 parses them (prefixes, integers, field and line counts) and the model's
 constructor checks the rest; a ``ValueError`` from the constructor is
@@ -26,10 +27,11 @@ Loading a round-tripped model reproduces bit-identical predictions.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from pathlib import Path
 
 from .classifiers import REGISTRY, Hyperparams, TrainedModel
-from .data import parse_schema, read_input, strip_bom
+from .data import parse_schema, read_blocks, text_lines
 from .errors import ModelFileError, SchemaError
 
 FORMAT_LINE = "turnout-model v1"
@@ -89,10 +91,11 @@ def _parse_params(text: str) -> Hyperparams:
         raise ModelFileError(f"bad params line: {exc}") from None
 
 
-def model_from_text(text: str) -> TrainedModel:
-    """Parse the documented model format after a leading byte-order mark;
-    anything off, a nonblank line after ``end`` included, is ModelFileError."""
-    lines = iter(strip_bom(text).splitlines())
+def model_from_text(text: str | Iterable[str]) -> TrainedModel:
+    """Parse the documented model format, a str after a leading byte-order
+    mark or ``read_blocks``' blocks; anything off, a nonblank line after
+    ``end`` included, is ModelFileError."""
+    lines = text_lines(text)
 
     def take(what: str) -> str:
         line = next(lines, None)
@@ -140,4 +143,4 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    return model_from_text(read_input(path, "model file"))
+    return model_from_text(read_blocks(path, "model file"))

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
+from .data import text_lines
 from .errors import DataError
 from .evaluation import (
     ConfusionMatrix,
@@ -58,10 +59,11 @@ def format_confusion_table(matrix: ConfusionMatrix) -> str:
     return format_count_table("actual\\predicted", matrix.labels, matrix.labels, matrix.counts)
 
 
-def parse_confusion_table(text: str) -> ConfusionMatrix:
-    """Read the table ``format_confusion_table`` writes (margins checked);
-    a negative count or a grand total of 0 is a DataError too."""
-    lines = [line for line in text.splitlines() if line.strip()]
+def parse_confusion_table(text: str | Iterable[str]) -> ConfusionMatrix:
+    """Read the table ``format_confusion_table`` writes, from a str or
+    ``read_blocks``' blocks (margins checked); a negative count or a grand
+    total of 0 is a DataError too."""
+    lines = [line for line in text_lines(text) if line.strip()]
     if len(lines) < 3:
         raise DataError("confusion table needs a header, class rows, and a total row")
     header = lines[0].split("\t")

@@ -10,9 +10,12 @@ from turnout import (
     REFERENCE_TREE_ROOT,
     Hyperparams,
     KnnModel,
+    Protocol,
     TrainedModel,
     TreeModel,
+    UsageError,
     class_counts,
+    evaluate,
     load_election_corpus,
     model_from_text,
     model_to_text,
@@ -538,8 +541,11 @@ def test_train_rejects_empty_and_unlabeled_data():
     empty = tiny_dataset([], [], [2], 2)
     unlabeled = tiny_dataset([(0,)], None, [2], 2)
     for algo in ALGORITHMS:
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError,
+                           match="^the dataset has no records; training needs at least one$"):
             train(empty, algo)
+        with pytest.raises(UsageError, match="^the dataset has no records; training needs"):
+            evaluate(empty, algo, protocol=Protocol("test-on-train"))
         with pytest.raises(ValueError, match="^training needs a labeled dataset$"):
             train(unlabeled, algo)
 

@@ -36,7 +36,7 @@ from turnout import (
     train,
 )
 from turnout.cli import main
-from turnout.data import _BLOCK_CHARS, read_input
+from turnout.data import _BLOCK_CHARS, read_blocks
 
 from oracles import table_as_tree
 
@@ -568,7 +568,7 @@ def test_byte_order_mark_is_ignored(capsys, tmp_path):
 def test_byte_order_mark_is_dropped_in_the_one_decode(tmp_path):
     path = tmp_path / "election.csv"
     path.write_text("\ufeff" + election_csv_text(), encoding="utf-8")
-    text = read_input(str(path), "data file")
+    text = "".join(read_blocks(str(path), "data file"))
     assert "\ufeff" not in text and text == election_csv_text()
     # one byte per character: no copy of the text ever held U+FEFF
     assert sys.getsizeof(text) < len(text) + 100
@@ -987,26 +987,120 @@ def test_a_data_file_is_decoded_as_it_is_parsed(capsys, tmp_path, line, at, mess
     assert (code, out, err) == (2, "", f"data error: {message.format(path=str(path))}\n")
 
 
-@pytest.mark.parametrize("case", ["read", "csv-fault", "bad-byte", "header", "missing"])
-def test_every_data_file_is_closed_on_every_path(tmp_path, case):
-    # a file left open would be an unraisable ResourceWarning on stderr
-    path = _queries(tmp_path, 120)
-    if case == "csv-fault":
-        _with_fault(path, line=5000)
+def _replace_from(raw, at, old, new):
+    """``raw`` with the first ``old`` at or after byte offset ``at`` made ``new``."""
+    i = raw.index(old, at)
+    return raw[:i] + new + raw[i + len(old):]
+
+
+# per input-file kind: the text replaced, and its replacement, to make the
+# first fault in the file's first block or in its third
+_FAULTS = {
+    "data file": ((b"Age", b"Ancient"), (b"\n", b"\nAncient,")),
+    "schema file": ((b"attribute Age:", b"attribute Age;"), (b"# ", b"x ")),
+    "model file": ((b"params: k=", b"params: k=x"), (b"row: ", b"row: x")),
+    "matrix file": ((b"\ttotal\n", b"\ttotals\n"), (b"\n\n", b"\nx\n")),
+}
+
+
+def _multi_block_input(capsys, tmp_path, what):
+    """A good input file of kind ``what`` of more than three blocks, and the
+    argv that reads it (``{file}`` stands for it) and exits 0."""
+    _write_input_files(capsys, tmp_path)
+    if what == "data file":
+        path = _queries(tmp_path, 120)
+        return path, ["predict", str(tmp_path / "tree.model"), "--data", "{file}"]
+    if what == "model file":  # a KNN model of 9,000 rows
+        corpus = load_election_corpus()
+        header, _, body = dataset_to_csv(corpus).partition("\n")
+        many = parse_csv(f"{header}\n{body * 90}", corpus.schema, labeled=True)
+        path = tmp_path / "knn.model"
+        save_model(train(many, "knn"), path)
+        return path, ["predict", "{file}", "--data", str(tmp_path / "election.csv")]
+    if what == "schema file":
+        path = tmp_path / "big.schema"
+        padding = "# a comment line that pads the schema past three blocks\n"
+        text = election_schema_text() + padding * (3 * _BLOCK_CHARS // len(padding) + 1)
+        argv = ["validate", "--data", str(tmp_path / "election.csv"), "--schema", "{file}"]
+    else:
+        path = tmp_path / "big.tsv"
+        text = (tmp_path / "knn" / "confusion.tsv").read_text(encoding="utf-8")
+        text += "\n" * (3 * _BLOCK_CHARS)
+        argv = ["evaluate", "--from-matrix", "{file}"]
+    path.write_text(text, encoding="utf-8")
+    return path, argv
+
+
+@pytest.mark.parametrize("case", ["read", "early-fault", "late-fault", "bad-byte", "missing"])
+@pytest.mark.parametrize("what", list(_FAULTS))
+def test_every_input_file_is_closed_on_every_path(capsys, tmp_path, what, case):
+    # a file left open would be an unraisable ResourceWarning on stderr; a
+    # fault in the first block leaves the reader suspended, but for a matrix
+    # file, whose table is checked once all its lines are read
+    path, argv = _multi_block_input(capsys, tmp_path, what)
+    raw = path.read_bytes()
+    assert len(raw) > 3 * _BLOCK_CHARS
+    if case == "early-fault":
+        path.write_bytes(_replace_from(raw, 0, *_FAULTS[what][0]))
+    elif case == "late-fault":
+        path.write_bytes(_replace_from(raw, 2 * _BLOCK_CHARS, *_FAULTS[what][1]))
     elif case == "bad-byte":
         _with_fault(path, at=2 * _BLOCK_CHARS)
-    elif case == "header":
-        path.write_text("Nothing,Here\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
     elif case == "missing":
-        path = tmp_path / "missing.csv"
-    argv = ["predict", str(_model(tmp_path, "tree")), "--data", str(path),
-            "--out", str(tmp_path / "predictions.tsv")]
+        path = tmp_path / "missing.txt"
+    argv = [a.format(file=path) for a in argv]
     result = subprocess.run([sys.executable, "-W", "error::ResourceWarning", "-m", "turnout", *argv],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == (0 if case == "read" else 2), result.stderr
     assert "ResourceWarning" not in result.stderr and "Exception ignored" not in result.stderr
     if case != "read":
         assert result.stderr.startswith("data error: ") and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("what, at, message", [
+    ("schema file", 2 * _BLOCK_CHARS, "line 4: expected '<keyword> <name>: <labels>'"),
+    ("schema file", 100, "schema file {path!r} is not UTF-8: byte 0xe9 at offset 100 "
+                         "(invalid continuation byte)"),
+    ("model file", 2 * _BLOCK_CHARS,
+     "bad params line: invalid literal for int() with base 10: 'x5'"),
+    ("model file", 100, "model file {path!r} is not UTF-8: byte 0xe9 at offset 100 "
+                        "(invalid continuation byte)"),
+    # the table is checked once all its lines are read
+    ("matrix file", 2 * _BLOCK_CHARS, f"matrix file {{path!r}} is not UTF-8: byte 0xe9 at offset "
+                                      f"{2 * _BLOCK_CHARS} (invalid continuation byte)"),
+], ids=["schema-fault-first", "schema-byte-in-block-1", "model-fault-first",
+        "model-byte-in-block-1", "matrix-byte-first"])
+def test_schema_and_model_files_are_decoded_as_they_are_parsed(capsys, tmp_path, what, at,
+                                                               message):
+    # as for data files, the first fault in reading order is reported: a
+    # grammar fault in block 1 comes before a bad byte in a later block,
+    # while a bad byte in block 1 is found before the block is parsed
+    path, argv = _multi_block_input(capsys, tmp_path, what)
+    path.write_bytes(_replace_from(path.read_bytes(), 0, *_FAULTS[what][0]))
+    _with_fault(path, at=at)
+    code, out, err = run(capsys, *(a.format(file=path) for a in argv))
+    assert (code, out, err) == (2, "", f"data error: {message.format(path=str(path))}\n")
+
+
+@pytest.mark.parametrize("what, raw, message", [
+    ("data file", b"Nothing\n\xc3", "header mismatch: expected"),
+    ("schema file", b"attribute x\n\xc3", "line 1: expected '<keyword> <name>: <labels>'"),
+    ("model file", b"turnout-model v2\n\xc3", "unsupported model format: 'turnout-model v2'"),
+    # the table is checked once all its lines are read
+    ("matrix file", b"x\n\xc3", "matrix file {path!r} is not UTF-8: byte 0xc3 at offset 2 "
+                                 "(unexpected end of data)"),
+], ids=["data", "schema", "model", "matrix"])
+def test_a_character_cut_short_at_the_end_comes_after_the_lines_before_it(capsys, tmp_path, what,
+                                                                          raw, message):
+    # the decoder finds an incomplete last character only at the end of the
+    # file, after the lines before it have been handed to the parser
+    argv = {w: a for w, _, a in _INPUT_FILES}[what]
+    assert run(capsys, "export-corpus", "--out", str(tmp_path))[0] == 0
+    path = tmp_path / "short.txt"
+    path.write_bytes(raw)
+    code, out, err = run(capsys, *(a.format(file=path, dir=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"data error: {message.format(path=str(path))}")
 
 
 # -------------------------------------------------------- process entry

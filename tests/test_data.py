@@ -21,7 +21,10 @@ from turnout import (
     parse_csv,
     parse_schema,
 )
-from turnout.data import read_blocks, read_input
+from turnout.data import read_blocks, text_lines
+from turnout.evaluation import ConfusionMatrix
+from turnout.model_io import model_from_text, model_to_text
+from turnout.report import format_confusion_table, parse_confusion_table
 
 import oracles
 
@@ -425,11 +428,12 @@ def test_schema_round_trip(data):
 # --- canonical lines are looked up whole; every other line cell by cell --
 
 
-def _outcome(parse, text, schema, labeled):
+def _outcome(parse, *args):
+    """What ``parse`` makes of ``args``: its result, or its error's type and message."""
     try:
-        return parse(text, schema, labeled)
-    except DataError as exc:
-        return f"DataError: {exc}"
+        return parse(*args)
+    except turnout.InputError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 # labels with an internal space, and one built in code that is not
@@ -535,7 +539,7 @@ def test_read_blocks_decodes_a_character_split_across_a_read(tmp_path):
     path = tmp_path / "split.csv"
     path.write_bytes(raw)
     text = raw.decode("utf-8")
-    assert "".join(_blocks(path)) == text == read_input(path, "data file")
+    assert "".join(_blocks(path)) == text == "".join(read_blocks(path, "data file"))
     data = parse_csv(read_blocks(path, "data file"), schema, labeled=True)
     assert data == parse_csv(text, schema, labeled=True)
     assert data.n == 4011 and data.matrix[4000].tolist() == [1, 1]
@@ -568,7 +572,7 @@ def test_a_bad_byte_past_the_first_block_names_its_offset_in_the_file(tmp_path, 
     path.write_bytes(raw)
     expected = _not_utf8(raw, path)
     assert expected.endswith(message)
-    for read in (lambda: read_input(path, "data file"),
+    for read in (lambda: "".join(read_blocks(path, "data file")),
                  lambda: parse_csv(read_blocks(path, "data file"), _toy(), labeled=True)):
         with pytest.raises(turnout.InputError) as err:
             read()
@@ -598,3 +602,63 @@ def test_a_file_read_in_blocks_parses_as_its_lf_copy(tmp_path, ending, last_line
     assert data == parse_csv(text, _toy(), labeled=True)
     assert data.n == len(records) * (reps + BLOCK // 15)
     assert data.matrix[-1].tolist() == [1, 0] and data.label_array[-1] == 1
+
+
+# ------------------------------------------- one line splitter for every parser
+
+# every line boundary str.splitlines knows, and line text of one to four
+# UTF-8 bytes per character, a byte-order mark among them
+SEPARATORS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+LINE_TEXT = st.text("a, \t\u00fc\u20ac\ufeff\U0001f5f3", max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(st.one_of(st.sampled_from(SEPARATORS), LINE_TEXT), max_size=40),
+       bom=st.booleans(), block=st.integers(1, 9))
+def test_text_lines_splits_as_splitlines_splits_the_whole_text(tmp_path_factory, pieces, bom,
+                                                                block):
+    # a "\r" piece then a "\n" piece is one "\r\n"; tiny blocks put a cut,
+    # and a read of the file, at every offset, inside characters too
+    text = "\ufeff" * bom + "".join(pieces)
+    want = text.removeprefix("\ufeff").splitlines()
+    path = tmp_path_factory.mktemp("lines") / "text.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(turnout.data, "_BLOCK_CHARS", block)
+        assert list(text_lines(text)) == want
+        assert list(text_lines(read_blocks(path, "data file"))) == want
+        assert list(text_lines(_blocks(path))) == want
+
+
+def _documents():
+    """(parser, good document, the document with a fault) for every format."""
+    corpus = turnout.load_election_corpus()
+    model = model_to_text(turnout.train(corpus, "tree"))
+    table = format_confusion_table(ConfusionMatrix(counts=((3, 1), (2, 4)), labels=("Yes", "No")))
+    return [
+        (parse_schema, GOOD_SCHEMA, GOOD_SCHEMA.replace("Size:", "Size")),
+        (lambda text: parse_csv(text, _toy(), labeled=None),
+         "Color,Size,Outcome\nRed,Small,Yes\n\nBlue, Big ,No\n",
+         "Color,Size,Outcome\nRed,Small,Yes\n\nBlue,Huge,No\n"),
+        (lambda text: model_from_text(text).payload(), model,
+         model.replace("algorithm: tree", "algorithm: forest")),
+        (parse_confusion_table, table, table.replace("\t4\t6\n", "\t4\t7\n")),
+    ]
+
+
+@pytest.mark.parametrize("block", [3, 1 << 16], ids=["tiny-blocks", "one-block"])
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "\u2028"], ids=["lf", "crlf", "cr", "ls"])
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+def test_every_parser_reads_a_str_and_its_file_alike(tmp_path, monkeypatch, block, ending, bom):
+    monkeypatch.setattr(turnout.data, "_BLOCK_CHARS", block)
+    for parse, *documents in _documents():
+        outcomes = []
+        for document in documents:
+            text = bom + document.replace("\n", ending)
+            path = tmp_path / "input.txt"
+            path.write_bytes(text.encode("utf-8"))
+            outcome = _outcome(parse, text)
+            assert _outcome(parse, read_blocks(path, "input file")) == outcome
+            outcomes.append(outcome)
+        good, bad = outcomes
+        assert not isinstance(good, str) and isinstance(bad, str), outcomes
