@@ -996,7 +996,7 @@ def _replace_from(raw, at, old, new):
 # per input-file kind: the text replaced, and its replacement, to make the
 # first fault in the file's first block or in its third
 _FAULTS = {
-    "data file": ((b"Age", b"Ancient"), (b"\n", b"\nAncient,")),
+    "data file": ((b"Age", b"Ancient"), (b"\nOld,", b"\nAncient,")),
     "schema file": ((b"attribute Age:", b"attribute Age;"), (b"# ", b"x ")),
     "model file": ((b"params: k=", b"params: k=x"), (b"row: ", b"row: x")),
     "matrix file": ((b"\ttotal\n", b"\ttotals\n"), (b"\n\n", b"\nx\n")),
@@ -1009,14 +1009,16 @@ def _multi_block_input(capsys, tmp_path, what):
     _write_input_files(capsys, tmp_path)
     if what == "data file":
         path = _queries(tmp_path, 120)
-        return path, ["predict", str(tmp_path / "tree.model"), "--data", "{file}"]
+        return path, ["predict", str(tmp_path / "tree.model"), "--data", "{file}",
+                      "--out", str(tmp_path / "predictions.tsv")]
     if what == "model file":  # a KNN model of 9,000 rows
         corpus = load_election_corpus()
         header, _, body = dataset_to_csv(corpus).partition("\n")
         many = parse_csv(f"{header}\n{body * 90}", corpus.schema, labeled=True)
         path = tmp_path / "knn.model"
         save_model(train(many, "knn"), path)
-        return path, ["predict", "{file}", "--data", str(tmp_path / "election.csv")]
+        return path, ["predict", "{file}", "--data", str(tmp_path / "election.csv"),
+                      "--out", str(tmp_path / "predictions.tsv")]
     if what == "schema file":
         path = tmp_path / "big.schema"
         padding = "# a comment line that pads the schema past three blocks\n"
@@ -1055,6 +1057,8 @@ def test_every_input_file_is_closed_on_every_path(capsys, tmp_path, what, case):
     assert "ResourceWarning" not in result.stderr and "Exception ignored" not in result.stderr
     if case != "read":
         assert result.stderr.startswith("data error: ") and result.stderr.count("\n") == 1
+    if (what, case) == ("data file", "late-fault"):
+        assert "unknown value 'Ancient' for attribute 'Age'" in result.stderr
 
 
 @pytest.mark.parametrize("what, at, message", [
