@@ -46,15 +46,12 @@ _BLOCK_CHARS = 1 << 16
 
 def read_blocks(path: str | Path, what: str) -> Iterator[str]:
     """The text of the input file ``what`` (data, schema, matrix or model
-    file) after a leading UTF-8 byte-order mark, read ``_BLOCK_CHARS``
-    bytes at a time through one incremental decoder, for a parser to take
-    as it comes.  Each block but the last ends just after a line feed, so
-    no line straddles two blocks.  A file that is not UTF-8 is refused at
-    the block that holds the first byte that does not decode, with the
-    offset of that byte in the file; the file is closed however reading ends."""
+    file) after a leading UTF-8 byte-order mark, one str per ``_BLOCK_CHARS``
+    bytes read, through one incremental decoder.  A file that is not UTF-8
+    is refused at the read that holds its first byte that does not decode,
+    with that byte's offset in the file; the file is closed however reading ends."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     read = 0  # the file's bytes before this chunk
-    tail: list[str] = []  # the text after the last line feed
     try:
         with open(path, "rb") as file:
             while True:
@@ -67,37 +64,32 @@ def read_blocks(path: str | Path, what: str) -> Iterator[str]:
                     raise InputError(f"{what} {str(path)!r} is not UTF-8: byte "
                                      f"0x{exc.object[exc.start]:02x} at offset "
                                      f"{done + exc.start} ({exc.reason})") from None
-                if not done:  # the text starts the file, even when a read split the mark
-                    text = text.removeprefix("\ufeff")
                 if not chunk:
                     break
                 read += len(chunk)
-                cut = text.rfind("\n") + 1
-                if cut:
-                    yield "".join([*tail, text[:cut]])
-                    tail = []
-                tail.append(text[cut:])
+                # the text starts the file, even when a read split the mark
+                yield text if done else text.removeprefix("\ufeff")
     except OSError as exc:
         raise InputError(f"cannot read {what} {str(path)!r}: {exc}") from None
-    if last := "".join(tail):
-        yield last
 
 
 def text_lines(text: str | Iterable[str]) -> Iterator[str]:
     """The lines ``str.splitlines`` gives for the whole text: a str after a
-    leading byte-order mark, or ``read_blocks``' blocks.  A str is cut like
-    a file, just after a line feed about every ``_BLOCK_CHARS`` characters,
-    and a line feed ends a line whatever precedes it, a carriage return
-    too; each block is split alone, so only one block's lines are alive."""
-    if not isinstance(text, str):
-        for block in text:
-            yield from block.splitlines()
-        return
-    text, start = text.removeprefix("\ufeff"), 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
-        yield from text[start:end].splitlines()
-        start = end
+    leading byte-order mark, taken ``_BLOCK_CHARS`` characters at a time,
+    or ``read_blocks``' reads.  Each chunk's text up to its last line feed,
+    which ends a line whatever precedes it, is split, and the rest carried
+    into the next chunk, so only about one chunk's lines are alive."""
+    if isinstance(text, str):
+        whole = text.removeprefix("\ufeff")
+        text = (whole[i : i + _BLOCK_CHARS] for i in range(0, len(whole), _BLOCK_CHARS))
+    tail: list[str] = []  # the text after the last line feed
+    for chunk in text:
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield from "".join([*tail, chunk[:cut]]).splitlines()
+            tail = []
+        tail.append(chunk[cut:])
+    yield from "".join(tail).splitlines()
 
 
 def canonical_label(text: str) -> str:
@@ -184,7 +176,7 @@ class AttributeSchema(NamedTuple("AttributeSchema", [("features", tuple[Attribut
 
 
 def parse_schema(text: str | Iterable[str]) -> AttributeSchema:
-    """Parse a schema document (a str or ``read_blocks``' blocks), rejecting
+    """Parse a schema document (a str or ``read_blocks``' reads), rejecting
     grammar and invariant violations."""
     features: list[Attribute] = []
     target: Attribute | None = None
@@ -312,8 +304,11 @@ class Dataset:
                 f"label_array={labels!r})")
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        """The records at integer ``indices``, in that order."""
+        """The records at integer ``indices`` in 0..n-1, in that order."""
         picked = index_array(indices, "subset indices")
+        outside = picked[(picked < 0) | (picked >= self.n)]
+        if outside.size:
+            raise ValueError(f"subset index {outside[0]} is outside 0..{self.n - 1}")
         label_array = None if self.label_array is None else self.label_array[picked]
         return Dataset(self.schema, self.matrix[picked], label_array)
 
@@ -339,7 +334,7 @@ def index_array(values: object, what: str) -> np.ndarray:
 def parse_csv(text: str | Iterable[str], schema: AttributeSchema, labeled: bool | None) -> Dataset:
     """Parse a comma-separated data file against ``schema``.
 
-    ``text`` is a str or ``read_blocks``' blocks, split by ``text_lines``.
+    ``text`` is a str or ``read_blocks``' reads, split by ``text_lines``.
 
     The header must name every feature attribute in schema order, plus the
     target when ``labeled``.  With ``labeled=None`` the file is labeled

@@ -13,8 +13,8 @@ Layout (line oriented, utf-8):
     end
 
 This module reads and writes that envelope only, with each params key
-exactly once; ``load_model`` parses a file's ``read_blocks`` as they are
-read.  The payload grammar lives with each model class in
+exactly once; ``load_model`` parses a file's ``read_blocks`` reads as
+they come.  The payload grammar lives with each model class in
 :mod:`turnout.classifiers`: ``payload`` writes the lines, ``from_payload``
 parses them (prefixes, integers, field and line counts) and the model's
 constructor checks the rest; a ``ValueError`` from the constructor is
@@ -93,7 +93,7 @@ def _parse_params(text: str) -> Hyperparams:
 
 def model_from_text(text: str | Iterable[str]) -> TrainedModel:
     """Parse the documented model format, a str after a leading byte-order
-    mark or ``read_blocks``' blocks; anything off, a nonblank line after
+    mark or ``read_blocks``' reads; anything off, a nonblank line after
     ``end`` included, is ModelFileError."""
     lines = text_lines(text)
 

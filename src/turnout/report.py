@@ -7,7 +7,7 @@ produce identical bytes, which the determinism tests rely on.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -61,9 +61,11 @@ def format_confusion_table(matrix: ConfusionMatrix) -> str:
 
 def parse_confusion_table(text: str | Iterable[str]) -> ConfusionMatrix:
     """Read the table ``format_confusion_table`` writes, from a str or
-    ``read_blocks``' blocks (margins checked); a negative count or a grand
-    total of 0 is a DataError too."""
-    lines = [line for line in text_lines(text) if line.strip()]
+    ``read_blocks``' reads (margins checked, nonblank lines past the k + 2 the
+    header calls for counted, not kept); a negative count or a grand total
+    of 0 is a DataError too."""
+    nonblank = (line for line in text_lines(text) if line.strip())
+    lines = list(islice(nonblank, 3))
     if len(lines) < 3:
         raise DataError("confusion table needs a header, class rows, and a total row")
     header = lines[0].split("\t")
@@ -71,8 +73,10 @@ def parse_confusion_table(text: str | Iterable[str]) -> ConfusionMatrix:
         raise DataError("confusion table header must end with 'total'")
     labels = tuple(header[1:-1])
     k = len(labels)
-    if len(lines) != k + 2:
-        raise DataError(f"expected {k} class rows plus totals, got {len(lines) - 2}")
+    lines += islice(nonblank, k - 1)
+    rows = len(lines) - 2 + sum(1 for _ in nonblank)
+    if rows != k:
+        raise DataError(f"expected {k} class rows plus totals, got {rows}")
     counts: list[tuple[int, ...]] = []
     for label, line in zip(labels, lines[1:-1]):
         cells = line.split("\t")

@@ -1037,8 +1037,7 @@ def _multi_block_input(capsys, tmp_path, what):
 @pytest.mark.parametrize("what", list(_FAULTS))
 def test_every_input_file_is_closed_on_every_path(capsys, tmp_path, what, case):
     # a file left open would be an unraisable ResourceWarning on stderr; a
-    # fault in the first block leaves the reader suspended, but for a matrix
-    # file, whose table is checked once all its lines are read
+    # fault in the first block leaves the reader suspended
     path, argv = _multi_block_input(capsys, tmp_path, what)
     raw = path.read_bytes()
     assert len(raw) > 3 * _BLOCK_CHARS
@@ -1069,9 +1068,8 @@ def test_every_input_file_is_closed_on_every_path(capsys, tmp_path, what, case):
      "bad params line: invalid literal for int() with base 10: 'x5'"),
     ("model file", 100, "model file {path!r} is not UTF-8: byte 0xe9 at offset 100 "
                         "(invalid continuation byte)"),
-    # the table is checked once all its lines are read
-    ("matrix file", 2 * _BLOCK_CHARS, f"matrix file {{path!r}} is not UTF-8: byte 0xe9 at offset "
-                                      f"{2 * _BLOCK_CHARS} (invalid continuation byte)"),
+    # the header is checked on the table's first three nonblank lines
+    ("matrix file", 2 * _BLOCK_CHARS, "confusion table header must end with 'total'"),
 ], ids=["schema-fault-first", "schema-byte-in-block-1", "model-fault-first",
         "model-byte-in-block-1", "matrix-byte-first"])
 def test_schema_and_model_files_are_decoded_as_they_are_parsed(capsys, tmp_path, what, at,
@@ -1090,7 +1088,7 @@ def test_schema_and_model_files_are_decoded_as_they_are_parsed(capsys, tmp_path,
     ("data file", b"Nothing\n\xc3", "header mismatch: expected"),
     ("schema file", b"attribute x\n\xc3", "line 1: expected '<keyword> <name>: <labels>'"),
     ("model file", b"turnout-model v2\n\xc3", "unsupported model format: 'turnout-model v2'"),
-    # the table is checked once all its lines are read
+    # the table's first check needs three nonblank lines
     ("matrix file", b"x\n\xc3", "matrix file {path!r} is not UTF-8: byte 0xc3 at offset 2 "
                                  "(unexpected end of data)"),
 ], ids=["data", "schema", "model", "matrix"])

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import turnout.data
 from turnout import (
@@ -247,6 +247,16 @@ def test_subset_refuses_indices_that_are_not_integers():
     for indices in (corpus.label_array == 1, [0.7, 1.2]):
         with pytest.raises(ValueError, match="^subset indices must be integers, got "):
             corpus.subset(indices)
+
+
+def test_subset_refuses_indices_outside_the_records():
+    # numpy would wrap -1 to the last record, and refuse 100 with a bare IndexError
+    corpus = turnout.load_election_corpus()
+    assert corpus.n == 100
+    for indices, first in (([-1], -1), ([0, 100], 100), ([3, -100, 250], -100)):
+        with pytest.raises(ValueError, match=f"^subset index {first} is outside 0..99$"):
+            corpus.subset(indices)
+    assert corpus.subset([99, 0]).matrix.tolist() == corpus.matrix[[99, 0]].tolist()
 
 
 def test_dataset_equality_hash_and_repr_read_the_arrays():
@@ -522,10 +532,10 @@ BLOCK = turnout.data._BLOCK_CHARS
 
 
 def _blocks(path):
-    """read_blocks of a data file, each block but the last checked to end
-    just after a line feed."""
+    """read_blocks of a data file, each block checked to be no longer than
+    one read's text."""
     blocks = list(read_blocks(path, "data file"))
-    assert all(block.endswith("\n") for block in blocks[:-1])
+    assert all(len(block) <= turnout.data._BLOCK_CHARS for block in blocks)
     return blocks
 
 
@@ -614,9 +624,10 @@ LINE_TEXT = st.text("a, \t\u00fc\u20ac\ufeff\U0001f5f3", max_size=5)
 
 @settings(max_examples=300, deadline=None)
 @given(pieces=st.lists(st.one_of(st.sampled_from(SEPARATORS), LINE_TEXT), max_size=40),
-       bom=st.booleans(), block=st.integers(1, 9))
+       bom=st.booleans(), block=st.integers(1, 9), cuts=st.lists(st.integers(0, 200), max_size=8))
+@example(pieces=["a", "\r", "\n", "bc", "\r"], bom=False, block=9, cuts=[2, 4])
 def test_text_lines_splits_as_splitlines_splits_the_whole_text(tmp_path_factory, pieces, bom,
-                                                                block):
+                                                                block, cuts):
     # a "\r" piece then a "\n" piece is one "\r\n"; tiny blocks put a cut,
     # and a read of the file, at every offset, inside characters too
     text = "\ufeff" * bom + "".join(pieces)
@@ -628,6 +639,13 @@ def test_text_lines_splits_as_splitlines_splits_the_whole_text(tmp_path_factory,
         assert list(text_lines(text)) == want
         assert list(text_lines(read_blocks(path, "data file"))) == want
         assert list(text_lines(_blocks(path))) == want
+    # chunks that end wherever the drawn cuts fall, and one cut at every
+    # offset: between "\r" and "\n", and inside a line with no line feed
+    body = text.removeprefix("\ufeff")
+    bounds = [0, *sorted(min(cut, len(body)) for cut in cuts), len(body)]
+    assert list(text_lines(body[a:b] for a, b in zip(bounds, bounds[1:]))) == want
+    for cut in range(len(body) + 1):
+        assert list(text_lines([body[:cut], body[cut:]])) == want
 
 
 def _documents():

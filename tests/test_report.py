@@ -1,3 +1,4 @@
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -26,6 +27,7 @@ from turnout.report import (
     write_report,
 )
 from turnout.cli import main
+from turnout.data import read_blocks
 
 MATRIX = ConfusionMatrix(counts=((3, 1), (2, 4)), labels=("a", "b"))
 
@@ -86,6 +88,20 @@ def test_confusion_parser_rejects_malformed_tables():
     missing_row = "\n".join(good.splitlines()[:-2]) + "\n" + good.splitlines()[-1] + "\n"
     with pytest.raises(DataError):
         parse_confusion_table(missing_row)
+
+
+def test_confusion_parser_keeps_only_the_lines_its_header_calls_for(tmp_path):
+    # 200,000 lines past a good header are counted, not held
+    path = tmp_path / "matrix.tsv"
+    path.write_text("actual\\predicted\ta\tb\ttotal\n" + "x\n" * 200_000, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="^expected 2 class rows plus totals, got 199999$"):
+            parse_confusion_table(read_blocks(path, "matrix file"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("total, message", [
