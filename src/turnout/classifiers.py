@@ -4,10 +4,10 @@ Each algorithm is one subclass of ``TrainedModel``, and ``REGISTRY``
 maps each id to its class.  ``train`` fits one on a labeled
 :class:`~turnout.data.Dataset`.  A trained model holds the schema and
 hyperparameters it was trained under and its tables, and predicts with
-one batch kernel: an ``(m, d)`` array of encoded records in, an
-``(m, k)`` matrix of class probabilities out, each value checked against
-its attribute's domain.  It also writes its model-file payload and reads
-it back.  The one per-record entry point,
+one batch kernel, from an ``(m, d)`` array of encoded records that the
+:class:`~turnout.data.Dataset` constructor checked to an ``(m, k)``
+matrix of class probabilities.  It also writes its model-file payload
+and reads it back.  The one per-record entry point,
 ``TrainedModel.predict_proba_row``, calls the kernel on a batch of one,
 so a record gets the same bits alone as in a batch.  Models are
 immutable once trained, so prediction is a pure function of (model,
@@ -97,23 +97,6 @@ def predict_label(proba: Sequence[float]) -> int:
     return int(predict_labels(np.asarray(proba, dtype=np.float64).reshape(1, -1))[0])
 
 
-def _records(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """A batch of encoded records, shape (m, d) for d = len(sizes), with
-    every value inside its attribute's domain ``0 .. sizes[j] - 1``."""
-    batch = index_array(rows, "record values")
-    width = len(sizes)
-    if batch.ndim != 2 or batch.shape[1] != width:
-        raise ValueError(f"records have shape {batch.shape}, model expects (m, {width})")
-    bad = (batch < 0) | (batch >= sizes)
-    if bad.any():
-        i, j = divmod(int(bad.argmax()), width)
-        raise ValueError(
-            f"record {i}: value {int(batch[i, j])} is outside the domain of "
-            f"attribute {j} (size {int(sizes[j])})"
-        )
-    return batch
-
-
 def _ints(line: str, prefix: str, what: str) -> list[int]:
     """The integers after ``prefix`` on one model-file payload line."""
     if not line.startswith(prefix):
@@ -157,13 +140,12 @@ class TrainedModel:
     The subclass is the whole algorithm.  It names its ``REGISTRY`` id in
     ``algorithm``, reads its settings from ``params`` and ``schema`` and
     keeps no copy of them, and provides the classmethod ``_fit`` (trains
-    on a labeled dataset, which ``train`` has checked),
-    ``predict_proba_batch`` ((m, k) class probabilities of (m, d) encoded
-    records; a value outside its attribute's domain is a ValueError),
-    ``payload`` (the model-file payload lines) and the classmethod
-    ``from_payload`` (parses what ``payload`` wrote: prefixes, integers,
-    field and line counts).  The constructor holds every check
-    prediction relies on, however the model is built (a ValueError).
+    on a labeled dataset, which ``train`` has checked), the kernel
+    ``_proba`` ((m, k) class probabilities of the (m, d) ``matrix`` of a
+    ``Dataset`` of its schema), ``payload`` (the model-file payload lines)
+    and the classmethod ``from_payload`` (parses what ``payload`` wrote:
+    prefixes, integers, field and line counts).  The constructor holds every
+    check prediction relies on, however the model is built (a ValueError).
     ``domain_sizes`` and ``_offsets`` are the schema's ``_layout``.  A
     model is immutable and equal only to itself.
     """
@@ -177,10 +159,15 @@ class TrainedModel:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
 
+    def predict_proba_batch(self, rows: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+        """Probability matrix (records x classes) for a batch of encoded
+        records, refused as ``Dataset(schema, rows, None)`` refuses them."""
+        return self._proba(Dataset(self.schema, rows, None).matrix)
+
     def predict_proba_row(self, values: Sequence[int]) -> np.ndarray:
         """Probability vector for one already-encoded record: the batch
         kernel on a batch of one."""
-        return self.predict_proba_batch(np.asarray(values)[np.newaxis])[0]
+        return self.predict_proba_batch([values])[0]
 
     def predict_proba(self, data: Dataset) -> np.ndarray:
         """Probability matrix (records x classes) for a whole dataset, in
@@ -195,7 +182,7 @@ class TrainedModel:
                 "dataset schema fingerprint does not match the model's "
                 f"({data.schema.fingerprint()[:12]} vs {self.schema.fingerprint()[:12]})"
             )
-        return self.predict_proba_batch(data.matrix)
+        return self._proba(data.matrix)
 
 
 # ---------------------------------------------------------------- KNN
@@ -239,7 +226,7 @@ class KnnModel(TrainedModel):
         """Keep the training table as it is."""
         return cls(data.schema, params, data.matrix, data.label_array)
 
-    def predict_proba_batch(self, queries: np.ndarray) -> np.ndarray:
+    def _proba(self, queries: np.ndarray) -> np.ndarray:
         """Vote of the min(k, N) nearest records under Hamming distance.
 
         Neighbors are ranked by (distance, training-row position), so ties
@@ -255,7 +242,6 @@ class KnnModel(TrainedModel):
         record, so one ``np.partition`` picks the nearest set exactly,
         ties included.
         """
-        queries = _records(queries, self.domain_sizes)
         n_words, n = self._codes.shape
         d, n_classes = len(self.domain_sizes), self.schema.n_classes
         used = min(self.params.knn_k, n)
@@ -300,14 +286,9 @@ class KnnModel(TrainedModel):
         """The model ``payload`` wrote."""
         width, rows = len(schema.features) + 1, []
         for line in lines:
-            try:
-                values = _ints(line, "row: ", "knn row")
-                if len(values) != width:
-                    raise ModelFileError(f"knn row has {len(values)} fields, expected {width}")
-            except ModelFileError:
-                if rows:  # a fault the constructor finds in an earlier line comes first
-                    cls.from_payload(lines[: len(rows)], schema, params)
-                raise
+            values = _ints(line, "row: ", "knn row")
+            if len(values) != width:
+                raise ModelFileError(f"knn row has {len(values)} fields, expected {width}")
             rows.append(values)
         table = np.reshape(rows, (len(rows), width))
         return cls(schema, params, table[:, :-1], table[:, -1])
@@ -363,7 +344,7 @@ class NaiveBayesModel(TrainedModel):
         return cls(data.schema, params, np.bincount(labels, minlength=k),
                    tally(data.matrix + offsets, labels[:, None], int(sizes.sum()), k))
 
-    def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
+    def _proba(self, rows: np.ndarray) -> np.ndarray:
         """Smoothed multinomial scores, normalised to sum to one.
 
         score(c) = prior(c) * prod_j (count(v_j, c) + alpha)
@@ -374,7 +355,6 @@ class NaiveBayesModel(TrainedModel):
         zeroes that class out; if that zeroes every class the priors are
         returned instead.
         """
-        rows = _records(rows, self.domain_sizes)
         scores = np.tile(self._priors, (len(rows), 1))
         for j, offset in enumerate(self._offsets.tolist()):
             scores *= self._ratios[rows[:, j] + offset]
@@ -605,10 +585,9 @@ class TreeModel(TrainedModel):
 
         return cls(data.schema, params, np.concatenate(attribute_at), np.concatenate(counts_at))
 
-    def predict_proba_batch(self, rows: np.ndarray) -> np.ndarray:
+    def _proba(self, rows: np.ndarray) -> np.ndarray:
         """Move every record still at a split node one depth down per step,
         then normalise the class counts of the leaves reached."""
-        rows = _records(rows, self.domain_sizes)
         node = np.zeros(len(rows), dtype=np.intp)
         live = np.arange(len(rows))
         while live.size:

@@ -42,6 +42,8 @@ from .errors import DataError, InputError, SchemaError, UsageError
 
 
 _BLOCK_CHARS = 1 << 16
+# every character ``str.splitlines`` ends a line at, the most common first
+_LINE_BOUNDARIES = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def read_blocks(path: str | Path, what: str) -> Iterator[str]:
@@ -76,15 +78,17 @@ def read_blocks(path: str | Path, what: str) -> Iterator[str]:
 def text_lines(text: str | Iterable[str]) -> Iterator[str]:
     """The lines ``str.splitlines`` gives for the whole text: a str after a
     leading byte-order mark, taken ``_BLOCK_CHARS`` characters at a time,
-    or ``read_blocks``' reads.  Each chunk's text up to its last line feed,
-    which ends a line whatever precedes it, is split, and the rest carried
-    into the next chunk, so only about one chunk's lines are alive."""
+    or ``read_blocks``' reads.  Each chunk's text up to its last line
+    boundary (not a final ``\\r``, which may start a ``\\r\\n``) is split and
+    the rest carried into the next chunk, so only about one chunk's lines are alive."""
     if isinstance(text, str):
         whole = text.removeprefix("\ufeff")
         text = (whole[i : i + _BLOCK_CHARS] for i in range(0, len(whole), _BLOCK_CHARS))
-    tail: list[str] = []  # the text after the last line feed
+    tail: list[str] = []  # the text after the last line boundary
     for chunk in text:
-        cut = chunk.rfind("\n") + 1
+        end, cut = len(chunk) - chunk.endswith("\r"), 0
+        for boundary in _LINE_BOUNDARIES:  # each searched only past the last one found
+            cut = max(cut, chunk.rfind(boundary, cut, end) + 1)
         if cut:
             yield from "".join([*tail, chunk[:cut]]).splitlines()
             tail = []

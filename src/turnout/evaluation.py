@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .classifiers import Hyperparams, _integer, predict_labels, train
-from .data import Dataset, class_counts, tally
+from .data import Dataset, class_counts, index_array, tally
 from .errors import UsageError
 
 
@@ -139,8 +139,16 @@ class ConfusionMatrix(NamedTuple("ConfusionMatrix", [("counts", tuple[tuple[int,
     def from_predictions(
         cls, actual: Sequence[int], predicted: Sequence[int], labels: Sequence[str]
     ) -> "ConfusionMatrix":
+        """Counts of each record's (actual, predicted) class pair; a record
+        with either missing or outside 0..k-1 is a ValueError naming it."""
         k = len(labels)
-        counts = tally(np.asarray(actual, dtype=np.intp), np.asarray(predicted, dtype=np.intp), k, k)
+        pair = [index_array(actual, "actual classes"), index_array(predicted, "predicted classes")]
+        n = min(map(len, pair))
+        both = np.stack([classes[:n] for classes in pair])
+        faults = [*np.flatnonzero(((both < 0) | (both >= k)).any(axis=0)).tolist(), n]
+        if faults[0] < max(map(len, pair)):
+            raise ValueError(f"record {faults[0]}: needs an actual and a predicted class in 0..{k - 1}")
+        counts = tally(both[0], both[1], k, k)
         return cls(counts=tuple(map(tuple, counts.tolist())), labels=tuple(labels))
 
 

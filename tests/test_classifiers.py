@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from turnout import (
     ALGORITHMS,
     REFERENCE_TREE_ROOT,
+    DataError,
+    Dataset,
     Hyperparams,
     KnnModel,
     Protocol,
@@ -45,7 +47,7 @@ def test_hamming_examples():
 
 def test_hamming_rejects_length_mismatch():
     model = train(tiny_dataset([(0, 1, 2)], [0], [2, 2, 3], 2), "knn")
-    with pytest.raises(ValueError, match=r"records have shape \(1, 2\), model expects \(m, 3\)"):
+    with pytest.raises(DataError, match=r"^record 0: expected 3 values, got 2$"):
         model.predict_proba_row((0, 1))
 
 
@@ -555,9 +557,9 @@ def test_train_rejects_empty_and_unlabeled_data():
 def test_out_of_domain_value_is_rejected_naming_the_attribute(algo, value):
     data = tiny_dataset([(0, 0), (1, 2), (0, 1), (1, 1)], [0, 1, 1, 0], [2, 3], 2)
     model = train(data, algo)
-    with pytest.raises(ValueError, match=f"value {value} is outside the domain of attribute 1"):
+    with pytest.raises(DataError, match=f"^record 0: index {value} out of range for attribute 'a1'$"):
         model.predict_proba_row((0, value))
-    with pytest.raises(ValueError, match="record 1: .* attribute 1"):
+    with pytest.raises(DataError, match=f"^record 1: index {value} out of range for attribute 'a1'$"):
         model.predict_proba_batch(np.array([(0, 0), (1, value)]))
 
 
@@ -572,6 +574,62 @@ def test_non_integer_values_are_rejected_not_truncated(algo):
         model.predict_proba_batch(data.matrix[:2] + 0.9)
     # an empty batch carries no value to truncate
     assert model.predict_proba_batch(np.zeros((0, 9))).shape == (0, 3)
+
+
+BATCH_FAULTS = ("none", "out of range", "wrong width", "ragged", "float", "no sequence", "empty")
+
+
+@st.composite
+def batch_problem(draw):
+    """A small labeled dataset and a batch to predict, of in-domain records
+    but for one kind of fault in any of them: a value out of range, every
+    record of the wrong width, a record too short or too long, a float, a
+    record that is no sequence, or no record at all; as a list, or as an
+    array when it is one."""
+    sizes = draw(st.lists(st.integers(min_value=2, max_value=3), min_size=1, max_size=4))
+    n_classes = draw(st.integers(min_value=2, max_value=3))
+    record = st.tuples(*[st.integers(min_value=0, max_value=size - 1) for size in sizes]).map(list)
+    rows = draw(st.lists(record, min_size=1, max_size=8))
+    labels = [draw(st.integers(min_value=0, max_value=n_classes - 1)) for _ in rows]
+    batch, fault = draw(st.lists(record, min_size=1, max_size=6)), draw(st.sampled_from(BATCH_FAULTS))
+    at = draw(st.lists(st.integers(min_value=0, max_value=len(batch) - 1), min_size=1, unique=True))
+    j = draw(st.integers(min_value=0, max_value=len(sizes) - 1))
+    for i in at:
+        if fault == "out of range":
+            batch[i][j] = draw(st.sampled_from([-1, sizes[j]]))
+        elif fault == "ragged":
+            batch[i] = batch[i][:-1] if draw(st.booleans()) else [*batch[i], 0]
+        elif fault == "float":
+            batch[i][j] += 0.5
+        elif fault == "no sequence":
+            batch[i] = 0
+    if fault == "wrong width":
+        cut = draw(st.integers(min_value=0, max_value=len(sizes) + 1).filter(lambda w: w != len(sizes)))
+        batch = [(r + r)[:cut] for r in batch]
+    batch = [] if fault == "empty" else [r if isinstance(r, int) else tuple(r) for r in batch]
+    if draw(st.booleans()) and len({-1 if isinstance(r, int) else len(r) for r in batch}) == 1:
+        batch = np.array(batch)
+    return tiny_dataset(rows, labels, sizes, n_classes), batch
+
+
+@given(batch_problem())
+def test_a_batch_is_checked_by_the_dataset_constructor_alone(problem):
+    # predict_proba_batch refuses what Dataset refuses, with the same type and
+    # message, and otherwise scores what predict_proba scores, bit for bit
+    data, batch = problem
+    try:
+        queries, refused = Dataset(data.schema, batch, None), None
+    except Exception as exc:
+        queries, refused = None, exc
+    for algo in ALGORITHMS:
+        model = train(data, algo)
+        if refused is None:
+            got, want = model.predict_proba_batch(batch), model.predict_proba(queries)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            continue
+        with pytest.raises(Exception) as caught:
+            model.predict_proba_batch(batch)
+        assert type(caught.value) is type(refused) and str(caught.value) == str(refused)
 
 
 def test_training_is_deterministic():

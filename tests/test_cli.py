@@ -1203,7 +1203,7 @@ def test_a_value_error_inside_a_kernel_is_an_internal_error(capsys, monkeypatch)
     def broken(self, queries):
         raise ValueError("kernel bug")
 
-    monkeypatch.setattr(KnnModel, "predict_proba_batch", broken)
+    monkeypatch.setattr(KnnModel, "_proba", broken)
     assert run(capsys, "evaluate", "--algo", "knn", "--seed", "1") == (
         3, "", "internal error: kernel bug\n")
 

@@ -323,6 +323,24 @@ def test_parse_csv_peak_memory_is_a_small_multiple_of_the_matrix():
     assert peak < 3.25 * data.matrix.nbytes
 
 
+def test_a_file_with_carriage_return_endings_is_split_a_block_at_a_time(tmp_path):
+    # every line boundary ends a block, not only a line feed, so a file of
+    # "\r"-only endings is never held whole
+    corpus = turnout.load_election_corpus()
+    text = dataset_to_csv(corpus).replace("\n", "\r") * 100
+    path = tmp_path / "cr.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert path.stat().st_size > 1_000_000
+    tracemalloc.start()
+    try:
+        n_lines = sum(1 for _ in text_lines(read_blocks(path, "data file")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_lines == len(text.splitlines())
+    assert peak < 1_000_000
+
+
 def test_dataset_accepts_an_empty_batch():
     # numpy reads () as a float array; it has no value to truncate
     data = Dataset(_toy(), (), ())

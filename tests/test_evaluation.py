@@ -161,6 +161,23 @@ def test_confusion_matrix_from_predictions():
     assert m.n == 5
 
 
+def test_confusion_matrix_from_predictions_refuses_records_it_cannot_count():
+    # a class index past k once landed in the next row's cells, and one
+    # prediction was broadcast over every record
+    labels = ("a", "b", "c")
+    for actual, predicted, record in [
+        ([0, 1], [3, 0], 0), ([0, 1], [0, -1], 1), ([0, 3, 1], [0, 0, 1], 1),
+        ([0, 1], [0], 1), ([0], [0, 1], 1), ([], [2], 0),
+    ]:
+        message = f"^record {record}: needs an actual and a predicted class in 0..2$"
+        with pytest.raises(ValueError, match=message):
+            ConfusionMatrix.from_predictions(actual, predicted, labels)
+    with pytest.raises(ValueError, match="^predicted classes must be integers, got float64 values$"):
+        ConfusionMatrix.from_predictions([0, 1], [0.0, 1.5], labels)
+    empty = ConfusionMatrix.from_predictions([], [], labels)
+    assert empty.counts == ((0, 0, 0),) * 3 and empty.n == 0
+
+
 def test_confusion_matrix_must_be_square():
     with pytest.raises(ValueError):
         ConfusionMatrix(counts=((1, 2),), labels=("a", "b"))

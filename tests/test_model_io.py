@@ -203,23 +203,39 @@ def _load_error(text):
     return str(caught.value)
 
 
-def test_knn_payload_reports_the_earlier_of_two_faulty_lines(corpus):
-    head, payload = _knn_payload(model_to_text(train(corpus, "knn")))
-    faults = [
-        lambda line: "row: x" + line[len("row: 0") :],
-        lambda line: line + " 0",
-        lambda line: "row: 99" + line[len("row: 0") :],
-        lambda line: line.rsplit(" ", 1)[0] + " 7",
-        lambda line: line.replace("row: ", "row:", 1),
-    ]
-    for early in faults:
-        alone = list(payload)
-        alone[3] = early(payload[3])
-        want = _load_error(_with_knn_payload(head, alone))
-        for later in faults:
-            both = list(alone)
-            both[7] = later(payload[7])
-            assert _load_error(_with_knn_payload(head, both)) == want
+def _table_fault(algo, payload):
+    """(line, the line with a fault only the constructor finds, the
+    constructor's message) for a line in the middle of the payload."""
+    if algo == "knn":  # a value outside its attribute's domain
+        return 3, "row: 99" + payload[3][len("row: 0") :], r"; row 3 is out of range$"
+    if algo == "naive-bayes":  # a table row that no longer sums to the class counts
+        key, counts = payload[5].split(": ")
+        first, *rest = counts.split()
+        return 5, f"{key}: {int(first) + 1} {' '.join(rest)}", (
+            rf"^count table {key.split()[1]} does not sum to the class counts$")
+    at = next(i for i, line in enumerate(payload) if i >= len(payload) // 3 and " leaf " in line)
+    zeros = " ".join("0" for _ in payload[at].split(" counts ")[1].split())
+    return at, f"node {at}: leaf 0 counts {zeros}", rf"^leaf node {at} has an invalid class distribution$"
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_a_payload_grammar_fault_anywhere_is_reported_before_a_table_fault(corpus, algo):
+    # every payload is parsed line by line, then built once: a fault of
+    # prefix, integers or field count on any line, earlier or later, comes
+    # before one that only the constructor finds
+    head, payload = _knn_payload(model_to_text(train(corpus, algo)))
+    at, broken, message = _table_fault(algo, payload)
+    table = list(payload)
+    table[at] = broken
+    assert re.search(message, _load_error(_with_knn_payload(head, table)))
+    for line in (0, at - 1, at + 1, len(payload) - 1):
+        grammar = list(payload)
+        grammar[line] += " x"
+        want = _load_error(_with_knn_payload(head, grammar))
+        assert want.startswith("non-integer in ")
+        both = list(table)
+        both[line] += " x"
+        assert _load_error(_with_knn_payload(head, both)) == want
 
 
 @pytest.mark.parametrize("change", ["delete", "append"])
